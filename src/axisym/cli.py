@@ -1,7 +1,8 @@
 """Command-line interface: list, verify, simulate, figure.
 
 Exit status contract: 0 all checks passed, 1 verification failure,
-2 configuration error, 3 singular-approach abort.
+2 configuration error, 3 integration aborted (a singular start, a guard
+region or the escape bound reached, or the step budget used up).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import io as aio
 from .autodiff import value
 from .catalog import BUILDERS, SYSTEM_INFO, SystemParams, build
-from .dynamics import detect_period, integrate
+from .dynamics import STEP_BUDGET, PeriodReport, detect_period, integrate
 from .figures import RECIPES, REFERENCE_IC, run_figure
 from .phase import DEFAULT_SEED, DomainError, PhasePoint, make_rng
 from .verify import is_integral, verify_system
@@ -121,22 +122,23 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _apply_mutation(params: SystemParams, mutate: str) -> SystemParams:
+def _apply_mutation(system_id: str, params: SystemParams, mutate: str) -> SystemParams:
     if "=" not in mutate:
         raise ConfigError("--mutate expects key=delta, e.g. u1=+0.001")
     key, delta = mutate.split("=", 1)
     key = key.strip()
-    d = params.as_dict()
-    if key not in d or d.get(key) is None:
-        base = getattr(params, key, None)
-        if base is None:
-            raise ConfigError(f"--mutate: parameter {key!r} not set on this system")
+    # A parameter the system lacks would leave it unchanged and the
+    # control would pass vacuously.
+    if key not in SYSTEM_INFO[system_id]["parameters"]:
+        raise ConfigError(f"--mutate: {system_id} has no parameter {key!r}")
+    if getattr(params, key, None) is None:
+        raise ConfigError(f"--mutate: parameter {key!r} not set on this system")
     try:
         step = float(delta)
     except ValueError:
         raise ConfigError(f"--mutate: {delta!r} is not a number")
     fields = {k: v for k, v in params.as_dict().items() if v is not None}
-    fields[key] = fields.get(key, 0.0) + step
+    fields[key] += step
     return SystemParams(**fields)
 
 
@@ -148,7 +150,8 @@ def cmd_verify(args) -> int:
         # against the *original* Hamiltonian.  Conservation breaks, the
         # checks fail, and the command exits 1 — demonstrating that the
         # verification suite is sensitive to the catalog coefficients.
-        mutated = _build_system(args.system, _apply_mutation(params, args.mutate))
+        mutated = _build_system(args.system,
+                                _apply_mutation(args.system, params, args.mutate))
         rng = make_rng(args.seed)
         reports = [is_integral(spec, g, samples=args.samples,
                                tol=1e-10, rng=rng)
@@ -187,7 +190,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--tol must lie in [1e-14, 1e-6]")
 
     try:
-        traj = integrate(spec, PhasePoint.from_state(ic), args.t_end, tol=args.tol)
+        traj = integrate(spec, PhasePoint.from_state(ic), args.t_end, tol=args.tol,
+                         max_steps=STEP_BUDGET)
     except DomainError as exc:
         print(f"singular abort: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -206,8 +210,11 @@ def cmd_simulate(args) -> int:
         "aborted": traj.aborted,
     })
     if args.detect_period:
-        rep = detect_period(spec, PhasePoint.from_state(ic),
-                            horizon=args.t_end, tol=max(args.tol, 1e-12))
+        # An aborted run has no orbit to close; its rerun would abort too.
+        rep = PeriodReport(closed=False, period=None, return_distance=float("inf"))
+        if not traj.aborted:
+            rep = detect_period(spec, PhasePoint.from_state(ic),
+                                horizon=args.t_end, tol=max(args.tol, 1e-12))
         meta["period_report"] = rep.as_dict()
     aio.write_meta(stem + "_meta.json", meta)
     if args.json:
@@ -216,7 +223,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote {stem}.csv ({traj.times.size} rows)")
         if traj.aborted:
             print(f"integration aborted at t = {meta['t_final']:.6g} "
-                  f"(singular approach)", file=sys.stderr)
+                  f"({meta['reason']})", file=sys.stderr)
     return EXIT_SINGULAR if traj.aborted else EXIT_OK
 
 

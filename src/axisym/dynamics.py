@@ -8,22 +8,31 @@ single-state integration the closed form is traced once per spec into
 straight-line Python (forward-mode derivatives by source transformation),
 so each call does plain float arithmetic.
 
-The integrator is an adaptive embedded Runge-Kutta pair of order 8(5,3)
-with dense output; conserved quantities are monitored along the output
-nodes rather than enforced, which provides a drift certificate tied to
-the local tolerance.
+The integrator is scipy's DOP853, an adaptive embedded Runge-Kutta pair
+of order 8(5,3) with dense output, run on a state of six Python floats:
+its tableau (read from ``scipy.integrate._ivp.dop853_coefficients``) is
+written out once as straight-line code, and the initial step, error norm
+and step-size controller are scipy's, so a run makes the same RHS calls
+as ``scipy.integrate.solve_ivp``.  Guard and escape events are checked
+at accepted steps and located with ``brentq`` on the interpolant; a step
+budget bounds the work of a run.  Each run reports why it stopped.
+Conserved quantities are monitored along the output nodes rather than
+enforced, which provides a drift certificate tied to the local
+tolerance.  ``integrate_batch`` still calls scipy's ``solve_ivp``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq, minimize_scalar
 
 from .autodiff import Dual, tangent, value
 from .catalog import SystemSpec
@@ -33,6 +42,10 @@ GUARD_RADIUS = 0.05
 ESCAPE_BOUND = 1e4
 TOL_MIN, TOL_MAX = 1e-14, 1e-6
 DEFAULT_TOL = 1e-10
+# Accepted steps after which a bounded run stops ("step_budget").  Orbits
+# can hover just outside a guard radius, or run away with the step size
+# collapsing long before the escape bound, so an unbounded run may stall.
+STEP_BUDGET = 50_000
 
 
 def _axial_derivatives(fn, s, w):
@@ -203,7 +216,7 @@ class _Tape:
             if name in live:
                 live.update(reads)
                 body.append(f"    {name} = {expr}")
-        head = f"    {', '.join(v.name for v in inputs)} = y.tolist()"
+        head = f"    {', '.join(v.name for v in inputs)} = y"
         return "\n".join(["def rhs(t, y):", head, *reversed(body),
                           f"    return ({', '.join(out)})"])
 
@@ -212,9 +225,9 @@ def _straight_line_rhs(rhs, tag: str):
     """Turn a single-state ``rhs(t, y)`` on scalars into generated code.
 
     ``rhs`` is run once on recording scalars; the function returned
-    repeats its arithmetic, in the same order, on the six Python floats
-    of a state array ``y``, so on finite values its results equal those
-    of ``rhs`` bit for bit.
+    repeats its arithmetic, in the same order, on the six floats of a
+    state ``y`` (the solver passes a tuple), so on finite values its
+    results equal those of ``rhs`` bit for bit.
     """
     tape = _Tape()
     inputs = [_Var(tape, f"y{i}") for i in range(6)]
@@ -278,6 +291,273 @@ def _make_dual_rhs(spec: SystemSpec):
     return rhs
 
 
+# ------------------------------------------------------------------ DOP853
+#
+# Scipy's DOP853 (Hairer, Norsett & Wanner, "Solving ODEs I", II.5-II.6)
+# run on a state of six Python floats: the same tableau, initial step,
+# error norm and step-size controller as ``scipy.integrate.solve_ivp``,
+# without its per-stage array and wrapper overhead.
+
+SAFETY = 0.9              # step-size controller, as in scipy's RungeKutta
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0     # the error estimator has order 7
+_EPS = float(np.finfo(float).eps)
+_ROW = 50                 # interpolant row: t_old, h, y_old (6), F (7 x 6)
+
+
+def _dop853_source() -> str:
+    """Source of ``step`` and ``dense`` for scipy's DOP853 tableau.
+
+    Every stage is written out per component with the zero
+    coefficients dropped.  ``step`` makes one attempt of size ``h``: it
+    returns the new state, f there, the error norm of scipy's
+    ``DOP853._estimate_error_norm`` and the stages.  ``dense`` adds the
+    three extra stages of an accepted step and returns its interpolant
+    row ``(t_old, h, *y_old, *F)`` with F as in scipy's
+    ``Dop853DenseOutput``.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as co
+
+    n = co.N_STAGES                  # stage n is f(t + h, y_new)
+    comps = range(6)
+
+    def lin(coefs, i):
+        return " + ".join(f"{float(c)!r} * k{j}_{i}"
+                          for j, c in enumerate(coefs) if c != 0)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in comps)
+
+    def stage(s):
+        args = ", ".join(f"y{i} + ({lin(co.A[s, :s], i)}) * h" for i in comps)
+        return [f"    k{s} = rhs(t + {float(co.C[s])!r} * h, ({args}))",
+                f"    {names(f'k{s}_')} = k{s}"]
+
+    stages = ", ".join(f"k{j}" for j in range(n))
+    step = ["def step(rhs, t, y, f, h, rtol, atol):",
+            f"    {names('y')} = y",
+            "    k0 = f",
+            f"    {names('k0_')} = f"]
+    for s in range(1, n):
+        step += stage(s)
+    step += [f"    n{i} = y{i} + h * ({lin(co.B, i)})" for i in comps]
+    step += [f"    yn = ({names('n')})",
+             f"    k{n} = rhs(t + h, yn)",
+             f"    {names(f'k{n}_')} = k{n}"]
+    for i in comps:
+        step += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol",
+                 f"    p{i} = ({lin(co.E5, i)}) / s{i}",
+                 f"    q{i} = ({lin(co.E3, i)}) / s{i}"]
+    step += [f"    p = {' + '.join(f'p{i} * p{i}' for i in comps)}",
+             f"    q = {' + '.join(f'q{i} * q{i}' for i in comps)}",
+             "    if p == 0.0 and q == 0.0:",
+             f"        return yn, k{n}, 0.0, ({stages})",
+             f"    return yn, k{n}, abs(h) * p / sqrt((p + 0.01 * q) * 6.0), ({stages})"]
+
+    dense = ["def dense(rhs, t, h, y, ks, yn, f):",
+             f"    {names('y')} = y",
+             f"    {names('n')} = yn",
+             f"    {stages} = ks",
+             f"    k{n} = f"]
+    dense += [f"    {names(f'k{j}_')} = k{j}" for j in range(n + 1)]
+    for s in range(n + 1, co.N_STAGES_EXTENDED):
+        dense += stage(s)
+    dense += [f"    d{i} = n{i} - y{i}" for i in comps]
+    F = ([f"d{i}" for i in comps]
+         + [f"h * k0_{i} - d{i}" for i in comps]
+         + [f"2 * d{i} - h * (k{n}_{i} + k0_{i})" for i in comps]
+         + [f"h * ({lin(row, i)})" for row in co.D for i in comps])
+    dense.append(f"    return (t, h, {names('y')}, {', '.join(F)})")
+    return "\n".join(step + [""] + dense) + "\n"
+
+
+@functools.cache
+def _dop853():
+    """``(step, dense)``, generated and compiled on first use."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
+    return namespace["step"], namespace["dense"]
+
+
+class DenseOutput:
+    """Piecewise DOP853 interpolant held as one array of step rows.
+
+    ``t_ends[k]`` is the end of the step in ``rows[k]``; a time is
+    evaluated on the first step ending at or after it (scipy's
+    ``OdeSolution`` choice at breakpoints), clipped to the first and last
+    step.  A scalar time gives a (6,) state, an (N,) array a (6, N) block.
+    """
+
+    def __init__(self, t_ends: np.ndarray, rows: np.ndarray):
+        self.t_ends = t_ends
+        self.rows = rows
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        seg = np.minimum(np.searchsorted(self.t_ends, t, side="left"),
+                         self.t_ends.size - 1)
+        rows = self.rows[seg]
+        x = ((t - rows[..., 0]) / rows[..., 1])[..., None]
+        y = np.zeros(rows.shape[:-1] + (6,))
+        for m in range(6, -1, -1):
+            y += rows[..., 8 + 6 * m:14 + 6 * m]
+            y *= x if m % 2 == 0 else 1.0 - x
+        y += rows[..., 2:8]
+        return y.T
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """Output of :func:`solve_ivp`; the fields scipy's result shares first."""
+
+    t: np.ndarray                 # (N,) output times
+    y: np.ndarray                 # (6, N) states there
+    sol: Optional[DenseOutput]    # with dense_output, over [t0, t_final]
+    status: int                   # 0 reached t_end, 1 stopped early, -1 failed
+    nfev: int
+    message: str
+    reason: str                   # "completed", an event's name or "step_budget"
+    steps: int                    # accepted steps
+    rejected_steps: int
+    t_final: float                # where the run stopped
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum(x * x for x in v)) / math.sqrt(len(v))
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
+    """Scipy's ``select_initial_step`` for an order-7 error estimator."""
+    interval = t_bound - t0
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, tuple(v + h0 * d for v, d in zip(y0, f0)))
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval)
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
+              events=(), max_steps=None) -> OdeResult:
+    """DOP853 on a state of six floats, forward in time.
+
+    Runs the algorithm of ``scipy.integrate.solve_ivp(method="DOP853")``
+    with the same RHS call count.  ``fun(t, y)`` gets a 6-tuple and
+    returns six floats.  Each event ``ev(t, y)`` stops the run when its
+    value falls from >= 0 to <= 0 between two accepted steps (scipy's
+    terminal event with ``direction = -1``): the run ends at its root on
+    the step's interpolant (``brentq``, as scipy), with the event's name
+    as the reason.  With ``max_steps`` a run that has
+    not finished after that many accepted steps stops with reason
+    ``"step_budget"``.  Output is the step points (``dense_output``) or
+    the ``t_eval`` nodes reached; a run that stops early also outputs
+    its stop.  Every output state but the step points comes from the
+    interpolant.
+    """
+    step, dense = _dop853()
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if not t_bound > t:
+        raise ValueError("t_span must run forward")
+    if t_eval is None and not dense_output:
+        raise ValueError("pass t_eval or dense_output=True")
+    t0 = t
+    y = tuple(map(float, y0))
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    nfev = 2
+    nodes = [] if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
+    nodes.append(math.inf)
+    i_node = 0
+    g = [ev(t, y) for ev in events]
+    rows, t_ends = array("d"), array("d")
+    steps = rejected = 0
+    status, reason, t_stop = None, "completed", t
+
+    while status is None:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                status, reason = -1, "step_size"
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            y_new, f_new, err, ks = step(fun, t, y, f, h, rtol, atol)
+            nfev += 12
+            if err < 1.0:
+                factor = MAX_FACTOR if err == 0.0 else min(
+                    MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if step_rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        if status is not None:
+            break
+        steps += 1
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_stop = t
+        row = None
+        if dense_output:
+            row = dense(fun, t_old, h, y_old, ks, y, f)
+            nfev += 3
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            hits = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
+            if hits:
+                if row is None:
+                    row = dense(fun, t_old, h, y_old, ks, y, f)
+                    nfev += 3
+                local = DenseOutput(np.array([t]), np.array([row]))
+                t_stop, first = min(
+                    (brentq(lambda s, ev=events[i]: ev(s, local(s)), t_old, t,
+                            xtol=4 * _EPS, rtol=4 * _EPS), i) for i in hits)
+                status, reason = 1, events[first].__name__
+            g = g_new
+        if status is None:
+            if t >= t_bound:
+                status = 0
+            elif steps == max_steps:
+                status, reason = 1, "step_budget"
+        if row is None and (status == 1 or nodes[i_node] <= t_stop):
+            # Sampled output needs this step's interpolant, and so does
+            # the stop state of a run that ends early.
+            row = dense(fun, t_old, h, y_old, ks, y, f)
+            nfev += 3
+        while nodes[i_node] <= t_stop:
+            i_node += 1
+        if row is not None:
+            rows.extend(row)
+            t_ends.append(t)
+
+    sol = DenseOutput(np.frombuffer(t_ends), np.frombuffer(rows).reshape(-1, _ROW)) if rows else None
+    if status == -1:
+        out_t, out_y = np.array([t]), np.array(y).reshape(6, 1)
+    elif t_eval is None:
+        out_t = np.r_[t0, sol.t_ends[:-1], t_stop]
+        end = np.array(y) if status == 0 else sol(t_stop)
+        out_y = np.c_[sol.rows[:, 2:8].T, end]
+    else:
+        out_t = np.array(nodes[:i_node])
+        if status == 1 and (out_t.size == 0 or out_t[-1] < t_stop):
+            out_t = np.append(out_t, t_stop)
+        out_y = sol(out_t)
+    message = {0: "reached the end of the interval",
+               1: f"stopped at t = {t_stop!r}: {reason}",
+               -1: "required step size is less than spacing between numbers"}[status]
+    return OdeResult(t=out_t, y=out_y, sol=sol if dense_output else None,
+                     status=status, nfev=nfev, message=message, reason=reason,
+                     steps=steps, rejected_steps=rejected, t_final=t_stop)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled integration output with conserved-quantity traces."""
@@ -286,12 +566,8 @@ class Trajectory:
     states: np.ndarray                # (N, 6)
     traces: dict                      # label -> (N,) values
     meta: dict = field(default_factory=dict)
-    dense: Optional[object] = None    # OdeSolution over [t0, t_final]
+    dense: Optional[DenseOutput] = None   # interpolant over [t0, t_final]
     aborted: bool = False
-
-    @property
-    def points(self) -> list:
-        return [PhasePoint.from_state(s) for s in self.states]
 
     def drift(self, label: str) -> float:
         """Max relative drift of one trace from its initial value."""
@@ -319,55 +595,29 @@ class PeriodReport:
 
 
 def _guard_events(spec: SystemSpec):
+    """Stop events of a run, each named for the stop reason it gives.
+
+    Each reads a state as a 6-sequence and falls through zero on
+    entering its region.
+    """
     events = []
     if "r" in spec.singular_in:
-        def near_axis(t, y):
+        def axis_guard(t, y):
             return math.hypot(y[0], y[1]) - GUARD_RADIUS
-        near_axis.terminal = True
-        near_axis.direction = -1
-        events.append(near_axis)
+        events.append(axis_guard)
     if "z" in spec.singular_in:
-        def near_plane(t, y):
-            return abs(float(y[2])) - GUARD_RADIUS
-        near_plane.terminal = True
-        near_plane.direction = -1
-        events.append(near_plane)
+        def plane_guard(t, y):
+            return abs(y[2]) - GUARD_RADIUS
+        events.append(plane_guard)
 
     # Several catalog potentials are unbounded below at large radius, so
     # some initial conditions escape with a finite-time blow-up that
     # would stall the adaptive stepper; stop such runs at a generous
     # amplitude bound instead.
-    def escaped(t, y):
-        return ESCAPE_BOUND - max(map(abs, y.tolist()))
-    escaped.terminal = True
-    escaped.direction = -1
-    events.append(escaped)
+    def escape(t, y):
+        return ESCAPE_BOUND - max(map(abs, y))
+    events.append(escape)
     return events
-
-
-def _step_budget_event(max_steps: int):
-    """Terminal event that fires after ``max_steps`` accepted steps.
-
-    Orbits can hover just outside a guard radius with step sizes driven
-    arbitrarily small by the nearby gradient; this bounds the work per
-    run so such draws abort instead of stalling.
-    """
-    state = {"count": 0, "t_trip": None}
-
-    def over_budget(t, y):
-        # Latch the time at which the budget is exceeded so the event is
-        # a deterministic function of t during root bracketing.
-        if state["t_trip"] is None:
-            state["count"] += 1
-            if state["count"] > max_steps:
-                state["t_trip"] = t
-        if state["t_trip"] is None:
-            return 1.0
-        return 1.0 if t < state["t_trip"] else -1.0
-
-    over_budget.terminal = True
-    over_budget.direction = -1
-    return over_budget
 
 
 def _trace_all(spec: SystemSpec, states: np.ndarray) -> dict:
@@ -398,9 +648,11 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
               max_steps: Optional[int] = None) -> Trajectory:
     """Integrate Hamilton's equations from one initial condition.
 
-    Aborts cleanly (``aborted=True``, truncated output) if the state
-    reaches the guard region of a singular term.  Traces of H and all
-    integrals are evaluated at the output nodes.
+    Aborts cleanly (``aborted=True``, output truncated at the stop) if
+    the state reaches the guard region of a singular term, passes the
+    escape bound, or takes ``max_steps`` accepted steps; ``meta`` names
+    the reason and records RHS calls and accepted and rejected steps.
+    Traces of H and all integrals are evaluated at the output nodes.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -412,20 +664,15 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     rhs = _make_scalar_rhs(spec)
 
     nodes = _output_nodes(t_end, dt_out)
-    events = _guard_events(spec)
-    if max_steps is not None:
-        events = events + [_step_budget_event(max_steps)]
     # Dense output costs three extra stages per step; skip it when the
     # caller only needs the sampled nodes (e.g. drift monitoring).
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                    rtol=tol, atol=tol, dense_output=dense,
-                    t_eval=None if dense else nodes,
-                    events=events)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol,
+                    dense_output=dense, t_eval=None if dense else nodes,
+                    events=_guard_events(spec), max_steps=max_steps)
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
-    aborted = sol.status == 1
+    t_final = sol.t_final
     if dense:
-        t_final = float(sol.t[-1])
         nodes = nodes[nodes <= t_final]
         if nodes.size == 0 or nodes[-1] < t_final:
             nodes = np.append(nodes, t_final)
@@ -433,19 +680,20 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     else:
         nodes = sol.t
         states = sol.y.T
-        if nodes.size == 0:
-            raise RuntimeError("integration produced no output nodes")
-        t_final = float(nodes[-1])
     meta = {
         "system_id": spec.system_id,
         "params": spec.params.as_dict(),
         "tol": tol,
         "t_end": t_end,
         "t_final": t_final,
+        "reason": sol.reason,
+        "nfev": sol.nfev,
+        "steps": sol.steps,
+        "rejected_steps": sol.rejected_steps,
     }
     return Trajectory(times=nodes, states=states,
                       traces=_trace_all(spec, states), meta=meta,
-                      dense=sol.sol if dense else None, aborted=aborted)
+                      dense=sol.sol, aborted=sol.status == 1)
 
 
 def integrate_batch(spec: SystemSpec, ics: np.ndarray, t_end: float,
@@ -463,8 +711,8 @@ def integrate_batch(spec: SystemSpec, ics: np.ndarray, t_end: float,
     def rhs(t, y):
         return _rhs_array(spec, y.reshape(k, 6).T).T.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, t_end), ics.reshape(-1), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
+    sol = scipy_solve_ivp(rhs, (0.0, t_end), ics.reshape(-1), method="DOP853",
+                          rtol=tol, atol=tol, dense_output=True)
     if sol.status != 0:
         raise RuntimeError(f"batch integration failed: {sol.message}")
     nodes = np.linspace(0.0, t_end, n_out)
@@ -501,7 +749,7 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
         state = sample_safe_states(rng, 1)[:, 0]
         try:
             traj = integrate(spec, state, t_end, tol=tol, dense=False,
-                             dt_out=t_end / 200.0, max_steps=50_000)
+                             dt_out=t_end / 200.0, max_steps=STEP_BUDGET)
         except DomainError:
             continue
         if traj.aborted:

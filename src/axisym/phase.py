@@ -224,10 +224,6 @@ def apply_gauge(A: CovectorField, F: Callable) -> CovectorField:
     return CovectorField(gauged, label=f"{A.label}+gradF")
 
 
-def zero_covector() -> CovectorField:
-    return CovectorField(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z), label="0")
-
-
 def hamiltonian_observable(A: CovectorField, W: Callable, label: str = "H") -> Observable:
     """H = |p + A(q)|^2 / 2 + W(q) as a generic observable."""
 

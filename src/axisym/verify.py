@@ -52,20 +52,6 @@ def poisson(f, g, state):
     return acc
 
 
-def poisson_observable(f, g, label: str = "") -> Observable:
-    """{f, g} packaged as an observable (enables nested brackets)."""
-    ff, gf = _fn_of(f), _fn_of(g)
-
-    def fn(state):
-        return poisson(ff, gf, state)
-
-    if not label:
-        lf = getattr(f, "label", "f") or "f"
-        lg = getattr(g, "label", "g") or "g"
-        label = f"{{{lf},{lg}}}"
-    return Observable(fn, label=label)
-
-
 def _grad_norms(f, g, state):
     gf = gradient6(_fn_of(f), state)
     gg = gradient6(_fn_of(g), state)

@@ -14,6 +14,7 @@ from axisym.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from axisym.dynamics import STEP_BUDGET
 
 CP_PARAMS = "u1=1,u2=1.5,u3=0.5,bz=4"
 OP_PARAMS = "u1=2,u2=1.5,u3=-1,bz=7,bp=4,bs=2"
@@ -74,6 +75,16 @@ def test_verify_config_errors(capsys):
                  "--mutate", "zz=1"]) == EXIT_CONFIG
 
 
+def test_verify_mutate_rejects_parameters_the_system_lacks(capsys):
+    # Mutating an absent parameter changes nothing, so the control would
+    # pass vacuously.
+    assert main(["verify", "linear_min", "--params", "u1=1,bz=2",
+                 "--mutate", "u3=+0.001"]) == EXIT_CONFIG
+    assert main(["verify", "op_min", "--params", OP_PARAMS,
+                 "--mutate", "bq=+0.001"]) == EXIT_CONFIG
+    assert "has no parameter 'bq'" in capsys.readouterr().err
+
+
 def test_argparse_failures_map_to_config_error():
     assert main([]) == EXIT_CONFIG
     assert main(["figure", "seven"]) == EXIT_CONFIG
@@ -93,6 +104,9 @@ def test_simulate_writes_csv_and_meta(tmp_path, capsys):
     assert meta["momenta"] == "canonical"
     assert meta["ic"] == [1.0, -1.0, 1.0, 1.0, 0.0, 0.0]
     assert meta["aborted"] is False
+    assert meta["reason"] == "completed"
+    assert meta["t_final"] == 5.0
+    assert meta["nfev"] > 0 and meta["steps"] > 0
     assert all(abs(v) < 1e-8 for v in meta["drift"].values())
 
 
@@ -121,7 +135,23 @@ def test_simulate_singular_abort_mid_run_exits_3(tmp_path):
     assert code == EXIT_SINGULAR
     meta = json.loads((tmp_path / "linear_min_trajectory_meta.json").read_text())
     assert meta["aborted"] is True
+    assert meta["reason"] == "axis_guard"
     assert meta["t_final"] < 5.0
+
+
+def test_simulate_runaway_stops_at_the_step_budget(tmp_path, capsys):
+    # The step size collapses as |q| grows, so this orbit never reaches
+    # the escape bound; the step budget ends it.
+    code = main(["simulate", "cp_min", "--params", "u1=10,u2=1.5,u3=1,bz=2,bq=4",
+                 "--ic", "0.745,1.77,-1.02,1.333,-0.125,0.935", "--t-end", "50",
+                 "--detect-period", "--out", str(tmp_path)])
+    assert code == EXIT_SINGULAR
+    assert "(step_budget)" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "cp_min_trajectory_meta.json").read_text())
+    assert meta["reason"] == "step_budget"
+    assert meta["steps"] == STEP_BUDGET
+    assert meta["t_final"] < 50.0
+    assert meta["period_report"]["closed"] is False
 
 
 def test_simulate_kinetic_momenta_conversion(tmp_path):

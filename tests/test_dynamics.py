@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
 from axisym.dynamics import (
@@ -16,8 +18,10 @@ from axisym.dynamics import (
     integrate_batch,
     radial_frequency,
     reverse_momenta,
+    _guard_events,
     _make_dual_rhs,
     _make_scalar_rhs,
+    _output_nodes,
 )
 from axisym.phase import (
     CovectorField,
@@ -31,6 +35,11 @@ from axisym.phase import (
 )
 
 from conftest import PARAMS, SYSTEM_OF
+
+# Criterion-1 draw 3 of op_min: its orbit reaches the z = 0 guard plane
+# between the output nodes 0.5 and 0.75.
+OP_MIN_PLANE_DRAW = [0.3456716522152773, 1.5998543023085443, -1.235753618668447,
+                     1.8592047491527839, -1.4465184004039107, -1.0685734363711399]
 
 
 def _free_particle() -> SystemSpec:
@@ -81,15 +90,13 @@ def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
         assert np.allclose(eom_rhs(spec, state), expected, rtol=1e-11, atol=1e-11)
 
 
-def test_scalar_rhs_keeps_duals_for_untraceable_fields():
-    # exp() has no straight-line form, so the dual-number RHS is used.
+def _gaussian_well() -> SystemSpec:
     import axisym.autodiff as ad
-    from axisym.phase import gradient6
 
     A = CovectorField(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z))
     B = TwoForm(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z))
     W = lambda x, y, z: ad.exp(-(x * x + y * y)) + z * z
-    spec = SystemSpec(
+    return SystemSpec(
         system_id="gauss", params=SystemParams(),
         W=W, A=A, B=B,
         hamiltonian=hamiltonian_observable(A, W),
@@ -98,11 +105,76 @@ def test_scalar_rhs_keeps_duals_for_untraceable_fields():
         gauge_factor=lambda s, w: 0.0 * s + 0.0 * w,
         potential_sw=lambda s, w: ad.exp(-s) + w * w,
     )
+
+
+def test_scalar_rhs_keeps_duals_for_untraceable_fields():
+    # exp() has no straight-line form, so the dual-number RHS is used.
+    from axisym.phase import gradient6
+
+    spec = _gaussian_well()
     rhs = _make_scalar_rhs(spec)
+    assert not rhs.__code__.co_filename.startswith("<rhs ")
     state = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
     grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
     expected = np.r_[grad[3:], [-grad[0], -grad[1], -grad[2]]]
     assert np.allclose(rhs(0.0, state), expected, rtol=1e-12, atol=1e-12)
+
+
+def _both_solvers(rhs, events, y0, t_end, dense):
+    """The same run through the float DOP853 solver and through scipy."""
+    for ev in events:      # how scipy reads these stop events
+        ev.terminal, ev.direction = True, -1
+    nodes = None if dense else _output_nodes(t_end, None)
+    kwargs = dict(rtol=1e-12, atol=1e-12, dense_output=dense, t_eval=nodes,
+                  events=events)
+    ours = dynamics.solve_ivp(rhs, (0.0, t_end), y0, **kwargs)
+    ref = scipy.integrate.solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", **kwargs)
+    return ours, ref
+
+
+def _assert_same_run(ours, ref, dense):
+    assert ours.nfev == ref.nfev
+    assert ours.status == ref.status
+    if dense:
+        assert ours.t_final == pytest.approx(ref.t[-1], abs=1e-9)
+        ts = np.random.default_rng(5).uniform(0.0, ours.t_final, 500)
+        assert np.allclose(ours.sol(ts), ref.sol(ts), rtol=0, atol=1e-9)
+    else:
+        # Scipy stops at the last node before a terminal event; this
+        # solver also outputs the stop.
+        n = ref.t.size
+        assert np.array_equal(ours.t[:n], ref.t)
+        assert ours.t.size == n + ours.status
+        assert np.allclose(ours.y[:, :n], ref.y, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("key", list(PARAMS))
+def test_solve_ivp_matches_scipy_dop853(key, dense, reference_ic):
+    spec = build(SYSTEM_OF[key], PARAMS[key])
+    ours, ref = _both_solvers(_make_scalar_rhs(spec), _guard_events(spec),
+                              reference_ic, 5.0, dense)
+    _assert_same_run(ours, ref, dense)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_solve_ivp_matches_scipy_dop853_on_a_guard_stop(dense):
+    spec = build("op_min", PARAMS["op_min"])
+    ours, ref = _both_solvers(_make_scalar_rhs(spec), _guard_events(spec),
+                              OP_MIN_PLANE_DRAW, 5.0, dense)
+    _assert_same_run(ours, ref, dense)
+    assert ours.reason == "plane_guard"
+
+
+def test_dual_rhs_fallback_runs_through_the_same_solver():
+    spec = _gaussian_well()
+    rhs = _make_scalar_rhs(spec)
+    y0 = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
+    ours, ref = _both_solvers(rhs, _guard_events(spec), y0, 3.0, dense=True)
+    _assert_same_run(ours, ref, dense=True)
+    traj = integrate(spec, y0, 3.0, tol=1e-12)
+    assert traj.meta["reason"] == "completed"
+    assert traj.drift("H") < 1e-11
 
 
 def test_eom_rhs_accepts_batches_and_phase_points():
@@ -180,17 +252,57 @@ def test_guard_aborts_on_approach():
     spec = build("linear_min", SystemParams(u1=1e-4, bz=2.0))
     traj = integrate(spec, [1.0, 0.0, 0.0, -1.5, 0.0, 0.0], 5.0, tol=1e-10)
     assert traj.aborted
+    assert traj.meta["reason"] == "axis_guard"
     assert traj.meta["t_final"] < 5.0
     r_end = np.hypot(traj.states[-1, 0], traj.states[-1, 1])
     assert r_end == pytest.approx(GUARD_RADIUS, abs=1e-3)
 
 
-def test_step_budget_aborts():
+@pytest.mark.parametrize("dense", [True, False])
+def test_plane_guard_aborts_and_output_ends_at_the_stop(dense):
     spec = build("op_min", PARAMS["op_min"])
-    traj = integrate(spec, [1.0, -1.0, 1.0, 1.0, 0.0, 0.0], 50.0,
-                     tol=1e-10, max_steps=20)
+    traj = integrate(spec, OP_MIN_PLANE_DRAW, 50.0, tol=1e-12, dt_out=0.25,
+                     dense=dense)
     assert traj.aborted
-    assert traj.meta["t_final"] < 50.0
+    assert traj.meta["reason"] == "plane_guard"
+    t_final = traj.meta["t_final"]
+    assert 0.5 < t_final < 0.75
+    assert traj.times[-1] == t_final
+    assert list(traj.times[:-1]) == [0.0, 0.25, 0.5]
+    assert abs(traj.states[-1, 2]) == pytest.approx(GUARD_RADIUS, abs=1e-9)
+
+
+def test_completed_run_reports_its_work(reference_ic):
+    spec = build("max6", PARAMS["max6"])
+    traj = integrate(spec, reference_ic, 8.0, tol=1e-12)
+    meta = traj.meta
+    assert not traj.aborted
+    assert meta["reason"] == "completed"
+    assert meta["t_final"] == 8.0
+    # Two calls choose the first step, twelve per attempt, and the dense
+    # output adds three per accepted step.
+    attempts = meta["steps"] + meta["rejected_steps"]
+    assert meta["nfev"] == 2 + 12 * attempts + 3 * meta["steps"]
+
+
+def test_step_budget_aborts():
+    # The budget stops a run after exactly max_steps accepted steps, in
+    # both output modes, and only cuts it short: the end state lies on
+    # the unbudgeted run.
+    spec = build("op_min", PARAMS["op_min"])
+    ic = [1.0, -1.0, 1.0, 1.0, 0.0, 0.0]
+    full = integrate(spec, ic, 50.0, tol=1e-10)
+    assert full.meta["reason"] == "completed"
+    assert full.meta["steps"] > 20
+    for dense in (True, False):
+        traj = integrate(spec, ic, 50.0, tol=1e-10, max_steps=20, dense=dense)
+        assert traj.aborted
+        assert traj.meta["reason"] == "step_budget"
+        assert traj.meta["steps"] == 20
+        assert 0.0 < traj.meta["t_final"] < 50.0
+        assert traj.times[-1] == traj.meta["t_final"]
+        assert np.allclose(traj.states[-1], full.dense(traj.meta["t_final"]),
+                           rtol=0, atol=1e-12)
 
 
 def test_escape_guard_stops_blowup(monkeypatch):
@@ -204,6 +316,7 @@ def test_escape_guard_stops_blowup(monkeypatch):
     ic = [0.745, 1.77, -1.02, 1.333, -0.125, 0.935]
     traj = integrate(spec, ic, 50.0, tol=1e-10)
     assert traj.aborted
+    assert traj.meta["reason"] == "escape"
     assert traj.meta["t_final"] < 50.0
     assert np.max(np.abs(traj.states[-1])) == pytest.approx(50.0, rel=1e-3)
 
