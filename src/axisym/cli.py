@@ -2,13 +2,15 @@
 
 Exit status contract: 0 all checks passed, 1 verification failure,
 2 configuration error, 3 integration aborted (a singular start, a guard
-region or the escape bound reached, or the step budget used up).
+region or the escape bound reached, H drifted past its bound, or the
+step budget used up).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -188,10 +190,15 @@ def cmd_simulate(args) -> int:
         ic[3:] = ic[3:] - a
     if not (1e-14 <= args.tol <= 1e-6):
         raise ConfigError("--tol must lie in [1e-14, 1e-6]")
+    if not (0.0 < args.t_end < math.inf):
+        raise ConfigError("--t-end must be a positive finite number")
 
+    # STEP_BUDGET was sized for a horizon of 50; a longer regular orbit
+    # needs proportionally more steps.
+    budget = STEP_BUDGET * max(1, math.ceil(args.t_end / 50.0))
     try:
         traj = integrate(spec, PhasePoint.from_state(ic), args.t_end, tol=args.tol,
-                         max_steps=STEP_BUDGET)
+                         max_steps=budget)
     except DomainError as exc:
         print(f"singular abort: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -15,10 +15,12 @@ written out once as straight-line code, and the initial step, error norm
 and step-size controller are scipy's, so a run makes the same RHS calls
 as ``scipy.integrate.solve_ivp``.  Guard and escape events are checked
 at accepted steps and located with ``brentq`` on the interpolant; a step
-budget bounds the work of a run.  Each run reports why it stopped.
-Conserved quantities are monitored along the output nodes rather than
-enforced, which provides a drift certificate tied to the local
-tolerance.  ``integrate_batch`` still calls scipy's ``solve_ivp``.
+budget bounds the work of a run, and a run stops ("drift") once
+|H - H0| exceeds ``DRIFT_STOP * tol * max(1, |H0|)``, far above the slow
+drift of an accurate run.  Each run reports why it stopped.  Conserved
+quantities are monitored along the output nodes rather than enforced,
+which provides a drift certificate tied to the local tolerance.
+``integrate_batch`` still calls scipy's ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ DEFAULT_TOL = 1e-10
 # can hover just outside a guard radius, or run away with the step size
 # collapsing long before the escape bound, so an unbounded run may stall.
 STEP_BUDGET = 50_000
+# A run stops ("drift") once |H - H0| > DRIFT_STOP * tol * max(1, |H0|).
+# DOP853 is not symplectic, so H drifts slowly with the number of steps;
+# at tol 1e-12 no completed criterion-1 draw drifts past about 1.6e3 * tol,
+# while runaways whose step size collapses pass this bound within ~10^4
+# steps instead of spending the whole step budget.
+DRIFT_STOP = 1e6
 
 
 def _axial_derivatives(fn, s, w):
@@ -227,7 +235,8 @@ def _straight_line_rhs(rhs, tag: str):
     ``rhs`` is run once on recording scalars; the function returned
     repeats its arithmetic, in the same order, on the six floats of a
     state ``y`` (the solver passes a tuple), so on finite values its
-    results equal those of ``rhs`` bit for bit.
+    results equal those of ``rhs`` bit for bit.  ``rhs`` returns a
+    tuple; for a 1-tuple the generated function returns its one value.
     """
     tape = _Tape()
     inputs = [_Var(tape, f"y{i}") for i in range(6)]
@@ -248,13 +257,33 @@ def _make_scalar_rhs(spec: SystemSpec):
     """
     cached = spec.meta.get("_scalar_rhs")
     if cached is None:
-        cached = _make_dual_rhs(spec)
+        cached, backend = _make_dual_rhs(spec), "dual"
         if spec.gauge_factor is not None and spec.potential_sw is not None:
             try:
-                cached = _straight_line_rhs(cached, spec.system_id)
+                cached, backend = _straight_line_rhs(cached, spec.system_id), "generated"
             except TypeError:
                 pass   # g or W branches or calls a math function: keep duals
         spec.meta["_scalar_rhs"] = cached
+        spec.meta["_rhs_backend"] = backend
+    return cached
+
+
+def _make_scalar_h(spec: SystemSpec):
+    """``H(t, y)`` on a state of six floats, for the per-step drift stop.
+
+    Traced into straight-line code like the RHS (equal to
+    ``spec.hamiltonian.fn`` bit for bit) and cached in ``spec.meta``;
+    a Hamiltonian that cannot be traced is called as it is.
+    """
+    cached = spec.meta.get("_scalar_h")
+    if cached is None:
+        H = spec.hamiltonian.fn
+        try:
+            cached = _straight_line_rhs(lambda t, y: (H(y),), f"H {spec.system_id}")
+        except TypeError:
+            def cached(t, y):
+                return H(y)
+        spec.meta["_scalar_h"] = cached
     return cached
 
 
@@ -511,7 +540,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
             nfev += 3
         if events:
             g_new = [ev(t, y) for ev in events]
-            hits = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
+            hits = [] if min(g_new) > 0.0 else [
+                i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
             if hits:
                 if row is None:
                     row = dense(fun, t_old, h, y_old, ks, y, f)
@@ -620,6 +650,20 @@ def _guard_events(spec: SystemSpec):
     return events
 
 
+def _drift_event(spec: SystemSpec, y0, tol: float):
+    """Stop event, named for its reason, of a run started at ``y0``.
+
+    Falls through zero once |H - H0| > ``DRIFT_STOP * tol * max(1, |H0|)``.
+    """
+    H = _make_scalar_h(spec)
+    h0 = float(H(0.0, y0))
+    limit = DRIFT_STOP * tol * max(1.0, abs(h0))
+
+    def drift(t, y):
+        return limit - abs(H(t, y) - h0)
+    return drift
+
+
 def _trace_all(spec: SystemSpec, states: np.ndarray) -> dict:
     """Evaluate H and every integral on an (N, 6) state block.
 
@@ -650,9 +694,12 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
 
     Aborts cleanly (``aborted=True``, output truncated at the stop) if
     the state reaches the guard region of a singular term, passes the
-    escape bound, or takes ``max_steps`` accepted steps; ``meta`` names
-    the reason and records RHS calls and accepted and rejected steps.
-    Traces of H and all integrals are evaluated at the output nodes.
+    escape bound, lets H drift from its initial value by more than
+    ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps``
+    accepted steps; ``meta`` names the reason and records RHS calls,
+    accepted and rejected steps and the RHS backend (``"generated"``
+    straight-line code or ``"dual"`` numbers).  Traces of H and all
+    integrals are evaluated at the output nodes.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -666,9 +713,10 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     nodes = _output_nodes(t_end, dt_out)
     # Dense output costs three extra stages per step; skip it when the
     # caller only needs the sampled nodes (e.g. drift monitoring).
+    events = [*_guard_events(spec), _drift_event(spec, tuple(y0.tolist()), tol)]
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol,
                     dense_output=dense, t_eval=None if dense else nodes,
-                    events=_guard_events(spec), max_steps=max_steps)
+                    events=events, max_steps=max_steps)
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
     t_final = sol.t_final
@@ -690,6 +738,7 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         "nfev": sol.nfev,
         "steps": sol.steps,
         "rejected_steps": sol.rejected_steps,
+        "rhs_backend": spec.meta["_rhs_backend"],
     }
     return Trajectory(times=nodes, states=states,
                       traces=_trace_all(spec, states), meta=meta,
@@ -728,9 +777,10 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
     """Worst relative drift of each conserved trace over random runs.
 
     Draws random states from the safe box until ``n_ic`` trajectories
-    complete without entering a guard region; runs that approach a
-    singular set are discarded and redrawn, since conservation is only
-    claimed on the regular domain.  Returns label -> max drift, plus
+    complete; aborted runs are discarded and redrawn.  Runs that approach
+    a singular set are aborted, since conservation is only claimed on the
+    regular domain, and so are runaways, which stop on the H drift bound
+    (``"drift"``) or the step budget.  Returns label -> max drift, plus
     an ``"attempts"`` entry counting total draws.
     """
     from .phase import make_rng, sample_safe_states

@@ -107,6 +107,7 @@ def test_simulate_writes_csv_and_meta(tmp_path, capsys):
     assert meta["reason"] == "completed"
     assert meta["t_final"] == 5.0
     assert meta["nfev"] > 0 and meta["steps"] > 0
+    assert meta["rhs_backend"] == "generated"
     assert all(abs(v) < 1e-8 for v in meta["drift"].values())
 
 
@@ -139,19 +140,33 @@ def test_simulate_singular_abort_mid_run_exits_3(tmp_path):
     assert meta["t_final"] < 5.0
 
 
-def test_simulate_runaway_stops_at_the_step_budget(tmp_path, capsys):
+def test_simulate_runaway_stops_on_h_drift(tmp_path, capsys):
     # The step size collapses as |q| grows, so this orbit never reaches
-    # the escape bound; the step budget ends it.
+    # the escape bound; H drifts past its bound long before the step
+    # budget is used up.
     code = main(["simulate", "cp_min", "--params", "u1=10,u2=1.5,u3=1,bz=2,bq=4",
                  "--ic", "0.745,1.77,-1.02,1.333,-0.125,0.935", "--t-end", "50",
                  "--detect-period", "--out", str(tmp_path)])
     assert code == EXIT_SINGULAR
-    assert "(step_budget)" in capsys.readouterr().err
+    assert "(drift)" in capsys.readouterr().err
     meta = json.loads((tmp_path / "cp_min_trajectory_meta.json").read_text())
-    assert meta["reason"] == "step_budget"
-    assert meta["steps"] == STEP_BUDGET
+    assert meta["reason"] == "drift"
+    assert meta["steps"] < STEP_BUDGET
     assert meta["t_final"] < 50.0
     assert meta["period_report"]["closed"] is False
+
+
+def test_simulate_step_budget_scales_with_t_end(tmp_path, monkeypatch):
+    # The budget covers 50 time units; a longer horizon gets a multiple.
+    from axisym import cli
+
+    monkeypatch.setattr(cli, "STEP_BUDGET", 20)
+    for t_end, budget in (("50", 20), ("120", 60)):
+        assert main(["simulate", "op_min", "--params", OP_PARAMS,
+                     "--t-end", t_end, "--out", str(tmp_path)]) == EXIT_SINGULAR
+        meta = json.loads((tmp_path / "op_min_trajectory_meta.json").read_text())
+        assert meta["reason"] == "step_budget"
+        assert meta["steps"] == budget
 
 
 def test_simulate_kinetic_momenta_conversion(tmp_path):
@@ -195,6 +210,12 @@ def test_simulate_detect_period(tmp_path):
 def test_simulate_bad_tol_is_config_error():
     assert main(["simulate", "cp_min", "--params", CP_PARAMS,
                  "--tol", "1e-3"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("t_end", ["0", "-1", "inf", "nan"])
+def test_simulate_bad_t_end_is_config_error(t_end):
+    assert main(["simulate", "cp_min", "--params", CP_PARAMS,
+                 "--t-end", t_end]) == EXIT_CONFIG
 
 
 def test_figure_emits_csv_svg_meta(tmp_path, capsys):

@@ -10,7 +10,9 @@ from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
 from axisym.dynamics import (
+    DRIFT_STOP,
     GUARD_RADIUS,
+    STEP_BUDGET,
     conservation_suite,
     detect_period,
     eom_rhs,
@@ -20,6 +22,7 @@ from axisym.dynamics import (
     reverse_momenta,
     _guard_events,
     _make_dual_rhs,
+    _make_scalar_h,
     _make_scalar_rhs,
     _output_nodes,
 )
@@ -35,6 +38,9 @@ from axisym.phase import (
 )
 
 from conftest import PARAMS, SYSTEM_OF
+
+# The seed of acceptance criterion 1.
+CRITERION_SEED = 20260823
 
 # Criterion-1 draw 3 of op_min: its orbit reaches the z = 0 guard plane
 # between the output nodes 0.5 and 0.75.
@@ -120,6 +126,24 @@ def test_scalar_rhs_keeps_duals_for_untraceable_fields():
     assert np.allclose(rhs(0.0, state), expected, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("key", list(PARAMS))
+def test_traced_hamiltonian_equals_the_observable(key):
+    spec = build(SYSTEM_OF[key], PARAMS[key])
+    H = _make_scalar_h(spec)
+    assert H.__code__.co_filename.startswith("<rhs ")
+    for state in sample_safe_states(make_rng(34), 200).T:
+        y = tuple(state.tolist())
+        assert H(0.0, y) == spec.hamiltonian.fn(y)
+
+
+def test_untraceable_hamiltonian_is_called_as_it_is():
+    spec = _gaussian_well()
+    H = _make_scalar_h(spec)
+    assert not H.__code__.co_filename.startswith("<rhs ")
+    y = (0.5, -0.7, 1.0, 1.0, 2.0, -1.0)
+    assert H(0.0, y) == spec.hamiltonian.fn(y)
+
+
 def _both_solvers(rhs, events, y0, t_end, dense):
     """The same run through the float DOP853 solver and through scipy."""
     for ev in events:      # how scipy reads these stop events
@@ -174,6 +198,7 @@ def test_dual_rhs_fallback_runs_through_the_same_solver():
     _assert_same_run(ours, ref, dense=True)
     traj = integrate(spec, y0, 3.0, tol=1e-12)
     assert traj.meta["reason"] == "completed"
+    assert traj.meta["rhs_backend"] == "dual"
     assert traj.drift("H") < 1e-11
 
 
@@ -278,6 +303,7 @@ def test_completed_run_reports_its_work(reference_ic):
     meta = traj.meta
     assert not traj.aborted
     assert meta["reason"] == "completed"
+    assert meta["rhs_backend"] == "generated"
     assert meta["t_final"] == 8.0
     # Two calls choose the first step, twelve per attempt, and the dense
     # output adds three per accepted step.
@@ -303,6 +329,44 @@ def test_step_budget_aborts():
         assert traj.times[-1] == traj.meta["t_final"]
         assert np.allclose(traj.states[-1], full.dense(traj.meta["t_final"]),
                            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_runaway_stops_on_h_drift(dense):
+    # Criterion-1 draw 4 of cp_min_bq runs away with a collapsing step
+    # size; its H drift passes the bound long before the step budget.
+    spec = build("cp_min", PARAMS["cp_min_bq"])
+    rng = make_rng(CRITERION_SEED)
+    for _ in range(3):
+        sample_safe_states(rng, 1)
+    ic = sample_safe_states(rng, 1)[:, 0]
+    tol = 1e-12
+    traj = integrate(spec, ic, 50.0, tol=tol, dt_out=0.25, dense=dense,
+                     max_steps=STEP_BUDGET)
+    assert traj.aborted
+    assert traj.meta["reason"] == "drift"
+    assert traj.meta["steps"] < 10_000
+    t_final = traj.meta["t_final"]
+    assert 0.0 < t_final < 50.0
+    assert traj.times[-1] == t_final
+    # The run ends where |H - H0| reaches the bound.
+    H = _make_scalar_h(spec)
+    h0 = H(0.0, tuple(ic.tolist()))
+    limit = DRIFT_STOP * tol * max(1.0, abs(h0))
+    assert abs(H(0.0, tuple(traj.states[-1].tolist())) - h0) == pytest.approx(limit, rel=1e-3)
+
+
+def test_drift_stop_does_not_pass_a_hamiltonian_that_is_not_conserved():
+    # Negative control: integrate op_min but monitor the H of a perturbed
+    # op_min.  Every draw stops on its drift, so no draw completes and the
+    # suite raises instead of reporting a drift.  ``meta`` is fresh so
+    # that no cached function of the original spec is reused.
+    spec = build("op_min", PARAMS["op_min"])
+    bad = build("op_min", dataclasses.replace(PARAMS["op_min"],
+                                              u1=PARAMS["op_min"].u1 + 1e-3))
+    mixed = dataclasses.replace(spec, hamiltonian=bad.hamiltonian, meta={})
+    with pytest.raises(RuntimeError):
+        conservation_suite(mixed, n_ic=1, t_end=50.0, tol=1e-12, seed=5)
 
 
 def test_escape_guard_stops_blowup(monkeypatch):
