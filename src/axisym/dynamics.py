@@ -50,9 +50,10 @@ DEFAULT_TOL = 1e-10
 STEP_BUDGET = 50_000
 # A run stops ("drift") once |H - H0| > DRIFT_STOP * tol * max(1, |H0|).
 # DOP853 is not symplectic, so H drifts slowly with the number of steps;
-# at tol 1e-12 no completed criterion-1 draw drifts past about 1.6e3 * tol,
-# while runaways whose step size collapses pass this bound within ~10^4
-# steps instead of spending the whole step budget.
+# checked at every accepted step, no completed criterion-1 draw drifts
+# past 8.5e2 * tol at tol 1e-12, 1.1e3 * tol at 1e-13 or 6.2e3 * tol at
+# 1e-14, while runaways whose step size collapses pass this bound within
+# ~10^4 steps instead of spending the whole step budget.
 DRIFT_STOP = 1e6
 
 
@@ -450,6 +451,7 @@ class OdeResult:
     steps: int                    # accepted steps
     rejected_steps: int
     t_final: float                # where the run stopped
+    last_step: float              # size of the last accepted step
 
 
 def _rms(v) -> float:
@@ -585,7 +587,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
                -1: "required step size is less than spacing between numbers"}[status]
     return OdeResult(t=out_t, y=out_y, sol=sol if dense_output else None,
                      status=status, nfev=nfev, message=message, reason=reason,
-                     steps=steps, rejected_steps=rejected, t_final=t_stop)
+                     steps=steps, rejected_steps=rejected, t_final=t_stop,
+                     last_step=t - t_old if steps else 0.0)
 
 
 @dataclass(frozen=True)
@@ -697,9 +700,10 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     escape bound, lets H drift from its initial value by more than
     ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps``
     accepted steps; ``meta`` names the reason and records RHS calls,
-    accepted and rejected steps and the RHS backend (``"generated"``
-    straight-line code or ``"dual"`` numbers).  Traces of H and all
-    integrals are evaluated at the output nodes.
+    accepted and rejected steps, the size of the last accepted step and
+    the RHS backend (``"generated"`` straight-line code or ``"dual"``
+    numbers).  Traces of H and all integrals are evaluated at the output
+    nodes.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -738,6 +742,7 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         "nfev": sol.nfev,
         "steps": sol.steps,
         "rejected_steps": sol.rejected_steps,
+        "last_step": sol.last_step,
         "rhs_backend": spec.meta["_rhs_backend"],
     }
     return Trajectory(times=nodes, states=states,
@@ -779,9 +784,13 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
     Draws random states from the safe box until ``n_ic`` trajectories
     complete; aborted runs are discarded and redrawn.  Runs that approach
     a singular set are aborted, since conservation is only claimed on the
-    regular domain, and so are runaways, which stop on the H drift bound
-    (``"drift"``) or the step budget.  Returns label -> max drift, plus
-    an ``"attempts"`` entry counting total draws.
+    regular domain, and so are runaways, which stop on the step budget or
+    on the H drift bound (``"drift"``).  A drift stop counts as a runaway
+    only if, at its last step size, the run could not have reached
+    ``t_end`` within the step budget; H drifting on a run that could have
+    completed is a failure of conservation and raises RuntimeError.
+    Returns label -> max drift, plus an ``"attempts"`` entry counting
+    total draws.
     """
     from .phase import make_rng, sample_safe_states
 
@@ -803,6 +812,15 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
         except DomainError:
             continue
         if traj.aborted:
+            meta = traj.meta
+            if meta["reason"] == "drift":
+                # Steps the run would have taken to t_end at its last pace.
+                pace = meta["steps"] + (t_end - meta["t_final"]) / meta["last_step"]
+                if pace <= STEP_BUDGET:
+                    raise RuntimeError(
+                        f"H drifted past the drift stop at t = {meta['t_final']:.6g} "
+                        f"on a run that was not running away (last step "
+                        f"{meta['last_step']:.3g}, {pace:.0f} steps to t_end)")
             continue
         completed += 1
         for lbl in traj.traces:

@@ -305,6 +305,7 @@ def test_completed_run_reports_its_work(reference_ic):
     assert meta["reason"] == "completed"
     assert meta["rhs_backend"] == "generated"
     assert meta["t_final"] == 8.0
+    assert 0.0 < meta["last_step"] < 8.0
     # Two calls choose the first step, twelve per attempt, and the dense
     # output adds three per accepted step.
     attempts = meta["steps"] + meta["rejected_steps"]
@@ -358,15 +359,40 @@ def test_runaway_stops_on_h_drift(dense):
 
 def test_drift_stop_does_not_pass_a_hamiltonian_that_is_not_conserved():
     # Negative control: integrate op_min but monitor the H of a perturbed
-    # op_min.  Every draw stops on its drift, so no draw completes and the
-    # suite raises instead of reporting a drift.  ``meta`` is fresh so
-    # that no cached function of the original spec is reused.
+    # op_min.  The first draw that H drifts on stops at an ordinary step
+    # size, which is no runaway, so the suite raises instead of
+    # discarding it.  ``meta`` is fresh so that no cached function of the
+    # original spec is reused.
     spec = build("op_min", PARAMS["op_min"])
     bad = build("op_min", dataclasses.replace(PARAMS["op_min"],
                                               u1=PARAMS["op_min"].u1 + 1e-3))
     mixed = dataclasses.replace(spec, hamiltonian=bad.hamiltonian, meta={})
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="not running away"):
         conservation_suite(mixed, n_ic=1, t_end=50.0, tol=1e-12, seed=5)
+
+
+def test_drift_stop_does_not_discard_draws_that_break_h_in_part_of_phase_space():
+    # Negative control: H gains a wrong term only where z > 0.  At seed 7
+    # linear_max's first draw stays at z < 0 and completes with H kept;
+    # its next three enter z > 0 and stop on their drift, and the fifth
+    # stays at z < 0 again.  Were drift stops discarded as runaways, the
+    # suite would return a passing drift after five draws.
+    spec = build("linear_max", PARAMS["linear_max"])
+    H = spec.hamiltonian.fn
+
+    def broken(s):
+        return H(s) + 1e-3 * np.maximum(s[2], 0.0) ** 2
+
+    mixed = dataclasses.replace(
+        spec, hamiltonian=Observable(broken, "H", 2), meta={})
+    drifts = conservation_suite(mixed, n_ic=1, t_end=50.0, tol=1e-12, seed=7)
+    assert drifts["attempts"] == 1 and drifts["H"] < 1e-10
+    rng = make_rng(7)
+    sample_safe_states(rng, 1)
+    second = integrate(mixed, sample_safe_states(rng, 1)[:, 0], 50.0, tol=1e-12)
+    assert second.meta["reason"] == "drift"
+    with pytest.raises(RuntimeError, match="not running away"):
+        conservation_suite(mixed, n_ic=2, t_end=50.0, tol=1e-12, seed=7)
 
 
 def test_escape_guard_stops_blowup(monkeypatch):
