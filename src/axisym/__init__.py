@@ -45,7 +45,6 @@ from .dynamics import (
     detect_period,
     eom_rhs,
     integrate,
-    integrate_batch,
     reverse_momenta,
 )
 from .closedform import (

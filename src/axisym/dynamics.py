@@ -6,7 +6,8 @@ axial-gauge data g(s, z) and W(s, z), with A = g * (-y, x, 0)) or, as a
 fallback, through exact forward-mode gradients of the Hamiltonian.  For
 single-state integration the closed form is traced once per spec into
 straight-line Python (forward-mode derivatives by source transformation),
-so each call does plain float arithmetic.
+so each call does plain float arithmetic.  That code uses only
+``+ - * /``, so :func:`eom_rhs` runs the same function on (6, k) blocks.
 
 The integrator is scipy's DOP853, an adaptive embedded Runge-Kutta pair
 of order 8(5,3) with dense output, run on a state of six Python floats:
@@ -20,7 +21,6 @@ budget bounds the work of a run, and a run stops ("drift") once
 drift of an accurate run.  Each run reports why it stopped.  Conserved
 quantities are monitored along the output nodes rather than enforced,
 which provides a drift certificate tied to the local tolerance.
-``integrate_batch`` still calls scipy's ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from .autodiff import Dual, tangent, value
@@ -57,27 +56,20 @@ STEP_BUDGET = 50_000
 DRIFT_STOP = 1e6
 
 
-def _axial_derivatives(fn, s, w):
-    """(f, df/ds, df/dw) of a two-variable scalar field, exact."""
-    ds = fn(Dual(s, 1.0), w)
-    dw = fn(s, Dual(w, 1.0))
-    return value(ds), tangent(ds), tangent(dw)
-
-
 def eom_rhs(spec: SystemSpec, state) -> np.ndarray:
     """Time derivative (dq/dt, dp/dt) of a state under the spec's H.
 
-    Accepts a PhasePoint, a 6-sequence, or a (6, k) array of states.
+    Accepts a PhasePoint, a 6-sequence, or a (6, k) array of states, and
+    runs the RHS ``integrate`` uses (cached in ``spec.meta``) on its rows.
     Raises DomainError inside the guard region of a singular system.
     """
     if isinstance(state, PhasePoint):
         state = state.state
     arr = np.asarray(state, dtype=float)
-    flat = arr.ndim == 1
     y = arr.reshape(6, -1)
     _check_guard(spec, y)
-    out = _rhs_array(spec, y)
-    return out.reshape(arr.shape) if not flat else out.reshape(6)
+    out = np.asarray(np.broadcast_arrays(*_make_scalar_rhs(spec)(0.0, y)), dtype=float)
+    return out.reshape(arr.shape)
 
 
 def _check_guard(spec: SystemSpec, y: np.ndarray):
@@ -88,26 +80,6 @@ def _check_guard(spec: SystemSpec, y: np.ndarray):
     if "z" in spec.singular_in:
         if np.any(np.abs(y[2]) < GUARD_RADIUS):
             raise DomainError(f"state within guard radius of z = 0 (|z| < {GUARD_RADIUS})")
-
-
-def _rhs_array(spec: SystemSpec, y: np.ndarray) -> np.ndarray:
-    x, yy, z, px, py, pz = y
-    if spec.gauge_factor is not None and spec.potential_sw is not None:
-        s = x * x + yy * yy
-        g, g_s, g_w = _axial_derivatives(spec.gauge_factor, s, z)
-        _, W_s, W_w = _axial_derivatives(spec.potential_sw, s, z)
-        vx = px - yy * g
-        vy = py + x * g
-        vz = pz
-        dpx = -vx * (-2.0 * x * yy * g_s) - vy * (g + 2.0 * x * x * g_s) - 2.0 * x * W_s
-        dpy = -vx * (-g - 2.0 * yy * yy * g_s) - vy * (2.0 * x * yy * g_s) - 2.0 * yy * W_s
-        dpz = g_w * (yy * vx - x * vy) - W_w
-        return np.asarray(np.broadcast_arrays(vx, vy, vz, dpx, dpy, dpz))
-    # Generic path: exact 6-gradient of H, one dual pass per direction.
-    grad = gradient6(spec.hamiltonian.fn, [y[i] for i in range(6)])
-    grad = [np.broadcast_to(np.asarray(c, dtype=float), y[0].shape) for c in grad]
-    return np.asarray([grad[3], grad[4], grad[5],
-                       -grad[0], -grad[1], -grad[2]])
 
 
 class _Var:
@@ -248,7 +220,7 @@ def _straight_line_rhs(rhs, tag: str):
 
 
 def _make_scalar_rhs(spec: SystemSpec):
-    """Single-state right-hand side ``integrate`` hands to the solver.
+    """Right-hand side ``integrate`` hands to the solver and ``eom_rhs`` uses.
 
     For a spec with axial-gauge data g and W, the dual-number RHS is
     traced once into straight-line code (exact derivatives, no per-call
@@ -289,17 +261,18 @@ def _make_scalar_h(spec: SystemSpec):
 
 
 def _make_dual_rhs(spec: SystemSpec):
-    """Single-state right-hand side on plain floats via dual numbers.
+    """Right-hand side via dual numbers, on floats or on (6, k) rows.
 
-    Identical formulas to the array path but without per-call array
-    construction.  The generated RHS of :func:`_make_scalar_rhs` is
-    traced from this function, and the tests compare the two.
+    The generated RHS of :func:`_make_scalar_rhs` is traced from this
+    function, and the tests compare the two.  Specs without axial-gauge
+    data take the exact 6-gradient of H, one dual pass per direction.
     """
     g_fn = spec.gauge_factor
     W_fn = spec.potential_sw
     if g_fn is None or W_fn is None:
         def rhs(t, y):
-            return _rhs_array(spec, np.asarray(y, dtype=float).reshape(6, 1)).reshape(6)
+            grad = gradient6(spec.hamiltonian.fn, list(y))
+            return (grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2])
         return rhs
 
     def rhs(t, y):
@@ -707,17 +680,17 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     y0 = ic.state if isinstance(ic, PhasePoint) else np.asarray(ic, dtype=float)
     _check_guard(spec, y0.reshape(6, 1))
 
     rhs = _make_scalar_rhs(spec)
 
     nodes = _output_nodes(t_end, dt_out)
+    events = [*_guard_events(spec), _drift_event(spec, tuple(y0.tolist()), tol)]
     # Dense output costs three extra stages per step; skip it when the
     # caller only needs the sampled nodes (e.g. drift monitoring).
-    events = [*_guard_events(spec), _drift_event(spec, tuple(y0.tolist()), tol)]
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol,
                     dense_output=dense, t_eval=None if dense else nodes,
                     events=events, max_steps=max_steps)
@@ -748,32 +721,6 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     return Trajectory(times=nodes, states=states,
                       traces=_trace_all(spec, states), meta=meta,
                       dense=sol.sol, aborted=sol.status == 1)
-
-
-def integrate_batch(spec: SystemSpec, ics: np.ndarray, t_end: float,
-                    tol: float = DEFAULT_TOL, n_out: int = 201):
-    """Integrate k initial conditions as one stacked system.
-
-    ``ics`` has shape (k, 6).  Returns (times (N,), states (N, k, 6),
-    traces label -> (N, k)).  One adaptive run amortizes step-size
-    control across the batch.
-    """
-    ics = np.asarray(ics, dtype=float)
-    k = ics.shape[0]
-    _check_guard(spec, ics.T)
-
-    def rhs(t, y):
-        return _rhs_array(spec, y.reshape(k, 6).T).T.reshape(-1)
-
-    sol = scipy_solve_ivp(rhs, (0.0, t_end), ics.reshape(-1), method="DOP853",
-                          rtol=tol, atol=tol, dense_output=True)
-    if sol.status != 0:
-        raise RuntimeError(f"batch integration failed: {sol.message}")
-    nodes = np.linspace(0.0, t_end, n_out)
-    states = sol.sol(nodes).T.reshape(n_out, k, 6)
-    flat = states.reshape(n_out * k, 6)
-    traces = {lbl: tr.reshape(n_out, k) for lbl, tr in _trace_all(spec, flat).items()}
-    return nodes, states, traces
 
 
 def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,

@@ -73,9 +73,6 @@ class PhasePoint:
     def R2(self) -> float:
         return float(self.q[0] ** 2 + self.q[1] ** 2 + self.q[2] ** 2)
 
-    def covariant_momenta(self, A: "CovectorField") -> np.ndarray:
-        return self.p + np.asarray(A(self.q), dtype=float)
-
 
 def sample_safe_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """n random phase-space states in the safe box, shape (6, n)."""

@@ -309,10 +309,6 @@ class ClosureReport:
         return float(np.max(self.residuals))
 
     @property
-    def mean_residual(self) -> float:
-        return float(np.mean(self.residuals))
-
-    @property
     def passed(self) -> bool:
         return self.max_residual < self.tolerance
 

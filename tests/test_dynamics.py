@@ -1,6 +1,10 @@
 """Equations of motion, integration accuracy, and period detection."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,6 @@ from axisym.dynamics import (
     detect_period,
     eom_rhs,
     integrate,
-    integrate_batch,
     radial_frequency,
     reverse_momenta,
     _guard_events,
@@ -94,6 +97,9 @@ def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
         assert np.allclose(dual_rhs(0.0, state), expected, rtol=1e-11, atol=1e-11)
         assert np.allclose(fast_rhs(0.0, state), expected, rtol=1e-11, atol=1e-11)
         assert np.allclose(eom_rhs(spec, state), expected, rtol=1e-11, atol=1e-11)
+    # eom_rhs runs the same generated function on the whole block.
+    columns = [fast_rhs(0.0, tuple(state.tolist())) for state in states.T]
+    assert np.array_equal(eom_rhs(spec, states), np.array(columns).T)
 
 
 def _gaussian_well() -> SystemSpec:
@@ -124,6 +130,12 @@ def test_scalar_rhs_keeps_duals_for_untraceable_fields():
     grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
     expected = np.r_[grad[3:], [-grad[0], -grad[1], -grad[2]]]
     assert np.allclose(rhs(0.0, state), expected, rtol=1e-12, atol=1e-12)
+    # On a block the duals carry arrays; array exp and math.exp may
+    # differ in the last bits, so compare with a tolerance.
+    states = sample_safe_states(make_rng(35), 50)
+    grad = gradient6(spec.hamiltonian.fn, list(states))
+    expected = np.array([grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2]])
+    assert np.allclose(eom_rhs(spec, states), expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("key", list(PARAMS))
@@ -420,23 +432,13 @@ def test_dense_false_matches_dense_true(reference_ic):
     assert a.dense is not None and b.dense is None
 
 
-def test_integrate_batch_matches_single_runs():
-    spec = build("max6", PARAMS["max6"])
-    ics = sample_safe_states(make_rng(33), 3).T
-    times, states, traces = integrate_batch(spec, ics, 2.0, tol=1e-11, n_out=21)
-    assert states.shape == (21, 3, 6)
-    for k in range(3):
-        single = integrate(spec, ics[k], 2.0, tol=1e-11, dt_out=0.1)
-        assert np.allclose(states[-1, k], single.states[-1], atol=1e-7)
-    assert traces["H"].shape == (21, 3)
-
-
 def test_tolerance_validation(reference_ic):
     spec = build("max6", PARAMS["max6"])
     with pytest.raises(ValueError):
         integrate(spec, reference_ic, 1.0, tol=1e-3)
-    with pytest.raises(ValueError):
-        integrate(spec, reference_ic, -1.0)
+    for t_end in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(spec, reference_ic, t_end)
 
 
 def test_detect_period_exact_closure(reference_ic):
@@ -474,3 +476,11 @@ def test_conservation_suite_smoke():
     assert attempts >= 3
     assert set(drifts) == {"H", "X1", "X2", "Y3", "Y4"}
     assert all(v < 1e-7 for v in drifts.values())
+
+
+def test_import_does_not_load_scipy_integrate():
+    # The DOP853 coefficients are read on the first integrate.
+    code = "import axisym, sys; assert 'scipy.integrate' not in sys.modules"
+    src = str(Path(dynamics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from axisym import autodiff as ad
+from axisym.dynamics import eom_rhs, integrate
 from axisym.families import IntegrableFamily, build_family
-from axisym.phase import DomainError, make_rng, sample_safe_states
+from axisym.phase import DomainError, gradient6, make_rng, sample_safe_states
 from axisym.verify import bracket_residuals
 
 BRACKET_TOL = 1e-10
@@ -44,6 +45,30 @@ def test_family_brackets_vanish(kind, a):
     # X1 and X2 are in involution as well
     res = bracket_residuals(spec.integrals[0], spec.integrals[1], states)
     assert np.max(res) < BRACKET_TOL
+
+
+def test_family_equations_of_motion_and_integration():
+    # Chart families carry no axial-gauge data g and W: their RHS is
+    # the exact 6-gradient of H, on blocks and on single states alike.
+    fam = IntegrableFamily(
+        kind="oblate",
+        beta1=lambda e: 0.8 + 0.3 * e * e,
+        beta2=lambda x: 1.1 - 0.2 * x * x,
+        rho1=lambda e: 0.5 * e,
+        rho2=lambda x: 0.4 * x * x,
+        a=1.3,
+    )
+    spec = build_family(fam)
+    assert spec.gauge_factor is None and spec.potential_sw is None
+    states = _safe_family_states(4, seed=15)
+    grad = gradient6(spec.hamiltonian.fn, list(states))
+    expected = np.array([grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2]])
+    assert np.allclose(eom_rhs(spec, states), expected, rtol=1e-12, atol=1e-12)
+    traj = integrate(spec, states[:, 0], 1.0, tol=1e-10)
+    assert traj.meta["reason"] == "completed"
+    assert traj.meta["rhs_backend"] == "dual"
+    for label in ("H", "X1", "X2"):
+        assert traj.drift(label) < 1e-8, label
 
 
 def test_family_free_particle_limit():
