@@ -87,6 +87,8 @@ class SystemSpec:
     potential_sw: Optional[Callable] = None    # W(s, w)
     singular_in: frozenset = frozenset()       # subset of {"r", "z"}
     serializable: bool = True
+    closure: Optional[Callable] = None         # poly(H, X1, X2, Y3) = {X1, Y3}^2
+    involutions: tuple = ()                    # label pairs claimed to commute
     meta: dict = field(default_factory=dict)
 
     def integral(self, label: str) -> Observable:
@@ -346,6 +348,8 @@ def build_op_min(params: SystemParams) -> SystemSpec:
         gauge_factor=g,
         potential_sw=W_sw,
         singular_in=frozenset({"r", "z"}),
+        closure=op_closure_polynomial(params),
+        involutions=(("X1", "X2"), ("X2", "Y3")),
     )
 
 
@@ -522,6 +526,8 @@ def _build_cp_min(params: SystemParams, branch: str, z_shift: float) -> SystemSp
         gauge_factor=g,
         potential_sw=W_sw,
         singular_in=frozenset({"r"}) if u2 != 0.0 else frozenset(),
+        closure=cp_closure_polynomial(params),
+        involutions=(("X1", "X2"), ("X2", "Y3")),
         meta={"branch": branch, "z_shift": z_shift},
     )
 
@@ -580,6 +586,7 @@ def _build_cp_bl(params: SystemParams, z_shift: float) -> SystemSpec:
         gauge_factor=g,
         potential_sw=W_sw,
         singular_in=frozenset({"r"}) if u2 != 0.0 else frozenset(),
+        involutions=(("X1", "X2"), ("X2", "Y3")),
         meta={"branch": "bl", "z_shift": z_shift},
     )
 

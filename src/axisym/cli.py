@@ -9,6 +9,7 @@ step budget used up).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -139,12 +140,12 @@ def _apply_mutation(system_id: str, params: SystemParams, mutate: str) -> System
         step = float(delta)
     except ValueError:
         raise ConfigError(f"--mutate: {delta!r} is not a number")
-    fields = {k: v for k, v in params.as_dict().items() if v is not None}
-    fields[key] += step
-    return SystemParams(**fields)
+    return dataclasses.replace(params, **{key: getattr(params, key) + step})
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     params = _parse_params(args.params)
     spec = _build_system(args.system, params)
     if args.mutate:

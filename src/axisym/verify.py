@@ -4,21 +4,23 @@ All derivatives are exact (forward-mode duals); residuals are limited by
 floating point, not step size.  Brackets are normalized by the product
 of the two gradient norms at the evaluation point so that high-order
 integrals with large magnitudes compare on the same scale.
+
+The determining-equation tiers run on any integral at most quadratic in
+the momenta, with its coefficients (f, s, m0) read from the integral
+itself (:func:`quadratic_ansatz`).  The closure polynomial and the
+involution claims a sweep checks are data on the :class:`SystemSpec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .catalog import (
-    SystemSpec,
-    cp_closure_polynomial,
-    op_closure_polynomial,
-)
+from .autodiff import Dual
+from .catalog import SystemSpec
 from .phase import (
     Observable,
     PhasePoint,
@@ -149,69 +151,57 @@ class QuadraticAnsatz:
     m0: Callable
 
 
-def _zero(x, y, z):
-    return 0.0 * x
+def quadratic_ansatz(spec: SystemSpec, obs: Observable) -> QuadraticAnsatz:
+    """(f, s, m0) of an integral at most quadratic in the covariant momenta.
 
+    The coefficients are the Taylor coefficients of ``obs`` at
+    p^A = p + A(q) = 0, read with one dual layer per momentum seed
+    (hyper-dual numbers for the second derivatives).  Position and the
+    unseeded momenta are lifted into every momentum layer, so a dual
+    in q from an outer spatial derivative stays innermost and never
+    mixes with the momentum seeds.
+    """
+    if not 0 <= obs.momentum_order <= 2:
+        raise ValueError(f"{obs.label} is not at most quadratic in momenta")
 
-def hamiltonian_ansatz(W: Callable) -> QuadraticAnsatz:
-    """The Hamiltonian itself as a (trivially integral) quadratic ansatz."""
-    half = lambda x, y, z: 0.5 + 0.0 * x
-    return QuadraticAnsatz(half, half, half, _zero, _zero, _zero,
-                           _zero, _zero, _zero, W)
+    def coefficient(scale, *seeds):
+        def c(x, y, z):
+            ax, ay, az = spec.A.fn(x, y, z)
+            state = [x, y, z, -ax, -ay, -az]
+            for k in seeds:
+                state = [Dual(v, 1.0 if i == k + 3 else 0.0)
+                         for i, v in enumerate(state)]
+            out = obs.fn(state)
+            for _ in seeds:
+                out = ad.tangent(out)
+            return scale * out
+        return c
+
+    return QuadraticAnsatz(
+        f11=coefficient(0.5, 0, 0), f22=coefficient(0.5, 1, 1),
+        f33=coefficient(0.5, 2, 2), f12=coefficient(1.0, 0, 1),
+        f13=coefficient(1.0, 0, 2), f23=coefficient(1.0, 1, 2),
+        s1=coefficient(1.0, 0), s2=coefficient(1.0, 1),
+        s3=coefficient(1.0, 2), m0=coefficient(1.0),
+    )
 
 
 def y3_quadratic_ansatz(spec: SystemSpec) -> QuadraticAnsatz:
-    """(f, s, m) decomposition of the quadratic integral Y3.
+    """(f, s, m0) decomposition of the spec's integral Y3."""
+    return quadratic_ansatz(spec, spec.integral("Y3"))
 
-    Y3 = (pz^A)^2 + g(z) Lz^A + m0 for both quadratic catalog systems,
-    so f33 = 1, s = g(z) * (-y, x, 0), and m0 is the scalar remainder.
-    """
-    p = spec.params
-    if spec.system_id == "op_min":
-        def gz(z):
-            return p.bp / (z * z) + p.bs * z * z
 
-        def m0(x, y, z):
-            s = x * x + y * y
-            w2 = z * z
-            R2 = s + w2
-            return (2.0 * p.u2 / w2 - 2.0 * p.u3 * w2
-                    + p.bz * p.bz / 4.0 * w2
-                    - p.bz * p.bp / (2.0 * w2) * s
-                    - p.bz * p.bs / 2.0 * w2 * s
-                    - p.bp * p.bp / (2.0 * w2 * w2) * s
-                    - p.bp * p.bs / (2.0 * w2) * R2 * R2
-                    - p.bs * p.bs / 2.0 * w2 * s * R2)
-    elif spec.system_id == "cp_min" and spec.meta.get("branch") in ("bq", "bz"):
-        def gz(z):
-            return 2.0 * p.bq * z * z
-
-        def m0(x, y, z):
-            s = x * x + y * y
-            w2 = z * z
-            return (-(p.bz * p.bq + p.bq * p.bq / 2.0 * (s + 4.0 * w2))
-                    * w2 * s + 2.0 * p.u1 * z + 8.0 * p.u3 * w2)
-    elif spec.system_id == "cp_min":  # bl branch
-        def gz(z):
-            return -2.0 * p.bl * z
-
-        def m0(x, y, z):
-            s = x * x + y * y
-            w2 = z * z
-            return (2.0 * p.u1 * z + 8.0 * p.u3 * w2
-                    - 2.0 * p.bl * p.bl * w2 * s)
-    else:
-        raise ValueError(f"no Y3 decomposition for {spec.system_id}")
-
-    one = lambda x, y, z: 1.0 + 0.0 * x
-    return QuadraticAnsatz(
-        f11=_zero, f22=_zero, f33=one,
-        f12=_zero, f13=_zero, f23=_zero,
-        s1=lambda x, y, z: -y * gz(z),
-        s2=lambda x, y, z: x * gz(z),
-        s3=_zero,
-        m0=m0,
-    )
+def _value_and_gradient(F: Callable, q) -> tuple:
+    """F and its spatial gradient at q; the value is the first pass's primal."""
+    grad = []
+    for j in range(3):
+        seeded = list(q)
+        seeded[j] = Dual(seeded[j], 1.0)
+        out = F(*seeded)
+        if j == 0:
+            val = ad.value(out)
+        grad.append(ad.tangent(out))
+    return val, grad
 
 
 def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
@@ -221,63 +211,50 @@ def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
     Tier keys: "third", "second", "first", "zeroth"; the third-order
     tier constrains the leading coefficients, the second-order tier the
     linear coefficients against the field, the first/zeroth tiers the
-    scalar part against the potential.
+    scalar part against the potential.  The grid is evaluated as arrays.
     """
-    tiers = {"third": 0.0, "second": 0.0, "first": 0.0, "zeroth": 0.0}
-    for q in grid:
-        x, y, z = float(q[0]), float(q[1]), float(q[2])
-        pt = (x, y, z)
+    q = np.asarray(grid, dtype=float)
+    pt = (q[:, 0], q[:, 1], q[:, 2])
+    ((v11, df11), (v22, df22), (v33, df33), (v12, df12), (v13, df13),
+     (v23, df23), (sv1, ds1), (sv2, ds2), (sv3, ds3), (_, dm)) = [
+        _value_and_gradient(getattr(ansatz, f.name), pt) for f in fields(ansatz)]
+    third = [
+        df11[0],
+        df11[1] + df12[0],
+        df11[2] + df13[0],
+        df22[0] + df12[1],
+        df22[1],
+        df22[2] + df23[1],
+        df33[0] + df13[2],
+        df33[1] + df23[2],
+        df33[2],
+        df23[0] + df13[1] + df12[2],
+    ]
 
-        def d(F):
-            return [float(ad.value(c)) for c in grad_position(F, pt)]
+    bx, by, bz = (ad.value(c) for c in B(pt))
+    second = [
+        ds1[0] - (v13 * by - v12 * bz),
+        ds1[1] - (-ds2[0] - v13 * bx + v23 * by + 2.0 * (v11 - v22) * bz),
+        ds2[1] - (-v23 * bx + v12 * bz),
+        ds2[2] - (-ds3[1] + 2.0 * (v22 - v33) * bx - v12 * by + v13 * bz),
+        ds3[2] - (v23 * bx - v13 * by),
+        ds3[0] - (-ds1[2] + v12 * bx - 2.0 * (v11 - v33) * by - v23 * bz),
+    ]
 
-        f11, f22, f33 = ansatz.f11, ansatz.f22, ansatz.f33
-        f12, f13, f23 = ansatz.f12, ansatz.f13, ansatz.f23
-        df11, df22, df33 = d(f11), d(f22), d(f33)
-        df12, df13, df23 = d(f12), d(f13), d(f23)
-        third = [
-            df11[0],
-            df11[1] + df12[0],
-            df11[2] + df13[0],
-            df22[0] + df12[1],
-            df22[1],
-            df22[2] + df23[1],
-            df33[0] + df13[2],
-            df33[1] + df23[2],
-            df33[2],
-            df23[0] + df13[1] + df12[2],
-        ]
+    w1, w2, w3 = (ad.value(c) for c in grad_position(W, pt))
+    first = [
+        dm[0] - (2.0 * v11 * w1 + v12 * w2 + v13 * w3 + sv3 * by - sv2 * bz),
+        dm[1] - (v12 * w1 + 2.0 * v22 * w2 + v23 * w3 - sv3 * bx + sv1 * bz),
+        dm[2] - (v13 * w1 + v23 * w2 + 2.0 * v33 * w3 + sv2 * bx - sv1 * by),
+    ]
 
-        bx, by, bz = (float(ad.value(c)) for c in B(pt))
-        v11, v22, v33 = f11(*pt), f22(*pt), f33(*pt)
-        v12, v13, v23 = f12(*pt), f13(*pt), f23(*pt)
-        ds1, ds2, ds3 = d(ansatz.s1), d(ansatz.s2), d(ansatz.s3)
-        second = [
-            ds1[0] - (v13 * by - v12 * bz),
-            ds1[1] - (-ds2[0] - v13 * bx + v23 * by + 2.0 * (v11 - v22) * bz),
-            ds2[1] - (-v23 * bx + v12 * bz),
-            ds2[2] - (-ds3[1] + 2.0 * (v22 - v33) * bx - v12 * by + v13 * bz),
-            ds3[2] - (v23 * bx - v13 * by),
-            ds3[0] - (-ds1[2] + v12 * bx - 2.0 * (v11 - v33) * by - v23 * bz),
-        ]
+    zeroth = [sv1 * w1 + sv2 * w2 + sv3 * w3]
 
-        dW = d(W)
-        w1, w2, w3 = dW
-        sv1, sv2, sv3 = ansatz.s1(*pt), ansatz.s2(*pt), ansatz.s3(*pt)
-        dm = d(ansatz.m0)
-        first = [
-            dm[0] - (2.0 * v11 * w1 + v12 * w2 + v13 * w3 + sv3 * by - sv2 * bz),
-            dm[1] - (v12 * w1 + 2.0 * v22 * w2 + v23 * w3 - sv3 * bx + sv1 * bz),
-            dm[2] - (v13 * w1 + v23 * w2 + 2.0 * v33 * w3 + sv2 * bx - sv1 * by),
-        ]
+    def worst(rows):
+        return max(float(np.max(np.abs(r))) for r in rows)
 
-        zeroth = [sv1 * w1 + sv2 * w2 + sv3 * w3]
-
-        tiers["third"] = max(tiers["third"], max(abs(v) for v in third))
-        tiers["second"] = max(tiers["second"], max(abs(v) for v in second))
-        tiers["first"] = max(tiers["first"], max(abs(v) for v in first))
-        tiers["zeroth"] = max(tiers["zeroth"], abs(zeroth[0]))
-    return tiers
+    return {"third": worst(third), "second": worst(second),
+            "first": worst(first), "zeroth": worst(zeroth)}
 
 
 def safe_grid(n: int = 5) -> list:
@@ -312,29 +289,13 @@ class ClosureReport:
     def passed(self) -> bool:
         return self.max_residual < self.tolerance
 
-    def as_dict(self) -> dict:
-        return {
-            "system_id": self.system_id,
-            "check": "closure",
-            "samples": int(self.lhs.size),
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def closure_polynomial(spec: SystemSpec):
-    if spec.system_id == "op_min":
-        return op_closure_polynomial(spec.params)
-    if spec.system_id == "cp_min" and spec.meta.get("branch") in ("bq", "bz"):
-        return cp_closure_polynomial(spec.params)
-    raise ValueError(f"no closure polynomial for {spec.system_id}")
-
 
 def closure_residual(spec: SystemSpec, states: np.ndarray,
                      tol: float = 1e-9, poly=None) -> ClosureReport:
     """Evaluate ({X1, Y3})^2 and the closure polynomial at given states."""
-    poly = poly if poly is not None else closure_polynomial(spec)
+    poly = poly if poly is not None else spec.closure
+    if poly is None:
+        raise ValueError(f"no closure polynomial for {spec.system_id}")
     # Extended precision: the polynomial cancels across terms orders of
     # magnitude above the result, which float64 alone cannot resolve at
     # the required tolerance.
@@ -374,10 +335,9 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
         tolerance=0.5,
     ))
 
-    # Involution claims for the quadratic systems.
-    if spec.system_id in ("op_min", "cp_min"):
+    if spec.involutions:
         pts = sample_safe_states(rng, samples)
-        for a, b in (("X1", "X2"), ("X2", "Y3")):
+        for a, b in spec.involutions:
             res = bracket_residuals(spec.integral(a), spec.integral(b), pts)
             reports.append(CheckReport(
                 system_id=spec.system_id,
@@ -386,15 +346,13 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
                 max_residual=float(np.max(res)),
                 tolerance=tol,
             ))
-        try:
-            closure = closure_residual(spec, sample_safe_states(rng, samples))
-            reports.append(CheckReport(
-                system_id=spec.system_id,
-                check="closure",
-                samples=samples,
-                max_residual=closure.max_residual,
-                tolerance=closure.tolerance,
-            ))
-        except ValueError:
-            pass
+    if spec.closure is not None:
+        closure = closure_residual(spec, sample_safe_states(rng, samples))
+        reports.append(CheckReport(
+            system_id=spec.system_id,
+            check="closure",
+            samples=samples,
+            max_residual=closure.max_residual,
+            tolerance=closure.tolerance,
+        ))
     return reports

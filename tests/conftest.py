@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from axisym.catalog import SystemParams
+from axisym.families import IntegrableFamily
 
 # Parameter sets used by the bundled reference trajectories, plus
 # representative choices for the systems that have no reference run.
@@ -29,7 +30,26 @@ SYSTEM_OF = {
     "max6": "max6",
 }
 
+# The chart families of the family and verification tests: kind and scale.
+FAMILY_ARGS = {
+    "family_circular_parabolic": ("circular_parabolic", None),
+    "family_oblate": ("oblate", 1.3),
+    "family_prolate": ("prolate", 1.3),
+}
+
 REFERENCE_IC = np.array([1.0, -1.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def chart_family(kind, a):
+    """A chart family with smooth, non-trivial structure functions."""
+    return IntegrableFamily(
+        kind=kind,
+        beta1=lambda e: 0.8 + 0.3 * e * e,
+        beta2=lambda x: 1.1 - 0.2 * x * x,
+        rho1=lambda e: 0.5 * e,
+        rho2=lambda x: 0.4 * x * x,
+        a=a,
+    )
 
 
 @pytest.fixture

@@ -66,6 +66,17 @@ def test_verify_mutate_negative_control_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_mutate_works_on_a_parameter_left_at_zero(capsys):
+    # u1 is not given, so it defaults to 0 and is absent from as_dict();
+    # the control must still perturb it and fail, not die on a KeyError.
+    code = main(["verify", "op_min", "--params", "u2=1.5,u3=-1,bz=7,bp=4,bs=2",
+                 "--mutate", "u1=+0.001", "--samples", "200"])
+    assert code == EXIT_VERIFY_FAIL
+    out = capsys.readouterr().out
+    assert "[FAIL] op_min {X1,H}=0" in out
+    assert "[PASS] op_min {Y3,H}=0" in out
+
+
 def test_verify_config_errors(capsys):
     assert main(["verify", "not_a_system"]) == EXIT_CONFIG
     assert main(["verify", "op_min", "--params", "u1=abc"]) == EXIT_CONFIG
@@ -73,6 +84,9 @@ def test_verify_config_errors(capsys):
     assert main(["verify", "op_min", "--params", "u1=1"]) == EXIT_CONFIG  # incomplete
     assert main(["verify", "op_min", "--params", OP_PARAMS,
                  "--mutate", "zz=1"]) == EXIT_CONFIG
+    for samples in ("0", "-3"):
+        assert main(["verify", "op_min", "--params", OP_PARAMS,
+                     "--samples", samples]) == EXIT_CONFIG
 
 
 def test_verify_mutate_rejects_parameters_the_system_lacks(capsys):

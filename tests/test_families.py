@@ -9,6 +9,8 @@ from axisym.families import IntegrableFamily, build_family
 from axisym.phase import DomainError, gradient6, make_rng, sample_safe_states
 from axisym.verify import bracket_residuals
 
+from conftest import chart_family
+
 BRACKET_TOL = 1e-10
 
 
@@ -29,15 +31,7 @@ def _safe_family_states(n, seed=0):
     ("prolate", 1.3),
 ])
 def test_family_brackets_vanish(kind, a):
-    fam = IntegrableFamily(
-        kind=kind,
-        beta1=lambda e: 0.8 + 0.3 * e * e,
-        beta2=lambda x: 1.1 - 0.2 * x * x,
-        rho1=lambda e: 0.5 * e,
-        rho2=lambda x: 0.4 * x * x,
-        a=a,
-    )
-    spec = build_family(fam)
+    spec = build_family(chart_family(kind, a))
     states = _safe_family_states(60, seed=11)
     for obs in spec.integrals:
         res = bracket_residuals(obs, spec.hamiltonian, states)
@@ -50,15 +44,7 @@ def test_family_brackets_vanish(kind, a):
 def test_family_equations_of_motion_and_integration():
     # Chart families carry no axial-gauge data g and W: their RHS is
     # the exact 6-gradient of H, on blocks and on single states alike.
-    fam = IntegrableFamily(
-        kind="oblate",
-        beta1=lambda e: 0.8 + 0.3 * e * e,
-        beta2=lambda x: 1.1 - 0.2 * x * x,
-        rho1=lambda e: 0.5 * e,
-        rho2=lambda x: 0.4 * x * x,
-        a=1.3,
-    )
-    spec = build_family(fam)
+    spec = build_family(chart_family("oblate", 1.3))
     assert spec.gauge_factor is None and spec.potential_sw is None
     states = _safe_family_states(4, seed=15)
     grad = gradient6(spec.hamiltonian.fn, list(states))

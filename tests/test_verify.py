@@ -1,27 +1,31 @@
 """Verification machinery: brackets, closure identities, determining tiers."""
 
 import dataclasses
+import inspect
+import re
 
 import numpy as np
 import pytest
 
+from axisym import verify
 from axisym.catalog import SystemParams, build
+from axisym.families import build_family
 from axisym.phase import Observable, make_rng, sample_safe_states
 from axisym.verify import (
     QuadraticAnsatz,
     closure_residual,
     determining_residuals,
     functional_rank,
-    hamiltonian_ansatz,
     is_integral,
     poisson,
+    quadratic_ansatz,
     rank_vote,
     safe_grid,
     verify_system,
     y3_quadratic_ansatz,
 )
 
-from conftest import PARAMS, SYSTEM_OF
+from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family
 
 
 def test_poisson_canonical_pairs():
@@ -111,20 +115,52 @@ def test_closure_mutated_coefficient_control_fails():
     assert rep.max_residual > 1e-2
 
 
-@pytest.mark.parametrize("key", ["op_min", "cp_min_bq", "cp_min_bz", "cp_min_bl"])
+def _spec(key):
+    if key in FAMILY_ARGS:
+        return build_family(chart_family(*FAMILY_ARGS[key]))
+    return build(SYSTEM_OF[key], PARAMS[key])
+
+
+@pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
 def test_determining_tiers_vanish(key):
-    spec = build(SYSTEM_OF[key], PARAMS[key])
-    ansatz = y3_quadratic_ansatz(spec)
-    tiers = determining_residuals(ansatz, spec.B, spec.W, safe_grid(3))
-    for name, val in tiers.items():
-        assert val < 1e-10, (key, name, val)
+    # Every observable at most quadratic in momenta, H included, with
+    # its (f, s, m0) read from the integral itself.
+    spec = _spec(key)
+    checked = []
+    for obs in spec.observables():
+        if not 0 <= obs.momentum_order <= 2:
+            continue
+        tiers = determining_residuals(quadratic_ansatz(spec, obs), spec.B,
+                                      spec.W, safe_grid(3))
+        bound = 1e-12 if obs.label == "H" else 1e-10
+        assert max(tiers.values()) < bound, (key, obs.label, tiers)
+        checked.append(obs.label)
+    assert checked[:3] == ["H", "X1", "X2"]
 
 
-def test_determining_tiers_hamiltonian_is_trivial_solution():
+def test_y3_ansatz_is_read_from_the_integral():
     spec = build("op_min", PARAMS["op_min"])
-    tiers = determining_residuals(hamiltonian_ansatz(spec.W), spec.B, spec.W,
-                                  safe_grid(3))
-    assert max(tiers.values()) < 1e-12
+    ansatz = y3_quadratic_ansatz(spec)
+    x, y, z = 0.7, 1.1, 0.9
+    g = spec.params.bp / (z * z) + spec.params.bs * z * z
+    assert ansatz.f33(x, y, z) == pytest.approx(1.0, abs=1e-14)
+    for name in ("f11", "f22", "f12", "f13", "f23", "s3"):
+        assert getattr(ansatz, name)(x, y, z) == pytest.approx(0.0, abs=1e-14)
+    assert ansatz.s1(x, y, z) == pytest.approx(-y * g, rel=1e-14)
+    assert ansatz.s2(x, y, z) == pytest.approx(x * g, rel=1e-14)
+    with pytest.raises(ValueError):
+        quadratic_ansatz(spec, Observable(lambda s: s[3] ** 3, "P3", 3))
+
+
+@pytest.mark.parametrize("field,label", [("u2", "Y3"), ("bp", "X1")])
+def test_determining_tiers_reject_a_perturbed_integral(field, label):
+    # The perturbed system's integral against the original B and W.
+    good = build("op_min", PARAMS["op_min"])
+    bad = build("op_min", dataclasses.replace(
+        PARAMS["op_min"], **{field: getattr(PARAMS["op_min"], field) + 1e-3}))
+    tiers = determining_residuals(quadratic_ansatz(good, bad.integral(label)),
+                                  good.B, good.W, safe_grid(3))
+    assert tiers["first"] > 1e-3, (field, label, tiers)
 
 
 def test_determining_tiers_broken_ansatz_fails():
@@ -149,6 +185,21 @@ def test_verify_system_reports():
     d = reports[0].as_dict()
     assert set(d) == {"system_id", "check", "samples", "max_residual",
                       "tolerance", "pass"}
+
+
+def test_verify_does_not_dispatch_on_system_names():
+    # Per-system data lives on the SystemSpec, not in string switches.
+    source = inspect.getsource(verify)
+    assert not re.search(r"system_id\s*(==|in\b)", source)
+    assert 'meta.get("branch")' not in source
+
+
+def test_closure_and_involutions_are_spec_data():
+    bl = build("cp_min", PARAMS["cp_min_bl"])
+    assert bl.closure is None and bl.involutions
+    with pytest.raises(ValueError):
+        closure_residual(bl, sample_safe_states(make_rng(26), 10))
+    assert build("max5", PARAMS["max5"]).involutions == ()
 
 
 def test_safe_grid_shape():
