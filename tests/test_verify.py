@@ -138,6 +138,13 @@ def test_determining_tiers_vanish(key):
     assert checked[:3] == ["H", "X1", "X2"]
 
 
+def test_determining_tiers_hamiltonian_is_trivial_solution():
+    spec = build("op_min", PARAMS["op_min"])
+    tiers = determining_residuals(quadratic_ansatz(spec, spec.hamiltonian),
+                                  spec.B, spec.W, safe_grid(3))
+    assert max(tiers.values()) < 1e-12
+
+
 def test_y3_ansatz_is_read_from_the_integral():
     spec = build("op_min", PARAMS["op_min"])
     ansatz = y3_quadratic_ansatz(spec)
