@@ -9,18 +9,23 @@ straight-line Python (forward-mode derivatives by source transformation),
 so each call does plain float arithmetic.  That code uses only
 ``+ - * /``, so :func:`eom_rhs` runs the same function on (6, k) blocks.
 
-The integrator is scipy's DOP853, an adaptive embedded Runge-Kutta pair
-of order 8(5,3) with dense output, run on a state of six Python floats:
-its tableau (read from ``scipy.integrate._ivp.dop853_coefficients``) is
-written out once as straight-line code, and the initial step, error norm
-and step-size controller are scipy's, so a run makes the same RHS calls
-as ``scipy.integrate.solve_ivp``.  Guard and escape events are checked
-at accepted steps and located with ``brentq`` on the interpolant; a step
-budget bounds the work of a run, and a run stops ("drift") once
-|H - H0| exceeds ``DRIFT_STOP * tol * max(1, |H0|)``, far above the slow
-drift of an accurate run.  Each run reports why it stopped.  Conserved
-quantities are monitored along the output nodes rather than enforced,
-which provides a drift certificate tied to the local tolerance.
+The integrator is DOP853 (Hairer, Norsett & Wanner), an adaptive
+embedded Runge-Kutta pair of order 8(5,3) with dense output, run on a
+state of six Python floats.  Its tableau is scipy's
+(``scipy.integrate._ivp.dop853_coefficients``), shipped here as float
+literals and written out once as straight-line code; the initial step,
+error norm and step-size controller are scipy's too, so a run makes the
+same RHS calls as ``scipy.integrate.solve_ivp``.  Guard and escape
+events are checked at accepted steps and located on the interpolant
+with Brent's root finder, and detected periods are polished with
+Brent's bounded minimizer (Brent, "Algorithms for Minimization without
+Derivatives", 1973), both ported from scipy so that they give its
+results; the module needs numpy alone.  A step budget bounds the work
+of a run, and a run stops ("drift") once |H - H0| exceeds
+``DRIFT_STOP * tol * max(1, |H0|)``, far above the slow drift of an
+accurate run.  Each run reports why it stopped.  Conserved quantities
+are monitored along the output nodes rather than enforced, which
+provides a drift certificate tied to the local tolerance.
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .autodiff import Dual, tangent, value
 from .catalog import SystemSpec
@@ -60,26 +65,35 @@ def eom_rhs(spec: SystemSpec, state) -> np.ndarray:
     """Time derivative (dq/dt, dp/dt) of a state under the spec's H.
 
     Accepts a PhasePoint, a 6-sequence, or a (6, k) array of states, and
-    runs the RHS ``integrate`` uses (cached in ``spec.meta``) on its rows.
-    Raises DomainError inside the guard region of a singular system.
+    runs the RHS ``integrate`` uses (cached in ``spec.meta``): on six
+    floats for one state, giving a (6,) array, and on the rows of a
+    block.  Raises DomainError inside the guard region of a singular
+    system.
     """
     if isinstance(state, PhasePoint):
         state = state.state
+    rhs = _make_scalar_rhs(spec)
     arr = np.asarray(state, dtype=float)
+    if arr.ndim == 1:
+        y = tuple(arr.tolist())
+        _check_guard(spec, y)
+        return np.array(rhs(0.0, y), dtype=float)
     y = arr.reshape(6, -1)
     _check_guard(spec, y)
-    out = np.asarray(np.broadcast_arrays(*_make_scalar_rhs(spec)(0.0, y)), dtype=float)
+    out = np.asarray(np.broadcast_arrays(*rhs(0.0, y)), dtype=float)
     return out.reshape(arr.shape)
 
 
-def _check_guard(spec: SystemSpec, y: np.ndarray):
-    if "r" in spec.singular_in:
-        r = np.hypot(y[0], y[1])
-        if np.any(r < GUARD_RADIUS):
-            raise DomainError(f"state within guard radius of the axis (r < {GUARD_RADIUS})")
-    if "z" in spec.singular_in:
-        if np.any(np.abs(y[2]) < GUARD_RADIUS):
-            raise DomainError(f"state within guard radius of z = 0 (|z| < {GUARD_RADIUS})")
+def _check_guard(spec: SystemSpec, y):
+    """Raise DomainError if a state lies inside a guard region.
+
+    ``y`` is one state as a tuple of six floats or a block as six rows.
+    """
+    hypot, hit = (math.hypot, bool) if isinstance(y, tuple) else (np.hypot, np.any)
+    if "r" in spec.singular_in and hit(hypot(y[0], y[1]) < GUARD_RADIUS):
+        raise DomainError(f"state within guard radius of the axis (r < {GUARD_RADIUS})")
+    if "z" in spec.singular_in and hit(abs(y[2]) < GUARD_RADIUS):
+        raise DomainError(f"state within guard radius of z = 0 (|z| < {GUARD_RADIUS})")
 
 
 class _Var:
@@ -300,6 +314,83 @@ def _make_dual_rhs(spec: SystemSpec):
 # run on a state of six Python floats: the same tableau, initial step,
 # error norm and step-size controller as ``scipy.integrate.solve_ivp``,
 # without its per-stage array and wrapper overhead.
+#
+# The tableau of scipy's ``dop853_coefficients``, non-zero entries only
+# (the A, B, E3, E5 and D rows map stage -> coefficient): C holds the
+# nodes of all 16 stages, A rows 1-15 (row 12 equals B), B the weights
+# of the 12 stages of a step, E3 and E5 the two error estimators over
+# those stages and stage 12 (f at the new state), and D the four rows of
+# the interpolant over all 16 stages.
+
+_DOP853_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778)
+_DOP853_A = {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386,
+        4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+        5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+        5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+    13: {0: 0.056167502283047954, 6: 0.25350021021662483,
+         7: -0.2462390374708025, 8: -0.12419142326381637,
+         9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+    14: {0: 0.03183464816350214, 5: 0.028300909672366776,
+         6: 0.053541988307438566, 7: -0.05492374857139099,
+         10: -0.00010834732869724932, 11: 0.0003825710908356584,
+         12: -0.00034046500868740456, 13: 0.1413124436746325},
+    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+         7: 4.06898981839711, 8: 0.3567271874552811,
+         12: -0.0013990241651590145, 13: 2.9475147891527724,
+         14: -9.15095847217987},
+}
+_DOP853_B = {0: 0.054293734116568765, 5: 4.450312892752409,
+    6: 1.8915178993145003, 7: -5.801203960010585, 8: 0.3111643669578199,
+    9: -0.1521609496625161, 10: 0.20136540080403034, 11: 0.04471061572777259}
+_DOP853_E3 = {0: -0.18980075407240762, 5: 4.450312892752409,
+    6: 1.8915178993145003, 7: -5.801203960010585, 8: -0.4226823213237919,
+    9: -0.1521609496625161, 10: 0.20136540080403034, 11: 0.02265179219836082}
+_DOP853_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044,
+    6: -0.4957589496572502, 7: 1.6643771824549864, 8: -0.35032884874997366,
+    9: 0.3341791187130175, 10: 0.08192320648511571, 11: -0.022355307863886294}
+_DOP853_D = (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+)
 
 SAFETY = 0.9              # step-size controller, as in scipy's RungeKutta
 MIN_FACTOR = 0.2
@@ -310,7 +401,7 @@ _ROW = 50                 # interpolant row: t_old, h, y_old (6), F (7 x 6)
 
 
 def _dop853_source() -> str:
-    """Source of ``step`` and ``dense`` for scipy's DOP853 tableau.
+    """Source of ``step`` and ``dense`` for the DOP853 tableau.
 
     Every stage is written out per component with the zero
     coefficients dropped.  ``step`` makes one attempt of size ``h``: it
@@ -320,21 +411,18 @@ def _dop853_source() -> str:
     row ``(t_old, h, *y_old, *F)`` with F as in scipy's
     ``Dop853DenseOutput``.
     """
-    from scipy.integrate._ivp import dop853_coefficients as co
-
-    n = co.N_STAGES                  # stage n is f(t + h, y_new)
+    n = 12                           # stage n is f(t + h, y_new)
     comps = range(6)
 
     def lin(coefs, i):
-        return " + ".join(f"{float(c)!r} * k{j}_{i}"
-                          for j, c in enumerate(coefs) if c != 0)
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in coefs.items())
 
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in comps)
 
     def stage(s):
-        args = ", ".join(f"y{i} + ({lin(co.A[s, :s], i)}) * h" for i in comps)
-        return [f"    k{s} = rhs(t + {float(co.C[s])!r} * h, ({args}))",
+        args = ", ".join(f"y{i} + ({lin(_DOP853_A[s], i)}) * h" for i in comps)
+        return [f"    k{s} = rhs(t + {_DOP853_C[s]!r} * h, ({args}))",
                 f"    {names(f'k{s}_')} = k{s}"]
 
     stages = ", ".join(f"k{j}" for j in range(n))
@@ -344,14 +432,14 @@ def _dop853_source() -> str:
             f"    {names('k0_')} = f"]
     for s in range(1, n):
         step += stage(s)
-    step += [f"    n{i} = y{i} + h * ({lin(co.B, i)})" for i in comps]
+    step += [f"    n{i} = y{i} + h * ({lin(_DOP853_B, i)})" for i in comps]
     step += [f"    yn = ({names('n')})",
              f"    k{n} = rhs(t + h, yn)",
              f"    {names(f'k{n}_')} = k{n}"]
     for i in comps:
         step += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol",
-                 f"    p{i} = ({lin(co.E5, i)}) / s{i}",
-                 f"    q{i} = ({lin(co.E3, i)}) / s{i}"]
+                 f"    p{i} = ({lin(_DOP853_E5, i)}) / s{i}",
+                 f"    q{i} = ({lin(_DOP853_E3, i)}) / s{i}"]
     step += [f"    p = {' + '.join(f'p{i} * p{i}' for i in comps)}",
              f"    q = {' + '.join(f'q{i} * q{i}' for i in comps)}",
              "    if p == 0.0 and q == 0.0:",
@@ -364,13 +452,13 @@ def _dop853_source() -> str:
              f"    {stages} = ks",
              f"    k{n} = f"]
     dense += [f"    {names(f'k{j}_')} = k{j}" for j in range(n + 1)]
-    for s in range(n + 1, co.N_STAGES_EXTENDED):
+    for s in range(n + 1, len(_DOP853_C)):
         dense += stage(s)
     dense += [f"    d{i} = n{i} - y{i}" for i in comps]
     F = ([f"d{i}" for i in comps]
          + [f"h * k0_{i} - d{i}" for i in comps]
          + [f"2 * d{i} - h * (k{n}_{i} + k0_{i})" for i in comps]
-         + [f"h * ({lin(row, i)})" for row in co.D for i in comps])
+         + [f"h * ({lin(row, i)})" for row in _DOP853_D for i in comps])
     dense.append(f"    return (t, h, {names('y')}, {', '.join(F)})")
     return "\n".join(step + [""] + dense) + "\n"
 
@@ -448,6 +536,73 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's ``brentq`` (its C ``brentq.c``, statement by
+    statement), so it makes the same calls and returns the same root.
+    Raises ValueError when ``f`` returns NaN or f(a) and f(b) have the
+    same sign, and RuntimeError when ``maxiter`` iterations do not
+    converge.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # math.copysign(1.0, v) compares like C's signbit, -0.0 included.
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
 def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
               events=(), max_steps=None) -> OdeResult:
     """DOP853 on a state of six floats, forward in time.
@@ -457,8 +612,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
     returns six floats.  Each event ``ev(t, y)`` stops the run when its
     value falls from >= 0 to <= 0 between two accepted steps (scipy's
     terminal event with ``direction = -1``): the run ends at its root on
-    the step's interpolant (``brentq``, as scipy), with the event's name
-    as the reason.  With ``max_steps`` a run that has
+    the step's interpolant (:func:`_brentq`, scipy's ``brentq``), with
+    the event's name as the reason.  With ``max_steps`` a run that has
     not finished after that many accepted steps stops with reason
     ``"step_budget"``.  Output is the step points (``dense_output``) or
     the ``t_eval`` nodes reached; a run that stops early also outputs
@@ -523,8 +678,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
                     nfev += 3
                 local = DenseOutput(np.array([t]), np.array([row]))
                 t_stop, first = min(
-                    (brentq(lambda s, ev=events[i]: ev(s, local(s)), t_old, t,
-                            xtol=4 * _EPS, rtol=4 * _EPS), i) for i in hits)
+                    (_brentq(lambda s, ev=events[i]: ev(s, local(s)), t_old, t,
+                             4 * _EPS, 4 * _EPS), i) for i in hits)
                 status, reason = 1, events[first].__name__
             g = g_new
         if status is None:
@@ -673,22 +828,24 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     escape bound, lets H drift from its initial value by more than
     ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps``
     accepted steps; ``meta`` names the reason and records RHS calls,
-    accepted and rejected steps, the size of the last accepted step and
-    the RHS backend (``"generated"`` straight-line code or ``"dual"``
-    numbers).  Traces of H and all integrals are evaluated at the output
-    nodes.
+    accepted and rejected steps, the size of the last accepted step, the
+    RHS backend (``"generated"`` straight-line code or ``"dual"``
+    numbers) and the wall time of the call (``wall_s``).  Traces of H and
+    all integrals are evaluated at the output nodes.
     """
+    start = time.perf_counter()
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     y0 = ic.state if isinstance(ic, PhasePoint) else np.asarray(ic, dtype=float)
-    _check_guard(spec, y0.reshape(6, 1))
+    y0 = tuple(y0.tolist())
+    _check_guard(spec, y0)
 
     rhs = _make_scalar_rhs(spec)
 
     nodes = _output_nodes(t_end, dt_out)
-    events = [*_guard_events(spec), _drift_event(spec, tuple(y0.tolist()), tol)]
+    events = [*_guard_events(spec), _drift_event(spec, y0, tol)]
     # Dense output costs three extra stages per step; skip it when the
     # caller only needs the sampled nodes (e.g. drift monitoring).
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol,
@@ -718,8 +875,9 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         "last_step": sol.last_step,
         "rhs_backend": spec.meta["_rhs_backend"],
     }
-    return Trajectory(times=nodes, states=states,
-                      traces=_trace_all(spec, states), meta=meta,
+    traces = _trace_all(spec, states)
+    meta["wall_s"] = time.perf_counter() - start
+    return Trajectory(times=nodes, states=states, traces=traces, meta=meta,
                       dense=sol.sol, aborted=sol.status == 1)
 
 
@@ -810,6 +968,92 @@ def radial_frequency(spec: SystemSpec, ic, horizon: float = 40.0,
     return None if period is None else 2.0 * np.pi / period
 
 
+def _fminbound(func, a, b, xatol):
+    """Minimum of ``func`` on [a, b] by Brent's bounded search (Brent 1973, ch. 5).
+
+    Golden-section steps with parabolic interpolation: a port of scipy's
+    ``minimize_scalar(method="bounded")``
+    (``scipy.optimize._optimize._minimize_scalar_bounded``, at most 500
+    evaluations), statement by statement, so it makes the same calls and
+    returns the same result.  Returns ``(x, func(x), evaluations)``.
+    """
+    maxfun = 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(a), float(b)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:      # do a golden-section step
+                golden = True
+
+        if golden:  # do a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        # scipy's np.sign(rat) + (rat == 0): the sign, with +1 at zero
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+    return xf, fx, num
+
+
 def detect_period(spec: SystemSpec, ic, horizon: float,
                   tol_return: float = 1e-4, tol: float = 1e-12) -> PeriodReport:
     """Search a trajectory for a full 6D phase-space return.
@@ -862,14 +1106,10 @@ def detect_period(spec: SystemSpec, ic, horizon: float,
     for i in cand:
         if dist[i] > refine_cut:
             continue
-        res = minimize_scalar(d_of, bracket=None,
-                              bounds=(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]),
-                              method="bounded",
-                              options={"xatol": 1e-12})
-        d_ref = float(res.fun)
+        x, d_ref, nfev = _fminbound(d_of, ts[max(i - 1, 0)],
+                                    ts[min(i + 1, ts.size - 1)], xatol=1e-12)
         best_d = min(best_d, d_ref)
         if d_ref < tol_return:
-            return PeriodReport(closed=True, period=float(res.x),
-                                return_distance=d_ref,
-                                refinement_iterations=int(res.nfev))
+            return PeriodReport(closed=True, period=x, return_distance=d_ref,
+                                refinement_iterations=nfev)
     return PeriodReport(closed=False, period=None, return_distance=best_d)

@@ -122,6 +122,7 @@ def test_simulate_writes_csv_and_meta(tmp_path, capsys):
     assert meta["t_final"] == 5.0
     assert meta["nfev"] > 0 and meta["steps"] > 0
     assert meta["rhs_backend"] == "generated"
+    assert meta["wall_s"] > 0.0
     assert all(abs(v) < 1e-8 for v in meta["drift"].values())
 
 

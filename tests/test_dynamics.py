@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+from scipy.integrate._ivp import dop853_coefficients
 
 from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
+from axisym.figures import RECIPES
 from axisym.dynamics import (
     DRIFT_STOP,
     GUARD_RADIUS,
@@ -97,9 +100,15 @@ def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
         assert np.allclose(dual_rhs(0.0, state), expected, rtol=1e-11, atol=1e-11)
         assert np.allclose(fast_rhs(0.0, state), expected, rtol=1e-11, atol=1e-11)
         assert np.allclose(eom_rhs(spec, state), expected, rtol=1e-11, atol=1e-11)
-    # eom_rhs runs the same generated function on the whole block.
+    # eom_rhs runs the same generated function on the whole block, and
+    # on six floats for one state, so each state gives its block column.
     columns = [fast_rhs(0.0, tuple(state.tolist())) for state in states.T]
-    assert np.array_equal(eom_rhs(spec, states), np.array(columns).T)
+    block = eom_rhs(spec, states)
+    assert np.array_equal(block, np.array(columns).T)
+    for k, state in enumerate(states.T):
+        assert np.array_equal(eom_rhs(spec, state), block[:, k])
+        assert np.array_equal(eom_rhs(spec, list(state)), block[:, k])
+        assert np.array_equal(eom_rhs(spec, PhasePoint.from_state(state)), block[:, k])
 
 
 def _gaussian_well() -> SystemSpec:
@@ -135,7 +144,14 @@ def test_scalar_rhs_keeps_duals_for_untraceable_fields():
     states = sample_safe_states(make_rng(35), 50)
     grad = gradient6(spec.hamiltonian.fn, list(states))
     expected = np.array([grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2]])
-    assert np.allclose(eom_rhs(spec, states), expected, rtol=1e-12, atol=1e-12)
+    block = eom_rhs(spec, states)
+    assert np.allclose(block, expected, rtol=1e-12, atol=1e-12)
+    # One state runs the solver's function on floats (math.exp), so it
+    # matches its block column (np.exp) to the last bit or two.
+    for k, state in enumerate(states.T):
+        one = eom_rhs(spec, state)
+        assert np.array_equal(one, np.array(rhs(0.0, tuple(state.tolist()))))
+        assert np.allclose(one, block[:, k], rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("key", list(PARAMS))
@@ -200,6 +216,94 @@ def test_solve_ivp_matches_scipy_dop853_on_a_guard_stop(dense):
                               OP_MIN_PLANE_DRAW, 5.0, dense)
     _assert_same_run(ours, ref, dense)
     assert ours.reason == "plane_guard"
+
+
+def _dense(entries, size):
+    return np.array([entries.get(j, 0.0) for j in range(size)])
+
+
+def test_inlined_tableau_is_scipys():
+    co = dop853_coefficients
+    n = co.N_STAGES_EXTENDED
+    A = np.array([_dense(dynamics._DOP853_A.get(s, {}), n) for s in range(n)])
+    assert np.array_equal(A, co.A)
+    assert np.array_equal(np.array(dynamics._DOP853_C), co.C)
+    assert np.array_equal(_dense(dynamics._DOP853_B, co.B.size), co.B)
+    assert np.array_equal(_dense(dynamics._DOP853_E3, co.E3.size), co.E3)
+    assert np.array_equal(_dense(dynamics._DOP853_E5, co.E5.size), co.E5)
+    assert np.array_equal(np.array([_dense(row, n) for row in dynamics._DOP853_D]), co.D)
+
+
+def _recorded(monkeypatch, name):
+    """Record every call to ``dynamics.<name>`` (args, kwargs, result)."""
+    calls = []
+    orig = getattr(dynamics, name)
+
+    def record(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+    monkeypatch.setattr(dynamics, name, record)
+    return calls
+
+
+def _criterion_draw(k):
+    """Draw ``k`` of acceptance criterion 1 (the same for every config)."""
+    rng = make_rng(CRITERION_SEED)
+    for _ in range(k - 1):
+        sample_safe_states(rng, 1)
+    return sample_safe_states(rng, 1)[:, 0]
+
+
+@pytest.mark.parametrize("system_id, params, ic, reason", [
+    ("op_min", PARAMS["op_min"], OP_MIN_PLANE_DRAW, "plane_guard"),
+    ("cp_min", PARAMS["cp_min_bq"], _criterion_draw(4), "drift"),
+    ("linear_min", SystemParams(u1=1e-4, bz=2.0), [1.0, 0.0, 0.0, -1.5, 0.0, 0.0],
+     "axis_guard"),
+], ids=["op_min", "cp_min_bq", "linear_min"])
+def test_brentq_port_matches_scipy_on_stop_brackets(monkeypatch, system_id, params,
+                                                    ic, reason):
+    spec = build(system_id, params)
+    calls = _recorded(monkeypatch, "_brentq")
+    for dense in (True, False):
+        traj = integrate(spec, ic, 50.0, tol=1e-12, dense=dense, max_steps=STEP_BUDGET)
+        assert traj.meta["reason"] == reason
+    assert len(calls) == 2
+    for (f, a, b, xtol, rtol), _, root in calls:
+        assert root == scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def test_brentq_port_raises_as_scipy():
+    eps4 = 4 * np.finfo(float).eps
+    for f, a, b in [(lambda x: np.nan, 0.0, 1.0),
+                    (lambda x: x - 0.5 if x < 0.7 else np.nan, 0.0, 1.0),
+                    (lambda x: x * x + 1.0, -1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            scipy.optimize.brentq(f, a, b, xtol=eps4, rtol=eps4)
+        with pytest.raises(ValueError):
+            dynamics._brentq(f, a, b, eps4, eps4)
+    f = lambda x: x ** 3 - 0.2
+    with pytest.raises(RuntimeError):
+        scipy.optimize.brentq(f, 0.0, 1.0, xtol=eps4, rtol=eps4, maxiter=3)
+    with pytest.raises(RuntimeError):
+        dynamics._brentq(f, 0.0, 1.0, eps4, eps4, maxiter=3)
+    assert dynamics._brentq(f, 0.0, 1.0, eps4, eps4) == scipy.optimize.brentq(
+        f, 0.0, 1.0, xtol=eps4, rtol=eps4)
+
+
+def test_fminbound_port_matches_scipy_on_the_figures_polish_calls(monkeypatch):
+    calls = _recorded(monkeypatch, "_fminbound")
+    for recipe in RECIPES.values():
+        spec = build(recipe.system_id, recipe.params)
+        # run_figure's period search at its default tol of 1e-12
+        detect_period(spec, recipe.ic, recipe.detect_horizon,
+                      tol_return=recipe.tol_return,
+                      tol=1e-12 if recipe.detect_horizon <= 50 else 1e-10)
+    assert len(calls) >= 4
+    for (func, a, b), kwargs, out in calls:
+        ref = scipy.optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
+                                             options={"xatol": kwargs["xatol"]})
+        assert out == (ref.x, ref.fun, ref.nfev)
 
 
 def test_dual_rhs_fallback_runs_through_the_same_solver():
@@ -318,6 +422,7 @@ def test_completed_run_reports_its_work(reference_ic):
     assert meta["rhs_backend"] == "generated"
     assert meta["t_final"] == 8.0
     assert 0.0 < meta["last_step"] < 8.0
+    assert meta["wall_s"] > 0.0
     # Two calls choose the first step, twelve per attempt, and the dense
     # output adds three per accepted step.
     attempts = meta["steps"] + meta["rejected_steps"]
@@ -349,10 +454,7 @@ def test_runaway_stops_on_h_drift(dense):
     # Criterion-1 draw 4 of cp_min_bq runs away with a collapsing step
     # size; its H drift passes the bound long before the step budget.
     spec = build("cp_min", PARAMS["cp_min_bq"])
-    rng = make_rng(CRITERION_SEED)
-    for _ in range(3):
-        sample_safe_states(rng, 1)
-    ic = sample_safe_states(rng, 1)[:, 0]
+    ic = _criterion_draw(4)
     tol = 1e-12
     traj = integrate(spec, ic, 50.0, tol=tol, dt_out=0.25, dense=dense,
                      max_steps=STEP_BUDGET)
@@ -478,9 +580,38 @@ def test_conservation_suite_smoke():
     assert all(v < 1e-7 for v in drifts.values())
 
 
-def test_import_does_not_load_scipy_integrate():
-    # The DOP853 coefficients are read on the first integrate.
-    code = "import axisym, sys; assert 'scipy.integrate' not in sys.modules"
+RUN_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+
+import axisym
+from axisym.catalog import SystemParams, build
+from axisym.dynamics import detect_period, integrate
+from axisym.figures import RECIPES
+from axisym.verify import verify_system
+
+spec = build("linear_min", SystemParams(u1=1e-4, bz=2.0))
+traj = integrate(spec, [1.0, 0.0, 0.0, -1.5, 0.0, 0.0], 5.0)
+assert traj.meta["reason"] == "axis_guard"
+recipe = RECIPES[6]
+rep = detect_period(build(recipe.system_id, recipe.params), recipe.ic,
+                    recipe.detect_horizon, tol_return=recipe.tol_return)
+assert rep.closed
+assert verify_system(spec, samples=50, seed=1)
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test dependency only: import, a guard stop, period
+    # polishing and verification run with every scipy import blocked.
     src = str(Path(dynamics.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY], env=env, check=True)
