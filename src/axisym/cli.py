@@ -20,7 +20,7 @@ import numpy as np
 from . import io as aio
 from .autodiff import value
 from .catalog import BUILDERS, SYSTEM_INFO, SystemParams, build
-from .dynamics import STEP_BUDGET, PeriodReport, detect_period, integrate
+from .dynamics import STEP_BUDGET, integrate, search_period
 from .figures import RECIPES, REFERENCE_IC, run_figure
 from .phase import DEFAULT_SEED, DomainError, PhasePoint, make_rng
 from .verify import is_integral, verify_system
@@ -218,12 +218,8 @@ def cmd_simulate(args) -> int:
         "aborted": traj.aborted,
     })
     if args.detect_period:
-        # An aborted run has no orbit to close; its rerun would abort too.
-        rep = PeriodReport(closed=False, period=None, return_distance=float("inf"))
-        if not traj.aborted:
-            rep = detect_period(spec, PhasePoint.from_state(ic),
-                                horizon=args.t_end, tol=max(args.tol, 1e-12))
-        meta["period_report"] = rep.as_dict()
+        # An aborted run has no orbit to close: the search reports it open.
+        meta["period_report"] = search_period(traj).as_dict()
     aio.write_meta(stem + "_meta.json", meta)
     if args.json:
         print(json.dumps(meta, indent=2, sort_keys=True, default=str))

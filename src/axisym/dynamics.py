@@ -818,6 +818,54 @@ def _output_nodes(t_end: float, dt_hint: Optional[float]) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
 
 
+def _sample_dense(spec: SystemSpec, dense: DenseOutput, t_end: float,
+                  t_final: float, dt_out: Optional[float] = None):
+    """Nodes, states and traces of a dense run over [0, t_end].
+
+    The output nodes of ``t_end`` are cut at the run's stop ``t_final``,
+    which becomes the last node when the run stopped before ``t_end``.
+    """
+    t_stop = min(t_end, t_final)
+    nodes = _output_nodes(t_end, dt_out)
+    nodes = nodes[nodes <= t_stop]
+    if nodes.size == 0 or nodes[-1] < t_stop:
+        nodes = np.append(nodes, t_stop)
+    states = dense(nodes).T
+    return nodes, states, _trace_all(spec, states)
+
+
+def prefix(spec: SystemSpec, traj: Trajectory, t_end: float) -> Trajectory:
+    """The part of a dense run ``traj`` of ``spec`` over [0, t_end].
+
+    ``t_end`` may not pass the run's own ``meta["t_end"]``; at that
+    horizon the run is returned as it is.  Otherwise the states at the
+    default output nodes of ``t_end`` are read from the run's
+    interpolant and traced, so the result matches a separate
+    :func:`integrate` to ``t_end`` at the run's tolerance on every node
+    before that run's last step: the two runs take the same steps until
+    the shorter one is clipped to its end.  A run that stopped before
+    ``t_end`` gives an aborted prefix ending at its stop.  ``meta`` is
+    the run's with ``t_end`` and ``t_final`` set for the prefix, and
+    ``reason`` set to ``"completed"`` when the prefix ends before the
+    run's stop; the work counters are the whole run's.
+    """
+    run_end = traj.meta["t_end"]
+    if t_end == run_end:
+        return traj
+    if not 0 < t_end < run_end:
+        raise ValueError(f"t_end must lie in (0, {run_end!r}]")
+    if traj.dense is None:
+        raise ValueError("a prefix needs a run with dense output")
+    t_final = traj.meta["t_final"]
+    nodes, states, traces = _sample_dense(spec, traj.dense, t_end, t_final)
+    aborted = traj.aborted and t_final < t_end
+    meta = {**traj.meta, "t_end": t_end, "t_final": min(t_end, t_final)}
+    if not aborted:
+        meta["reason"] = "completed"
+    return Trajectory(times=nodes, states=states, traces=traces, meta=meta,
+                      dense=traj.dense, aborted=aborted)
+
+
 def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
               dt_out: Optional[float] = None, dense: bool = True,
               max_steps: Optional[int] = None) -> Trajectory:
@@ -844,24 +892,21 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
 
     rhs = _make_scalar_rhs(spec)
 
-    nodes = _output_nodes(t_end, dt_out)
     events = [*_guard_events(spec), _drift_event(spec, y0, tol)]
     # Dense output costs three extra stages per step; skip it when the
     # caller only needs the sampled nodes (e.g. drift monitoring).
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol,
-                    dense_output=dense, t_eval=None if dense else nodes,
+                    dense_output=dense,
+                    t_eval=None if dense else _output_nodes(t_end, dt_out),
                     events=events, max_steps=max_steps)
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
     t_final = sol.t_final
     if dense:
-        nodes = nodes[nodes <= t_final]
-        if nodes.size == 0 or nodes[-1] < t_final:
-            nodes = np.append(nodes, t_final)
-        states = sol.sol(nodes).T
+        nodes, states, traces = _sample_dense(spec, sol.sol, t_end, t_final, dt_out)
     else:
-        nodes = sol.t
-        states = sol.y.T
+        nodes, states = sol.t, sol.y.T
+        traces = _trace_all(spec, states)
     meta = {
         "system_id": spec.system_id,
         "params": spec.params.as_dict(),
@@ -875,7 +920,6 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         "last_step": sol.last_step,
         "rhs_backend": spec.meta["_rhs_backend"],
     }
-    traces = _trace_all(spec, states)
     meta["wall_s"] = time.perf_counter() - start
     return Trajectory(times=nodes, states=states, traces=traces, meta=meta,
                       dense=sol.sol, aborted=sol.status == 1)
@@ -1056,12 +1100,11 @@ def _fminbound(func, a, b, xatol):
 
 def detect_period(spec: SystemSpec, ic, horizon: float,
                   tol_return: float = 1e-4, tol: float = 1e-12) -> PeriodReport:
-    """Search a trajectory for a full 6D phase-space return.
+    """Integrate an orbit to ``horizon`` and search it for a full return.
 
-    Near-returns are detected on the dense output (distance relative to
-    the trajectory diameter), after skipping a transient window of 10%
-    of the radial period; the first candidate below ``tol_return`` is
-    polished to a local minimum of the return distance.
+    One :func:`integrate` at ``tol`` followed by :func:`search_period`;
+    a start in a singular region or a failed integration gives an open
+    report with an infinite return distance.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -1070,16 +1113,30 @@ def detect_period(spec: SystemSpec, ic, horizon: float,
     except (DomainError, RuntimeError):
         return PeriodReport(closed=False, period=None,
                             return_distance=float("inf"))
+    return search_period(traj, tol_return)
+
+
+def search_period(traj: Trajectory, tol_return: float = 1e-4) -> PeriodReport:
+    """Search a dense trajectory for a full 6D phase-space return.
+
+    Near-returns are detected on the dense output (distance relative to
+    the trajectory diameter), after skipping a transient window of 10%
+    of the radial period, or of 5% of the horizon ``traj.meta["t_end"]``
+    when the orbit shows no radial period; the first candidate below
+    ``tol_return`` is polished to a local minimum of the return
+    distance.  An aborted or non-finite run is open, with an infinite
+    return distance.
+    """
+    if traj.aborted or not np.all(np.isfinite(traj.states)):
+        return PeriodReport(closed=False, period=None,
+                            return_distance=float("inf"))
     y0 = traj.states[0]
     diameter = float(np.linalg.norm(
         np.max(traj.states, axis=0) - np.min(traj.states, axis=0)))
     scale = max(diameter, 1e-12)
-    if traj.aborted or not np.all(np.isfinite(traj.states)):
-        return PeriodReport(closed=False, period=None,
-                            return_distance=float("inf"))
 
     period_est = _radial_period_estimate(traj.times, traj.states)
-    t_min = 0.1 * period_est if period_est else 0.05 * horizon
+    t_min = 0.1 * period_est if period_est else 0.05 * traj.meta["t_end"]
 
     dense = traj.dense
     ts = traj.times

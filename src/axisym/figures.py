@@ -20,7 +20,7 @@ import numpy as np
 from . import io as aio
 from . import svg
 from .catalog import SystemParams, build
-from .dynamics import detect_period, integrate
+from .dynamics import detect_period, integrate, prefix, search_period
 from .phase import PhasePoint
 
 REFERENCE_IC = (1.0, -1.0, 1.0, 1.0, 0.0, 0.0)
@@ -86,8 +86,15 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
                detect: bool = True) -> dict:
     """Reproduce one reference figure: CSV, SVG projections, meta JSON.
 
-    Returns the meta dictionary (period report included when closure
-    detection is requested).
+    The period search runs at ``max(tol, 1e-12)`` on horizons up to 50
+    and at ``max(tol, 1e-10)`` beyond.  Each plotted horizon is a
+    :func:`~axisym.dynamics.prefix` of one dense run at ``tol``, so a
+    plotted CSV differs from a separate run to that horizon only on that
+    run's last step.  When the search tolerance equals ``tol`` the same
+    run, made to the longest of the search and plotted horizons, also
+    serves the search; otherwise :func:`~axisym.dynamics.detect_period`
+    makes its own run first.  Returns the meta dictionary (period report
+    included when closure detection is requested).
     """
     recipe = RECIPES[figure_id]
     spec = build(recipe.system_id, recipe.params)
@@ -105,19 +112,26 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
         "files": [],
     }
 
-    report = None
-    if detect:
+    report = run = None
+    detect_tol = max(tol, 1e-12 if recipe.detect_horizon <= 50 else 1e-10)
+    if detect and detect_tol == tol:
+        run = integrate(spec, ic, max(recipe.detect_horizon, *recipe.horizons), tol=tol)
+        report = search_period(prefix(spec, run, recipe.detect_horizon),
+                               recipe.tol_return)
+    elif detect:
         report = detect_period(spec, ic, recipe.detect_horizon,
-                               tol_return=recipe.tol_return,
-                               tol=max(tol, 1e-12 if recipe.detect_horizon <= 50 else 1e-10))
+                               tol_return=recipe.tol_return, tol=detect_tol)
+    if report is not None:
         meta["period_report"] = report.as_dict()
 
-    for horizon in recipe.horizons:
-        # Plot the measured period when the expected value is approximate.
-        t_end = horizon
-        if report is not None and report.closed and len(recipe.horizons) == 1:
-            t_end = report.period
-        traj = integrate(spec, ic, t_end, tol=tol)
+    # Plot the measured period when the expected value is approximate.
+    t_ends = list(recipe.horizons)
+    if report is not None and report.closed and len(t_ends) == 1:
+        t_ends = [report.period]
+    if run is None:
+        run = integrate(spec, ic, max(t_ends), tol=tol)
+    for horizon, t_end in zip(recipe.horizons, t_ends):
+        traj = prefix(spec, run, t_end)
         tag = f"figure{figure_id}_t{horizon:g}".replace(".", "p")
         csv_path = os.path.join(outdir, f"{tag}.csv")
         labels = aio.write_trajectory_csv(csv_path, traj.times, traj.states,

@@ -16,16 +16,9 @@ import numpy as np
 
 FLOAT_FMT = "%.17g"
 
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
-
-
-def trajectory_rows(times: np.ndarray, states: np.ndarray,
-                    traces: dict, labels: Sequence[str]):
-    for i, t in enumerate(times):
-        row = [t, *states[i, :6]] + [traces[lbl][i] for lbl in labels]
-        yield row
+# Rows formatted per write: converting the whole table to Python floats
+# at once would hold every row's objects in memory together.
+CSV_CHUNK_ROWS = 1000
 
 
 def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray,
@@ -34,10 +27,13 @@ def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray,
     if labels is None:
         labels = [lbl for lbl in ("H", "X1", "X2", "Y3", "Y4") if lbl in traces]
     header = "t,x,y,z,px,py,pz," + ",".join(labels)
+    table = np.column_stack([times, states[:, :6], *(traces[lbl] for lbl in labels)])
+    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in trajectory_rows(times, states, traces, labels):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
+            rows = table[start:start + CSV_CHUNK_ROWS].tolist()
+            fh.writelines(line % tuple(row) for row in rows)
     return list(labels)
 
 

@@ -60,16 +60,14 @@ def render_polyline(points2d: np.ndarray, title: str = "",
     scale = CANVAS / float(np.max(hi - lo))
     size = (hi - lo) * scale
 
-    def to_px(p):
-        q = (p - lo) * scale
-        return q[0], size[1] - q[1]  # flip y so "up" is up
-
     # Thin dense polylines down to a bounded segment count.
     n = pts.shape[0]
     if n - 1 > max_segments:
         idx = np.unique(np.linspace(0, n - 1, max_segments + 1).astype(int))
         pts = pts[idx]
         n = pts.shape[0]
+    q = (pts - lo) * scale
+    px = np.column_stack([q[:, 0], size[1] - q[:, 1]]).tolist()  # flip y so "up" is up
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -81,8 +79,7 @@ def render_polyline(points2d: np.ndarray, title: str = "",
     if title:
         parts.append(f'<title>{title}</title>')
     for i in range(n - 1):
-        x1, y1 = to_px(pts[i])
-        x2, y2 = to_px(pts[i + 1])
+        (x1, y1), (x2, y2) = px[i], px[i + 1]
         c = _color(i / max(n - 2, 1))
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '

@@ -14,7 +14,9 @@ from axisym.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
-from axisym.dynamics import STEP_BUDGET
+from axisym import dynamics
+from axisym.catalog import SystemParams, build
+from axisym.dynamics import STEP_BUDGET, detect_period
 
 CP_PARAMS = "u1=1,u2=1.5,u3=0.5,bz=4"
 OP_PARAMS = "u1=2,u2=1.5,u3=-1,bz=7,bp=4,bs=2"
@@ -211,15 +213,27 @@ def test_simulate_kinetic_momenta_conversion(tmp_path):
         (out2 / "cp_min_trajectory.csv").read_bytes()
 
 
-def test_simulate_detect_period(tmp_path):
+def test_simulate_detect_period(tmp_path, monkeypatch):
+    calls = []
+    solve = dynamics.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
     code = main(["simulate", "max5", "--params", "u2=1.5,bz=2,n=3,m=2",
                  "--ic", "1,-1,1,1,0,0", "--t-end", "30", "--tol", "1e-12",
                  "--detect-period", "--out", str(tmp_path)])
     assert code == EXIT_OK
+    # The search reads the run the CSV was written from.
+    assert len(calls) == 1
     meta = json.loads((tmp_path / "max5_trajectory_meta.json").read_text())
     rep = meta["period_report"]
     assert rep["closed"] is True
     assert rep["period"] == pytest.approx(8.0 * math.pi, rel=1e-4)
+    spec = build("max5", SystemParams(u2=1.5, bz=2, n=3, m=2))
+    assert rep == detect_period(spec, [1, -1, 1, 1, 0, 0], 30.0, tol=1e-12).as_dict()
 
 
 def test_simulate_bad_tol_is_config_error():

@@ -15,7 +15,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
-from axisym.figures import RECIPES
+from axisym.figures import RECIPES, run_figure
 from axisym.dynamics import (
     DRIFT_STOP,
     GUARD_RADIUS,
@@ -24,6 +24,7 @@ from axisym.dynamics import (
     detect_period,
     eom_rhs,
     integrate,
+    prefix,
     radial_frequency,
     reverse_momenta,
     _guard_events,
@@ -541,6 +542,58 @@ def test_tolerance_validation(reference_ic):
     for t_end in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="t_end"):
             integrate(spec, reference_ic, t_end)
+
+
+@pytest.mark.parametrize("fid", sorted(RECIPES))
+def test_prefix_matches_a_separate_run_but_on_its_last_step(fid):
+    recipe = RECIPES[fid]
+    spec = build(recipe.system_id, recipe.params)
+    # The run run_figure plots from: it serves the search too when the
+    # search horizon is at most 50 and so runs at the plotting tolerance.
+    run_end = max(recipe.horizons)
+    if recipe.detect_horizon <= 50:
+        run_end = max(run_end, recipe.detect_horizon)
+    run = integrate(spec, recipe.ic, run_end, tol=1e-12)
+    for horizon in recipe.horizons:
+        part = prefix(spec, run, horizon)
+        fresh = integrate(spec, recipe.ic, horizon, tol=1e-12)
+        assert not part.aborted and part.meta["t_end"] == horizon
+        assert np.array_equal(part.times, fresh.times)
+        before = fresh.times <= fresh.dense.t_ends[-2]
+        assert before.sum() > 0.9 * before.size
+        assert np.array_equal(part.states[before], fresh.states[before])
+        last = ~before
+        assert np.allclose(part.states[last], fresh.states[last], rtol=0, atol=1e-10)
+        for lbl, tr in fresh.traces.items():
+            assert np.array_equal(part.traces[lbl][before], tr[before])
+            assert np.allclose(part.traces[lbl][last], tr[last], rtol=0, atol=1e-9)
+    assert prefix(spec, run, run_end) is run
+    with pytest.raises(ValueError):
+        prefix(spec, run, 1.5 * run_end)
+
+
+@pytest.mark.parametrize("horizon", [0.5, 3.0])
+def test_prefix_of_an_aborted_run_equals_a_run_to_its_horizon(horizon):
+    # The axis-guard run of test_guard_aborts_on_approach stops near t = 0.63.
+    spec = build("linear_min", SystemParams(u1=1e-4, bz=2.0))
+    ic = [1.0, 0.0, 0.0, -1.5, 0.0, 0.0]
+    run = integrate(spec, ic, 5.0)
+    part = prefix(spec, run, horizon)
+    fresh = integrate(spec, ic, horizon)
+    assert part.aborted == fresh.aborted == (horizon > run.meta["t_final"])
+    assert part.meta["t_final"] == fresh.meta["t_final"]
+    assert part.meta["reason"] == fresh.meta["reason"]
+    assert np.array_equal(part.times, fresh.times)
+
+
+def test_six_figures_integrate_once_per_tolerance(monkeypatch, tmp_path):
+    # One run for each figure whose search runs at the plotting tolerance,
+    # two (the 200-unit search at 1e-10, the plots at 1e-12) for figures
+    # 1 and 4: no plotted horizon is integrated again.
+    calls = _recorded(monkeypatch, "solve_ivp")
+    for fid in sorted(RECIPES):
+        run_figure(fid, str(tmp_path / f"fig{fid}"))
+    assert len(calls) == 8
 
 
 def test_detect_period_exact_closure(reference_ic):

@@ -35,6 +35,31 @@ def test_csv_header_and_roundtrip(tmp_path):
         assert np.array_equal(data[:, 7 + j], traces[lbl])
 
 
+def _reference_csv(times, states, traces, labels):
+    """The per-value writer the array writer replaced."""
+    out = ["t,x,y,z,px,py,pz," + ",".join(labels) + "\n"]
+    for i, t in enumerate(times):
+        row = [t, *states[i, :6]] + [traces[lbl][i] for lbl in labels]
+        out.append(",".join("%.17g" % float(v) for v in row) + "\n")
+    return "".join(out)
+
+
+def test_csv_bytes_equal_the_per_value_writer(tmp_path):
+    # More rows than one write chunk, and every special value in every column.
+    times, states, traces, labels = _fake_run(n=2500, n_traces=5, seed=3)
+    table = np.column_stack([times, states, *(traces[lbl] for lbl in labels)])
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 0.1, 1.0, -3.5]
+    for j in range(table.shape[1]):
+        for k, v in enumerate(special):
+            table[251 * k + 13 * j, j] = v
+    times, states = table[:, 0], table[:, 1:7]
+    traces = {lbl: table[:, 7 + j] for j, lbl in enumerate(labels)}
+    assert table.shape[0] > aio.CSV_CHUNK_ROWS
+    path = tmp_path / "run.csv"
+    aio.write_trajectory_csv(str(path), times, states, traces)
+    assert path.read_text() == _reference_csv(times, states, traces, labels)
+
+
 def test_csv_trace_order_is_canonical(tmp_path):
     times, states, traces, _ = _fake_run(n_traces=5)
     shuffled = {k: traces[k] for k in ["Y4", "X2", "H", "Y3", "X1"]}
@@ -87,6 +112,64 @@ def test_render_polyline_document():
     assert lines[0].get("stroke") == "#ff0000"     # red at the start
     assert lines[-1].get("stroke") == "#0000ff"    # blue at the end
     assert "closes" in doc and "circle" in doc
+
+
+def _reference_polyline(points2d, title="", annotation=None, max_segments=1500):
+    """render_polyline as it was, with pixel coordinates taken point by point."""
+    pts = np.asarray(points2d, dtype=float)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-12)
+    pad = svg.MARGIN_FRAC * float(np.max(span))
+    lo = lo - pad
+    hi = hi + pad
+    scale = svg.CANVAS / float(np.max(hi - lo))
+    size = (hi - lo) * scale
+
+    def to_px(p):
+        q = (p - lo) * scale
+        return q[0], size[1] - q[1]
+
+    n = pts.shape[0]
+    if n - 1 > max_segments:
+        idx = np.unique(np.linspace(0, n - 1, max_segments + 1).astype(int))
+        pts = pts[idx]
+        n = pts.shape[0]
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size[0]:.1f}" height="{size[1]:.1f}" '
+        f'viewBox="0 0 {size[0]:.1f} {size[1]:.1f}">',
+        f'<rect width="100%" height="100%" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<title>{title}</title>')
+    for i in range(n - 1):
+        x1, y1 = to_px(pts[i])
+        x2, y2 = to_px(pts[i + 1])
+        c = svg._color(i / max(n - 2, 1))
+        parts.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{c}" stroke-width="1.2" stroke-linecap="round"/>'
+        )
+    if annotation:
+        parts.append(
+            f'<text x="8" y="18" font-family="sans-serif" font-size="14" '
+            f'fill="#333">{annotation}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("n", [10, 3000])
+def test_render_polyline_equals_the_per_point_renderer(n):
+    # 3000 points take the thinning path of the default 1500 segments.
+    rng = np.random.default_rng(n)
+    pos = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+    for which in svg.PROJECTIONS:
+        pts = svg.project(pos, which)
+        assert svg.render_polyline(pts, title=which, annotation="closes") == \
+            _reference_polyline(pts, title=which, annotation="closes")
 
 
 def test_render_polyline_caps_segment_count():
