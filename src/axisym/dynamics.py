@@ -15,17 +15,20 @@ state of six Python floats.  Its tableau is scipy's
 (``scipy.integrate._ivp.dop853_coefficients``), shipped here as float
 literals and written out once as straight-line code; the initial step,
 error norm and step-size controller are scipy's too, so a run makes the
-same RHS calls as ``scipy.integrate.solve_ivp``.  Guard and escape
-events are checked at accepted steps and located on the interpolant
-with Brent's root finder, and detected periods are polished with
-Brent's bounded minimizer (Brent, "Algorithms for Minimization without
-Derivatives", 1973), both ported from scipy so that they give its
-results; the module needs numpy alone.  A step budget bounds the work
-of a run, and a run stops ("drift") once |H - H0| exceeds
-``DRIFT_STOP * tol * max(1, |H0|)``, far above the slow drift of an
-accurate run.  Each run reports why it stopped.  Conserved quantities
-are monitored along the output nodes rather than enforced, which
-provides a drift certificate tied to the local tolerance.
+same RHS calls as ``scipy.integrate.solve_ivp``.  The interpolant rows
+of the dense output are computed after the steps, in blocks of steps on
+(6, k) arrays, so the RHS must also accept a tuple of six (k,) rows.
+Guard and escape events are checked at accepted steps and located on
+the interpolant with Brent's root finder, and detected periods are
+polished with Brent's bounded minimizer (Brent, "Algorithms for
+Minimization without Derivatives", 1973), both ported from scipy so
+that they give its results; the module needs numpy alone.  A step
+budget bounds the work of a run, and a run stops ("drift") once
+|H - H0| exceeds ``DRIFT_STOP * tol * max(1, |H0|)``, far above the
+slow drift of an accurate run.  Each run reports why it stopped.
+Conserved quantities are monitored along the output nodes rather than
+enforced, which provides a drift certificate tied to the local
+tolerance.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -80,8 +84,7 @@ def eom_rhs(spec: SystemSpec, state) -> np.ndarray:
         return np.array(rhs(0.0, y), dtype=float)
     y = arr.reshape(6, -1)
     _check_guard(spec, y)
-    out = np.asarray(np.broadcast_arrays(*rhs(0.0, y)), dtype=float)
-    return out.reshape(arr.shape)
+    return _rhs_rows(rhs, 0.0, y).reshape(arr.shape)
 
 
 def _check_guard(spec: SystemSpec, y):
@@ -398,18 +401,39 @@ MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0     # the error estimator has order 7
 _EPS = float(np.finfo(float).eps)
 _ROW = 50                 # interpolant row: t_old, h, y_old (6), F (7 x 6)
+_STEP = 92                # pending step: t_old, h, y_old, k0-k11, y_new, f_new
+# Steps whose interpolant rows are computed together as one (6, k)
+# block: the block RHS costs less per state than the scalar one from
+# k ~ 50-100 on, while a larger block only holds more memory.
+_CHUNK = 512
+
+
+def _rhs_rows(rhs, t, y) -> np.ndarray:
+    """``rhs`` on a (6, k) block of states passed as six rows.
+
+    Outputs that the traced code folded to constants are broadcast to
+    rows.
+    """
+    out = np.empty_like(y)
+    for i, v in enumerate(rhs(t, tuple(y))):
+        out[i] = v
+    return out
 
 
 def _dop853_source() -> str:
     """Source of ``step`` and ``dense`` for the DOP853 tableau.
 
-    Every stage is written out per component with the zero
-    coefficients dropped.  ``step`` makes one attempt of size ``h``: it
+    ``step`` makes one attempt of size ``h`` on six floats, every stage
+    written out per component with the zero coefficients dropped: it
     returns the new state, f there, the error norm of scipy's
-    ``DOP853._estimate_error_norm`` and the stages.  ``dense`` adds the
-    three extra stages of an accepted step and returns its interpolant
-    row ``(t_old, h, *y_old, *F)`` with F as in scipy's
-    ``Dop853DenseOutput``.
+    ``DOP853._estimate_error_norm`` and the stages.  ``dense`` takes a
+    (92, k) block of accepted steps, each column
+    ``(t_old, h, *y_old, *k0, ..., *k11, *y_new, *f_new)``, adds the
+    three extra stages on (6, k) arrays and returns the (50, k)
+    interpolant rows ``(t_old, h, *y_old, *F)`` with F as in scipy's
+    ``Dop853DenseOutput``.  Both do the same float operations in the
+    same order per component, so a column of ``dense`` equals what the
+    per-step arithmetic gives, bit for bit, when the RHS does too.
     """
     n = 12                           # stage n is f(t + h, y_new)
     comps = range(6)
@@ -420,18 +444,15 @@ def _dop853_source() -> str:
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in comps)
 
-    def stage(s):
-        args = ", ".join(f"y{i} + ({lin(_DOP853_A[s], i)}) * h" for i in comps)
-        return [f"    k{s} = rhs(t + {_DOP853_C[s]!r} * h, ({args}))",
-                f"    {names(f'k{s}_')} = k{s}"]
-
     stages = ", ".join(f"k{j}" for j in range(n))
     step = ["def step(rhs, t, y, f, h, rtol, atol):",
             f"    {names('y')} = y",
             "    k0 = f",
             f"    {names('k0_')} = f"]
     for s in range(1, n):
-        step += stage(s)
+        args = ", ".join(f"y{i} + ({lin(_DOP853_A[s], i)}) * h" for i in comps)
+        step += [f"    k{s} = rhs(t + {_DOP853_C[s]!r} * h, ({args}))",
+                 f"    {names(f'k{s}_')} = k{s}"]
     step += [f"    n{i} = y{i} + h * ({lin(_DOP853_B, i)})" for i in comps]
     step += [f"    yn = ({names('n')})",
              f"    k{n} = rhs(t + h, yn)",
@@ -446,27 +467,28 @@ def _dop853_source() -> str:
              f"        return yn, k{n}, 0.0, ({stages})",
              f"    return yn, k{n}, abs(h) * p / sqrt((p + 0.01 * q) * 6.0), ({stages})"]
 
-    dense = ["def dense(rhs, t, h, y, ks, yn, f):",
-             f"    {names('y')} = y",
-             f"    {names('n')} = yn",
-             f"    {stages} = ks",
-             f"    k{n} = f"]
-    dense += [f"    {names(f'k{j}_')} = k{j}" for j in range(n + 1)]
+    def block_lin(coefs):
+        return " + ".join(f"{c!r} * k{j}" for j, c in coefs.items())
+
+    dense = ["def dense(rhs, b):",
+             "    t, h, y = b[0], b[1], b[2:8]"]
+    dense += [f"    k{j} = b[{8 + 6 * j}:{14 + 6 * j}]" for j in range(n)]
+    dense += [f"    yn, k{n} = b[{8 + 6 * n}:{14 + 6 * n}], b[{14 + 6 * n}:{20 + 6 * n}]"]
     for s in range(n + 1, len(_DOP853_C)):
-        dense += stage(s)
-    dense += [f"    d{i} = n{i} - y{i}" for i in comps]
-    F = ([f"d{i}" for i in comps]
-         + [f"h * k0_{i} - d{i}" for i in comps]
-         + [f"2 * d{i} - h * (k{n}_{i} + k0_{i})" for i in comps]
-         + [f"h * ({lin(row, i)})" for row in _DOP853_D for i in comps])
-    dense.append(f"    return (t, h, {names('y')}, {', '.join(F)})")
+        dense.append(f"    k{s} = rhs_rows(rhs, t + {_DOP853_C[s]!r} * h, "
+                     f"y + ({block_lin(_DOP853_A[s])}) * h)")
+    dense.append("    d = yn - y")
+    F = (["d", "h * k0 - d", f"2 * d - h * (k{n} + k0)"]
+         + [f"h * ({block_lin(row)})" for row in _DOP853_D])
+    dense.append(f"    return concatenate((b[:8], {', '.join(F)}))")
     return "\n".join(step + [""] + dense) + "\n"
 
 
 @functools.cache
 def _dop853():
     """``(step, dense)``, generated and compiled on first use."""
-    namespace = {"sqrt": math.sqrt}
+    namespace = {"sqrt": math.sqrt, "rhs_rows": _rhs_rows,
+                 "concatenate": np.concatenate}
     exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
     return namespace["step"], namespace["dense"]
 
@@ -603,13 +625,35 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
 
 
+def _flush(dense, fun, pending, rows) -> np.ndarray:
+    """Interpolant rows of the ``pending`` steps, moved onto ``rows``.
+
+    The steps are computed as one block by ``dense``; returns their
+    (k, 50) rows.
+    """
+    block = np.frombuffer(pending).reshape(-1, _STEP).T.copy()
+    del pending[:]
+    new = dense(fun, block).T
+    rows.frombytes(new.tobytes())
+    return new
+
+
 def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
               events=(), max_steps=None) -> OdeResult:
     """DOP853 on a state of six floats, forward in time.
 
     Runs the algorithm of ``scipy.integrate.solve_ivp(method="DOP853")``
     with the same RHS call count.  ``fun(t, y)`` gets a 6-tuple and
-    returns six floats.  Each event ``ev(t, y)`` stops the run when its
+    returns six floats; it must also accept a tuple of six (k,) rows
+    (with ``t`` a (k,) array) and return six rows or constants.  The
+    steps run on floats, and the interpolant rows of the steps that
+    need one are computed after the steps, ``_CHUNK`` steps at a time,
+    on (6, k) blocks with the same ``fun``.  For a ``fun`` that does
+    only ``+ - * /`` (the generated RHS) the rows equal those of the
+    per-step arithmetic bit for bit; one that calls a math function on
+    floats and its numpy ufunc on rows (the dual-number RHS, e.g.
+    ``math.exp`` against ``np.exp``) may give rows that differ in the
+    last bits.  Each event ``ev(t, y)`` stops the run when its
     value falls from >= 0 to <= 0 between two accepted steps (scipy's
     terminal event with ``direction = -1``): the run ends at its root on
     the step's interpolant (:func:`_brentq`, scipy's ``brentq``), with
@@ -635,7 +679,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
     nodes.append(math.inf)
     i_node = 0
     g = [ev(t, y) for ev in events]
-    rows, t_ends = array("d"), array("d")
+    pending, rows, t_ends = array("d"), array("d"), array("d")
     steps = rejected = 0
     status, reason, t_stop = None, "completed", t
 
@@ -664,40 +708,36 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
         steps += 1
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         t_stop = t
-        row = None
-        if dense_output:
-            row = dense(fun, t_old, h, y_old, ks, y, f)
-            nfev += 3
+        hits = ()
         if events:
             g_new = [ev(t, y) for ev in events]
-            hits = [] if min(g_new) > 0.0 else [
-                i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
-            if hits:
-                if row is None:
-                    row = dense(fun, t_old, h, y_old, ks, y, f)
-                    nfev += 3
-                local = DenseOutput(np.array([t]), np.array([row]))
-                t_stop, first = min(
-                    (_brentq(lambda s, ev=events[i]: ev(s, local(s)), t_old, t,
-                             4 * _EPS, 4 * _EPS), i) for i in hits)
-                status, reason = 1, events[first].__name__
+            if min(g_new) <= 0.0:
+                hits = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
             g = g_new
-        if status is None:
-            if t >= t_bound:
-                status = 0
-            elif steps == max_steps:
-                status, reason = 1, "step_budget"
-        if row is None and (status == 1 or nodes[i_node] <= t_stop):
-            # Sampled output needs this step's interpolant, and so does
-            # the stop state of a run that ends early.
-            row = dense(fun, t_old, h, y_old, ks, y, f)
+        budget = t < t_bound and steps == max_steps
+        if dense_output or hits or budget or nodes[i_node] <= t:
+            # This step's interpolant is needed: as dense output, for a
+            # sampled node, or for the stop of a run that ends early.
+            pending.fromlist([t_old, h, *y_old, *chain.from_iterable(ks), *y, *f])
+            t_ends.append(t)
             nfev += 3
+        if hits:
+            local = DenseOutput(np.array([t]), _flush(dense, fun, pending, rows)[-1:])
+            t_stop, first = min(
+                (_brentq(lambda s, ev=events[i]: ev(s, local(s)), t_old, t,
+                         4 * _EPS, 4 * _EPS), i) for i in hits)
+            status, reason = 1, events[first].__name__
+        elif t >= t_bound:
+            status = 0
+        elif budget:
+            status, reason = 1, "step_budget"
         while nodes[i_node] <= t_stop:
             i_node += 1
-        if row is not None:
-            rows.extend(row)
-            t_ends.append(t)
+        if len(pending) >= _CHUNK * _STEP:
+            _flush(dense, fun, pending, rows)
 
+    if pending:
+        _flush(dense, fun, pending, rows)
     sol = DenseOutput(np.frombuffer(t_ends), np.frombuffer(rows).reshape(-1, _ROW)) if rows else None
     if status == -1:
         out_t, out_y = np.array([t]), np.array(y).reshape(6, 1)

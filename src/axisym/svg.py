@@ -8,6 +8,7 @@ scripts, or fonts: each file stands alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -44,6 +45,16 @@ def _color(frac: float) -> str:
     return f"#{r:02x}00{b:02x}"
 
 
+@functools.lru_cache(maxsize=1)
+def _strokes(n: int) -> tuple:
+    """Stroke colours of the n - 1 segments of an n-point polyline.
+
+    Cached for the last n: the views of one file set share a segment
+    count, so their colours are formatted once.
+    """
+    return tuple(_color(i / max(n - 2, 1)) for i in range(n - 1))
+
+
 def render_polyline(points2d: np.ndarray, title: str = "",
                     annotation: Optional[str] = None,
                     max_segments: int = 1500) -> str:
@@ -78,9 +89,8 @@ def render_polyline(points2d: np.ndarray, title: str = "",
     ]
     if title:
         parts.append(f'<title>{title}</title>')
-    for i in range(n - 1):
+    for i, c in enumerate(_strokes(n)):
         (x1, y1), (x2, y2) = px[i], px[i + 1]
-        c = _color(i / max(n - 2, 1))
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{c}" stroke-width="1.2" stroke-linecap="round"/>'

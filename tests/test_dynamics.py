@@ -219,6 +219,54 @@ def test_solve_ivp_matches_scipy_dop853_on_a_guard_stop(dense):
     assert ours.reason == "plane_guard"
 
 
+def test_dense_run_of_several_blocks_matches_scipy():
+    # The figure-1 orbit at 1e-12 takes about 3.8k steps to t = 50, so
+    # its interpolant rows are computed in several blocks.
+    recipe = RECIPES[1]
+    spec = build(recipe.system_id, recipe.params)
+    ours, ref = _both_solvers(_make_scalar_rhs(spec), _guard_events(spec),
+                              recipe.ic, 50.0, dense=True)
+    assert ours.steps >= 3 * dynamics._CHUNK
+    _assert_same_run(ours, ref, dense=True)
+
+
+def test_t_eval_stop_inside_a_partly_filled_block_matches_scipy(monkeypatch):
+    flushes = _recorded(monkeypatch, "_flush")
+    recipe = RECIPES[1]
+    spec = build(recipe.system_id, recipe.params)
+
+    def halt(t, y):
+        return 9.4567 - t
+    ours, ref = _both_solvers(_make_scalar_rhs(spec), [*_guard_events(spec), halt],
+                              recipe.ic, 50.0, dense=False)
+    assert ours.reason == "halt" and ours.t_final == pytest.approx(9.4567, abs=1e-12)
+    # Most steps hold a node: one full block, then the stop in a partly
+    # filled one.
+    sizes = [out.shape[0] for _, _, out in flushes]
+    assert sizes[0] == dynamics._CHUNK and 0 < sizes[-1] < dynamics._CHUNK
+    _assert_same_run(ours, ref, dense=False)
+
+
+@pytest.mark.parametrize("key", list(PARAMS))
+def test_block_rows_equal_rows_computed_one_step_at_a_time(monkeypatch, key, reference_ic):
+    # op_min and cp_min_bq take about 1.5k steps to t = 20: several blocks.
+    spec = build(SYSTEM_OF[key], PARAMS[key])
+    rhs = _make_scalar_rhs(spec)
+    assert spec.meta["_rhs_backend"] == "generated"
+
+    def run():
+        return dynamics.solve_ivp(rhs, (0.0, 20.0), reference_ic, 1e-12, 1e-12,
+                                  dense_output=True, events=_guard_events(spec))
+    blocks = run()
+    monkeypatch.setattr(dynamics, "_CHUNK", 1)
+    one_by_one = run()
+    assert np.array_equal(blocks.sol.rows, one_by_one.sol.rows)
+    assert np.array_equal(blocks.sol.t_ends, one_by_one.sol.t_ends)
+    for fld in dataclasses.fields(blocks):
+        if fld.name != "sol":
+            assert np.array_equal(getattr(blocks, fld.name), getattr(one_by_one, fld.name)), fld.name
+
+
 def _dense(entries, size):
     return np.array([entries.get(j, 0.0) for j in range(size)])
 
