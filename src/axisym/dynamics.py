@@ -5,9 +5,10 @@ closed-form right-hand side (available whenever the system carries its
 axial-gauge data g(s, z) and W(s, z), with A = g * (-y, x, 0)) or, as a
 fallback, through exact forward-mode gradients of the Hamiltonian.  For
 single-state integration the closed form is traced once per spec into
-straight-line Python (forward-mode derivatives by source transformation),
-so each call does plain float arithmetic.  That code uses only
-``+ - * /``, so :func:`eom_rhs` runs the same function on (6, k) blocks.
+straight-line Python (:mod:`axisym.trace`; forward-mode derivatives by
+source transformation), so each call does plain float arithmetic.  That
+code uses only ``+ - * /``, so :func:`eom_rhs` runs the same function on
+(6, k) blocks.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner), an adaptive
 embedded Runge-Kutta pair of order 8(5,3) with dense output, run on a
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -47,6 +47,7 @@ import numpy as np
 from .autodiff import Dual, tangent, value
 from .catalog import SystemSpec
 from .phase import DomainError, PhasePoint, gradient6
+from .trace import evaluate_rows, straight_line
 
 GUARD_RADIUS = 0.05
 ESCAPE_BOUND = 1e4
@@ -84,7 +85,7 @@ def eom_rhs(spec: SystemSpec, state) -> np.ndarray:
         return np.array(rhs(0.0, y), dtype=float)
     y = arr.reshape(6, -1)
     _check_guard(spec, y)
-    return _rhs_rows(rhs, 0.0, y).reshape(arr.shape)
+    return evaluate_rows(rhs, 0.0, y).reshape(arr.shape)
 
 
 def _check_guard(spec: SystemSpec, y):
@@ -97,143 +98,6 @@ def _check_guard(spec: SystemSpec, y):
         raise DomainError(f"state within guard radius of the axis (r < {GUARD_RADIUS})")
     if "z" in spec.singular_in and hit(abs(y[2]) < GUARD_RADIUS):
         raise DomainError(f"state within guard radius of z = 0 (|z| < {GUARD_RADIUS})")
-
-
-class _Var:
-    """Recording scalar: each ``+ - * /`` on it appends one line of code.
-
-    Arithmetic with plain numbers is folded where the result is exact on
-    finite values (``v + 0``, ``v * 1``, ``v * 0``), so fields that do
-    not depend on an argument trace to constants.  Identical operations
-    share one line.  Any other use (a branch on its value, a power, a
-    math function) raises TypeError: such a field is not straight-line
-    code.
-    """
-
-    __slots__ = ("tape", "name")
-    __array_ufunc__ = None
-
-    def __init__(self, tape: "_Tape", name: str):
-        self.tape = tape
-        self.name = name
-
-    def __add__(self, other):
-        return self._arith("+", self, other)
-
-    def __radd__(self, other):
-        return self._arith("+", other, self)
-
-    def __sub__(self, other):
-        return self._arith("-", self, other)
-
-    def __rsub__(self, other):
-        return self._arith("-", other, self)
-
-    def __mul__(self, other):
-        return self._arith("*", self, other)
-
-    def __rmul__(self, other):
-        return self._arith("*", other, self)
-
-    def __truediv__(self, other):
-        return self._arith("/", self, other)
-
-    def __rtruediv__(self, other):
-        return self._arith("/", other, self)
-
-    def _arith(self, op, a, b):
-        """``a op b`` where one of them is ``self``."""
-        other = b if a is self else a
-        if isinstance(other, _Var):
-            return self.tape.emit(op, a, b)
-        if not _is_const(other):
-            return NotImplemented      # e.g. a Dual: its reflected method runs
-        if op == "+" and other == 0:
-            return self
-        if op == "-" and other == 0:
-            return self if b is other else -self
-        if op == "*" and other in (0, 1):
-            return self if other == 1 else 0.0
-        if op == "/" and b is other and b == 1:
-            return self
-        if op == "/" and a is other and a == 0:
-            return 0.0
-        return self.tape.emit(op, a, b)
-
-    def __neg__(self):
-        return self.tape.emit("-", None, self)
-
-    def _untraceable(self, *args):
-        raise TypeError("a traced value has no concrete value to branch on")
-
-    __bool__ = __eq__ = __ne__ = _untraceable
-
-
-def _is_const(v) -> bool:
-    return isinstance(v, numbers.Real)
-
-
-def _operand(v) -> str:
-    if isinstance(v, _Var):
-        return v.name
-    if _is_const(v) and math.isfinite(v):
-        return repr(int(v) if isinstance(v, numbers.Integral) else float(v))
-    raise TypeError(f"cannot trace through operand {v!r}")
-
-
-class _Tape:
-    """Straight-line program recorded from operations on ``_Var``."""
-
-    def __init__(self):
-        self.lines = []           # (name, expression, names it reads)
-        self.memo = {}            # expression -> _Var holding it
-
-    def emit(self, op, a, b) -> _Var:
-        if a is None:
-            expr = f"-{_operand(b)}"
-        else:
-            lhs, rhs = _operand(a), _operand(b)
-            if op in "+*" and rhs < lhs:
-                # Exact in IEEE arithmetic; lets a*b and b*a share a line.
-                lhs, rhs = rhs, lhs
-            expr = f"{lhs} {op} {rhs}"
-        var = self.memo.get(expr)
-        if var is None:
-            var = _Var(self, f"v{len(self.lines)}")
-            reads = tuple(x.name for x in (a, b) if isinstance(x, _Var))
-            self.lines.append((var.name, expr, reads))
-            self.memo[expr] = var
-        return var
-
-    def source(self, inputs, outputs) -> str:
-        """Source of ``rhs(t, y)`` returning ``outputs``, dead lines dropped."""
-        out = [_operand(v) for v in outputs]
-        live = set(out)
-        body = []
-        for name, expr, reads in reversed(self.lines):
-            if name in live:
-                live.update(reads)
-                body.append(f"    {name} = {expr}")
-        head = f"    {', '.join(v.name for v in inputs)} = y"
-        return "\n".join(["def rhs(t, y):", head, *reversed(body),
-                          f"    return ({', '.join(out)})"])
-
-
-def _straight_line_rhs(rhs, tag: str):
-    """Turn a single-state ``rhs(t, y)`` on scalars into generated code.
-
-    ``rhs`` is run once on recording scalars; the function returned
-    repeats its arithmetic, in the same order, on the six floats of a
-    state ``y`` (the solver passes a tuple), so on finite values its
-    results equal those of ``rhs`` bit for bit.  ``rhs`` returns a
-    tuple; for a 1-tuple the generated function returns its one value.
-    """
-    tape = _Tape()
-    inputs = [_Var(tape, f"y{i}") for i in range(6)]
-    src = tape.source(inputs, rhs(0.0, inputs))
-    namespace: dict = {}
-    exec(compile(src, f"<rhs {tag}>", "exec"), namespace)
-    return namespace["rhs"]
 
 
 def _make_scalar_rhs(spec: SystemSpec):
@@ -250,7 +114,7 @@ def _make_scalar_rhs(spec: SystemSpec):
         cached, backend = _make_dual_rhs(spec), "dual"
         if spec.gauge_factor is not None and spec.potential_sw is not None:
             try:
-                cached, backend = _straight_line_rhs(cached, spec.system_id), "generated"
+                cached, backend = straight_line(cached, f"rhs {spec.system_id}"), "generated"
             except TypeError:
                 pass   # g or W branches or calls a math function: keep duals
         spec.meta["_scalar_rhs"] = cached
@@ -269,7 +133,7 @@ def _make_scalar_h(spec: SystemSpec):
     if cached is None:
         H = spec.hamiltonian.fn
         try:
-            cached = _straight_line_rhs(lambda t, y: (H(y),), f"H {spec.system_id}")
+            cached = straight_line(lambda t, y: (H(y),), f"rhs H {spec.system_id}")
         except TypeError:
             def cached(t, y):
                 return H(y)
@@ -408,18 +272,6 @@ _STEP = 92                # pending step: t_old, h, y_old, k0-k11, y_new, f_new
 _CHUNK = 512
 
 
-def _rhs_rows(rhs, t, y) -> np.ndarray:
-    """``rhs`` on a (6, k) block of states passed as six rows.
-
-    Outputs that the traced code folded to constants are broadcast to
-    rows.
-    """
-    out = np.empty_like(y)
-    for i, v in enumerate(rhs(t, tuple(y))):
-        out[i] = v
-    return out
-
-
 def _dop853_source() -> str:
     """Source of ``step`` and ``dense`` for the DOP853 tableau.
 
@@ -487,7 +339,7 @@ def _dop853_source() -> str:
 @functools.cache
 def _dop853():
     """``(step, dense)``, generated and compiled on first use."""
-    namespace = {"sqrt": math.sqrt, "rhs_rows": _rhs_rows,
+    namespace = {"sqrt": math.sqrt, "rhs_rows": evaluate_rows,
                  "concatenate": np.concatenate}
     exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
     return namespace["step"], namespace["dense"]

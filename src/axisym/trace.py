@@ -1,0 +1,257 @@
+"""Straight-line code traced from scalar fields, and traced 6-gradients.
+
+A field written against :mod:`axisym.autodiff` is run once on recording
+scalars (``_Var``); every ``+ - * /`` becomes one line of a generated
+Python function that repeats the same operations, in the same order, on
+floats or on numpy rows, with no per-operation objects (forward-mode
+derivatives by source transformation; Griewank & Walther, "Evaluating
+Derivatives", 2nd ed., SIAM 2008, ch. 3-4).  The integrator's RHS and H
+are traced this way, and so is ``gradient6(fn, .)`` of an observable:
+:func:`gradient` runs it in place of six dual-number passes.
+
+Exactness.  Arithmetic with a constant is folded only where the result
+is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``), operands of
+``+`` and ``*`` are swapped only where IEEE arithmetic commutes, and
+identical operations share a line, so on finite inputs the generated
+code gives the values of the traced field bit for bit: a traced
+gradient equals ``gradient6`` on the same floats or rows, in float64 and
+in long double.  A field that branches on a value, takes a power, calls
+a math function or uses a complex constant raises TypeError while being
+traced; its gradient stays on dual numbers, as do states that hold
+duals (nested derivatives).
+
+Blocks.  On arrays a traced gradient runs on ``BLOCK`` columns at a time
+into preallocated rows of the input's dtype, and its code deletes each
+value after its last use.  Both bound the memory of a call, which
+otherwise holds one temporary row per line (op_min's X1 has 280 lines,
+run in long double by the closure check).  Two passes of the ``verify``
+benchmark's work, its 100k-state op_min sweep included, peaked at 78 MB
+of RSS with blocks of 1024-16384 columns and at 112 MB unblocked
+(89 MB on dual numbers); without the deletes they peaked at 82 MB with
+blocks of 4096, 131 MB with 16384 and 479 MB unblocked.  Blocks stay at
+4096 columns because wider long-double blocks fall out of the cache:
+op_min X1's gradient on 100k long-double states took 108-147 ms with
+4096 columns and 142-170 ms with 8192-16384.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import weakref
+
+import numpy as np
+
+from .autodiff import Dual
+from .phase import gradient6
+
+# Columns per call of a traced gradient on arrays.
+BLOCK = 4096
+
+
+class _Var:
+    """Recording scalar: each ``+ - * /`` on it appends one line of code.
+
+    Arithmetic with plain numbers is folded where the result is exact on
+    finite values (``v + 0``, ``v * 1``, ``v * 0``), so fields that do
+    not depend on an argument trace to constants.  Identical operations
+    share one line.  Any other use (a branch on its value, a power, a
+    math function) raises TypeError: such a field is not straight-line
+    code.
+    """
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None
+
+    def __init__(self, tape: "_Tape", name: str):
+        self.tape = tape
+        self.name = name
+
+    def __add__(self, other):
+        return self._arith("+", self, other)
+
+    def __radd__(self, other):
+        return self._arith("+", other, self)
+
+    def __sub__(self, other):
+        return self._arith("-", self, other)
+
+    def __rsub__(self, other):
+        return self._arith("-", other, self)
+
+    def __mul__(self, other):
+        return self._arith("*", self, other)
+
+    def __rmul__(self, other):
+        return self._arith("*", other, self)
+
+    def __truediv__(self, other):
+        return self._arith("/", self, other)
+
+    def __rtruediv__(self, other):
+        return self._arith("/", other, self)
+
+    def _arith(self, op, a, b):
+        """``a op b`` where one of them is ``self``."""
+        other = b if a is self else a
+        if isinstance(other, _Var):
+            return self.tape.emit(op, a, b)
+        if not _is_const(other):
+            return NotImplemented      # e.g. a Dual: its reflected method runs
+        if op == "+" and other == 0:
+            return self
+        if op == "-" and other == 0:
+            return self if b is other else -self
+        if op == "*" and other in (0, 1):
+            return self if other == 1 else 0.0
+        if op == "/" and b is other and b == 1:
+            return self
+        if op == "/" and a is other and a == 0:
+            return 0.0
+        return self.tape.emit(op, a, b)
+
+    def __neg__(self):
+        return self.tape.emit("-", None, self)
+
+    def _untraceable(self, *args):
+        raise TypeError("a traced value has no concrete value to branch on")
+
+    __bool__ = __eq__ = __ne__ = _untraceable
+
+
+def _is_const(v) -> bool:
+    return isinstance(v, numbers.Real)
+
+
+def _operand(v) -> str:
+    if isinstance(v, _Var):
+        return v.name
+    if _is_const(v) and math.isfinite(v):
+        return repr(int(v) if isinstance(v, numbers.Integral) else float(v))
+    raise TypeError(f"cannot trace through operand {v!r}")
+
+
+class _Tape:
+    """Straight-line program recorded from operations on ``_Var``."""
+
+    def __init__(self):
+        self.lines = []           # (name, expression, names it reads)
+        self.memo = {}            # expression -> _Var holding it
+
+    def emit(self, op, a, b) -> _Var:
+        if a is None:
+            expr = f"-{_operand(b)}"
+        else:
+            lhs, rhs = _operand(a), _operand(b)
+            if op in "+*" and rhs < lhs:
+                # Exact in IEEE arithmetic; lets a*b and b*a share a line.
+                lhs, rhs = rhs, lhs
+            expr = f"{lhs} {op} {rhs}"
+        var = self.memo.get(expr)
+        if var is None:
+            var = _Var(self, f"v{len(self.lines)}")
+            reads = tuple(x.name for x in (a, b) if isinstance(x, _Var))
+            self.lines.append((var.name, expr, reads))
+            self.memo[expr] = var
+        return var
+
+    def source(self, inputs, outputs, free=False) -> str:
+        """Source of ``rhs(t, y)`` returning ``outputs``, dead lines dropped.
+
+        With ``free`` each value is deleted after its last use, so a call
+        on arrays holds only the rows still to be read, not one per line.
+        """
+        out = [_operand(v) for v in outputs]
+        live = set(out)
+        body = []
+        for name, expr, reads in reversed(self.lines):
+            if name in live:
+                dead = sorted(set(reads) - live)
+                if free and dead:
+                    body.append(f"    del {', '.join(dead)}")
+                live.update(reads)
+                body.append(f"    {name} = {expr}")
+        head = f"    {', '.join(v.name for v in inputs)} = y"
+        return "\n".join(["def rhs(t, y):", head, *reversed(body),
+                          f"    return ({', '.join(out)})"])
+
+
+def straight_line(fn, tag: str, free=False):
+    """Turn a single-state ``fn(t, y)`` on scalars into generated code.
+
+    ``fn`` is run once on recording scalars; the function returned
+    repeats its arithmetic, in the same order, on the six floats of a
+    state ``y`` (the solver passes a tuple) or on six rows of a block,
+    so on finite values its results equal those of ``fn`` bit for bit.
+    ``fn`` returns a tuple; for a 1-tuple the generated function returns
+    its one value.  The code is compiled under the file name ``<tag>``;
+    ``free`` deletes each value after its last use (see
+    :meth:`_Tape.source`).  Raises TypeError if ``fn`` is not
+    straight-line code.
+    """
+    tape = _Tape()
+    inputs = [_Var(tape, f"y{i}") for i in range(6)]
+    src = tape.source(inputs, fn(0.0, inputs), free)
+    namespace: dict = {}
+    exec(compile(src, f"<{tag}>", "exec"), namespace)
+    return namespace["rhs"]
+
+
+def evaluate_rows(fn, t, y, out=None) -> np.ndarray:
+    """Generated ``fn`` on a block of states passed as six rows.
+
+    Writes into the six rows of ``out`` (default: a new array like
+    ``y``); outputs that the traced code folded to constants are
+    broadcast to rows.
+    """
+    out = np.empty_like(y) if out is None else out
+    for i, v in enumerate(fn(t, tuple(y))):
+        out[i][...] = v
+    return out
+
+
+# Observable function -> its generated gradient, or None if untraceable.
+_GRADIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def traced_gradient(fn):
+    """Generated ``gradient6(fn, .)``, traced on first use and cached.
+
+    Returns None for a field that cannot be traced.
+    """
+    try:
+        return _GRADIENTS[fn]
+    except KeyError:
+        pass
+    try:
+        grad = straight_line(lambda t, y: tuple(gradient6(fn, list(y))),
+                             f"grad {getattr(fn, '__qualname__', 'fn')}", free=True)
+    except TypeError:
+        grad = None
+    _GRADIENTS[fn] = grad
+    return grad
+
+
+def gradient(fn, state) -> list:
+    """``gradient6(fn, state)``, by the traced gradient where there is one.
+
+    ``state`` holds six floats or six arrays of one shape; the arrays
+    run ``BLOCK`` columns at a time.  A state holding duals, or a field
+    that cannot be traced, goes to :func:`gradient6`.
+    """
+    grad = None if any(isinstance(c, Dual) for c in state) else traced_gradient(fn)
+    if grad is None:
+        return gradient6(fn, state)
+    if all(np.ndim(c) == 0 for c in state):
+        return list(grad(0.0, tuple(state)))
+    rows = np.broadcast_arrays(*state)
+    flat = [np.ravel(r) for r in rows]
+    # One array per component, as gradient6 gives.  With one (6, N)
+    # array, over numpy's 4 MiB huge-page threshold at 100k states, 2 of
+    # 10 benchmark runs peaked at 93 MB of RSS in place of 84 MB.
+    dtype = np.result_type(*flat, 0.0)
+    out = [np.empty(flat[0].size, dtype) for _ in range(6)]
+    for lo in range(0, flat[0].size, BLOCK):
+        evaluate_rows(grad, 0.0, [r[lo:lo + BLOCK] for r in flat],
+                      [o[lo:lo + BLOCK] for o in out])
+    return [o.reshape(rows[0].shape) for o in out]

@@ -1,9 +1,14 @@
 """Poisson brackets, integral checks, functional rank, determining equations.
 
-All derivatives are exact (forward-mode duals); residuals are limited by
-floating point, not step size.  Brackets are normalized by the product
-of the two gradient norms at the evaluation point so that high-order
-integrals with large magnitudes compare on the same scale.
+All derivatives are exact; residuals are limited by floating point, not
+step size.  The 6-gradients of brackets, their norms, ranks and the
+closure are traced once per observable into straight-line code
+(:mod:`axisym.trace`) and evaluated on blocks of ``trace.BLOCK`` states;
+forward-mode duals remain for nested derivatives and for fields that
+cannot be traced, and each report names which one it used.  Brackets
+are normalized by the product of the two gradient norms at the
+evaluation point so that high-order integrals with large magnitudes
+compare on the same scale.
 
 The determining-equation tiers run on any integral at most quadratic in
 the momenta, with its coefficients (f, s, m0) read from the integral
@@ -19,12 +24,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import trace
 from .autodiff import Dual
 from .catalog import SystemSpec
 from .phase import (
     Observable,
     PhasePoint,
-    gradient6,
     grad_position,
     make_rng,
     sample_safe_states,
@@ -43,30 +48,34 @@ def _as_state_list(s):
     return list(s)
 
 
-def poisson(f, g, state):
-    """Standard Poisson bracket {f, g} at one state (or array of states)."""
-    state = _as_state_list(state)
-    gf = gradient6(_fn_of(f), state)
-    gg = gradient6(_fn_of(g), state)
+def _gradient_backend(*observables) -> str:
+    """"generated" if every observable's gradient is traced code, else "dual"."""
+    traced = all(trace.traced_gradient(_fn_of(o)) is not None for o in observables)
+    return "generated" if traced else "dual"
+
+
+def _bracket(gf, gg):
     acc = 0.0
     for i in range(3):
         acc = acc + gf[i] * gg[i + 3] - gf[i + 3] * gg[i]
     return acc
 
 
-def _grad_norms(f, g, state):
-    gf = gradient6(_fn_of(f), state)
-    gg = gradient6(_fn_of(g), state)
-    nf = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gf))
-    ng = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gg))
-    return nf, ng
+def poisson(f, g, state):
+    """Standard Poisson bracket {f, g} at one state (or array of states)."""
+    state = _as_state_list(state)
+    return _bracket(trace.gradient(_fn_of(f), state),
+                    trace.gradient(_fn_of(g), state))
 
 
 def bracket_residuals(f, g, states: np.ndarray) -> np.ndarray:
     """|{f,g}| / (|grad f| |grad g|) at each column of ``states`` (6, N)."""
     state = [states[i] for i in range(6)]
-    br = np.asarray(ad.value(poisson(f, g, state)), dtype=float)
-    nf, ng = _grad_norms(f, g, state)
+    gf = trace.gradient(_fn_of(f), state)
+    gg = trace.gradient(_fn_of(g), state)
+    br = np.asarray(ad.value(_bracket(gf, gg)), dtype=float)
+    nf = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gf))
+    ng = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gg))
     return np.abs(br) / np.maximum(nf * ng, 1e-300)
 
 
@@ -79,6 +88,7 @@ class CheckReport:
     samples: int
     max_residual: float
     tolerance: float
+    gradient: str        # "generated" (traced code) or "dual" (dual numbers)
 
     @property
     def passed(self) -> bool:
@@ -91,6 +101,7 @@ class CheckReport:
             "samples": self.samples,
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
+            "gradient": self.gradient,
             "pass": self.passed,
         }
 
@@ -107,23 +118,29 @@ def is_integral(spec: SystemSpec, g: Observable, samples: int = 1000,
         samples=samples,
         max_residual=float(np.max(res)),
         tolerance=tol,
+        gradient=_gradient_backend(g, spec.hamiltonian),
     )
+
+
+def _ranks(observables: Sequence[Observable], states: np.ndarray) -> np.ndarray:
+    """Numerical rank of the stacked 6-gradients at each column of ``states``."""
+    states = np.asarray(states, dtype=float)
+    stack = np.empty((states.shape[1], len(observables), 6))
+    for j, o in enumerate(observables):
+        for i, c in enumerate(trace.gradient(_fn_of(o), list(states))):
+            stack[:, j, i] = ad.value(c)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
 
 
 def functional_rank(observables: Sequence[Observable], point) -> int:
     """Numerical rank of the stacked 6-gradients via singular values."""
-    state = _as_state_list(point)
-    rows = [np.asarray([float(ad.value(c)) for c in gradient6(_fn_of(o), state)])
-            for o in observables]
-    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
-    return int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+    return int(_ranks(observables, np.reshape(_as_state_list(point), (6, 1)))[0])
 
 
 def rank_vote(observables: Sequence[Observable], states: np.ndarray) -> int:
     """Majority-vote rank over the columns of ``states`` (6, N)."""
-    ranks = [functional_rank(observables, states[:, i])
-             for i in range(states.shape[1])]
-    values, counts = np.unique(ranks, return_counts=True)
+    values, counts = np.unique(_ranks(observables, states), return_counts=True)
     return int(values[np.argmax(counts)])
 
 
@@ -326,25 +343,29 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
         reports.append(is_integral(spec, g, samples=samples, tol=t, rng=rng))
 
     states = sample_safe_states(rng, rank_points)
-    rank = rank_vote(list(spec.observables()), states)
+    observables = list(spec.observables())
+    rank = rank_vote(observables, states)
     reports.append(CheckReport(
         system_id=spec.system_id,
         check="functional_rank",
         samples=rank_points,
         max_residual=float(abs(rank - spec.claimed_rank)),
         tolerance=0.5,
+        gradient=_gradient_backend(*observables),
     ))
 
     if spec.involutions:
         pts = sample_safe_states(rng, samples)
         for a, b in spec.involutions:
-            res = bracket_residuals(spec.integral(a), spec.integral(b), pts)
+            fa, fb = spec.integral(a), spec.integral(b)
+            res = bracket_residuals(fa, fb, pts)
             reports.append(CheckReport(
                 system_id=spec.system_id,
                 check=f"{{{a},{b}}}=0",
                 samples=samples,
                 max_residual=float(np.max(res)),
                 tolerance=tol,
+                gradient=_gradient_backend(fa, fb),
             ))
     if spec.closure is not None:
         closure = closure_residual(spec, sample_safe_states(rng, samples))
@@ -354,5 +375,6 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
             samples=samples,
             max_residual=closure.max_residual,
             tolerance=closure.tolerance,
+            gradient=_gradient_backend(spec.integral("X1"), spec.integral("Y3")),
         ))
     return reports

@@ -56,7 +56,8 @@ def test_verify_pass_writes_reports(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in reports)
     assert {"system_id", "check", "samples", "max_residual",
-            "tolerance", "pass"} == set(reports[0])
+            "tolerance", "gradient", "pass"} == set(reports[0])
+    assert {r["gradient"] for r in reports} == {"generated"}
     on_disk = json.loads((tmp_path / "cp_min_reports.json").read_text())
     assert on_disk == sorted(reports, key=lambda r: 0)  # same list, same order
 

@@ -191,7 +191,8 @@ def test_verify_system_reports():
     assert "closure" in checks
     d = reports[0].as_dict()
     assert set(d) == {"system_id", "check", "samples", "max_residual",
-                      "tolerance", "pass"}
+                      "tolerance", "gradient", "pass"}
+    assert {r.gradient for r in reports} == {"generated"}
 
 
 def test_verify_does_not_dispatch_on_system_names():
