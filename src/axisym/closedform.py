@@ -188,14 +188,20 @@ def _cyl_solution(kind: str, c: ClosedFormConstants, params: SystemParams, t):
 def closed_state(kind: str, c: ClosedFormConstants, params: SystemParams, t):
     """Cylindrical position (r, z, theta) and its exact time derivative.
 
-    Returns ((r, z, theta), (rdot, zdot, thetadot)) at time t.
+    Returns ((r, z, theta), (rdot, zdot, thetadot)) at time t: floats
+    for a scalar t, arrays of its shape for an ndarray of times.
     """
     if c.kind != kind:
         raise ValueError("constants were built for a different branch")
-    td = Dual(float(t), 1.0)
-    r, z, theta = _cyl_solution(kind, c, params, td)
-    return ((ad.value(r), ad.value(z), ad.value(theta)),
-            (ad.tangent(r), ad.tangent(z), ad.tangent(theta)))
+    times = isinstance(t, np.ndarray) and t.ndim > 0
+    r, z, theta = _cyl_solution(kind, c, params,
+                                Dual(t.astype(float) if times else float(t), 1.0))
+    pos = (ad.value(r), ad.value(z), ad.value(theta))
+    vel = (ad.tangent(r), ad.tangent(z), ad.tangent(theta))
+    if not times:
+        return pos, vel
+    return (tuple(np.broadcast_to(v, t.shape) for v in pos),
+            tuple(np.broadcast_to(v, t.shape) for v in vel))
 
 
 def cartesian_state(kind: str, c: ClosedFormConstants, params: SystemParams,
@@ -205,9 +211,10 @@ def cartesian_state(kind: str, c: ClosedFormConstants, params: SystemParams,
     In the axial gauge of the catalog systems, p_r = rdot, p_z = zdot
     and the canonical angular momentum is the constant Lz, so the
     Cartesian canonical momenta follow from the point transformation.
+    A scalar t gives a (6,) array, an (N,) ndarray of times a (6, N) block.
     """
     (r, z, theta), (rdot, zdot, _) = closed_state(kind, c, params, t)
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = ad.cos(theta), ad.sin(theta)
     x, y = r * ct, r * st
     px = rdot * ct - c.Lz / r * st
     py = rdot * st + c.Lz / r * ct

@@ -1042,12 +1042,8 @@ def search_period(traj: Trajectory, tol_return: float = 1e-4) -> PeriodReport:
         return float(np.linalg.norm(dense(t) - y0)) / scale
 
     # Local minima of the sampled distance, in time order.
-    cand = []
-    for i in range(1, ts.size - 1):
-        if not mask[i]:
-            continue
-        if dist[i] <= dist[i - 1] and dist[i] <= dist[i + 1]:
-            cand.append(i)
+    mid = dist[1:-1]
+    cand = (1 + np.flatnonzero(mask[1:-1] & (mid <= dist[:-2]) & (mid <= dist[2:]))).tolist()
     best_d = float(np.min(dist[mask]))
     # Sampling can overshoot a narrow distance dip by orders of
     # magnitude, so polish every plausibly-deep local minimum.

@@ -7,12 +7,15 @@ with covariant momenta p^A = p + A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from . import trace
 from .autodiff import Dual
 
 
@@ -127,14 +130,30 @@ class Observable:
         state = _as_state(point_or_state)
         return self.fn(state)
 
+    @cached_property
+    def _value_program(self):
+        return trace.traced_value(self.fn)
+
     def eval(self, point_or_state) -> float:
-        val = self.fn(_as_state(point_or_state))
+        """Value at a point or state; EvaluationError if it is not finite.
+
+        On one state of six floats (numpy float64 scalars included) the
+        field's traced value runs (:func:`axisym.trace.traced_value`,
+        equal to ``fn`` bit for bit), else ``fn`` itself.
+        """
+        state = _as_state(point_or_state)
+        on_floats = all(isinstance(c, float) for c in state)
+        program = self._value_program if on_floats else None
+        try:
+            val = self.fn(state) if program is None else program(0.0, state)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise EvaluationError(f"{self.label or 'observable'}: {exc}") from exc
         val = ad.value(val)
         if isinstance(val, np.ndarray):
             if not np.all(np.isfinite(val)):
                 raise EvaluationError(f"{self.label or 'observable'}: non-finite value")
             return val
-        if not np.isfinite(val):
+        if not (math.isfinite(val) if isinstance(val, float) else np.isfinite(val)):
             raise EvaluationError(f"{self.label or 'observable'}: non-finite value")
         return float(val)
 

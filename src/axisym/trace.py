@@ -1,13 +1,17 @@
-"""Straight-line code traced from scalar fields, and traced 6-gradients.
+"""Straight-line code traced from scalar fields, and traced programs.
 
 A field written against :mod:`axisym.autodiff` is run once on recording
-scalars (``_Var``); every ``+ - * /`` becomes one line of a generated
-Python function that repeats the same operations, in the same order, on
-floats or on numpy rows, with no per-operation objects (forward-mode
-derivatives by source transformation; Griewank & Walther, "Evaluating
-Derivatives", 2nd ed., SIAM 2008, ch. 3-4).  The integrator's RHS and H
-are traced this way, and so is ``gradient6(fn, .)`` of an observable:
-:func:`gradient` runs it in place of six dual-number passes.
+scalars (``_Var``); every ``+ - * /`` and every integer power ``v ** n``
+becomes one line of a generated Python function that repeats the same
+operations, in the same order, on floats or on numpy rows, with no
+per-operation objects (forward-mode derivatives by source
+transformation; Griewank & Walther, "Evaluating Derivatives", 2nd ed.,
+SIAM 2008, ch. 3-4).  The integrator's RHS and H are traced this way,
+and so are an observable's value (:func:`traced_value`, run by
+``Observable.eval``) and ``gradient6(fn, .)`` (:func:`gradient`, run in
+place of six dual-number passes).  :mod:`axisym.verify` traces whole
+checks the same way: each bracket with both gradient norms, and the
+closure's squared bracket with the four values it is compared at.
 
 Exactness.  Arithmetic with a constant is folded only where the result
 is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``), operands of
@@ -15,23 +19,28 @@ is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``), operands of
 identical operations share a line, so on finite inputs the generated
 code gives the values of the traced field bit for bit: a traced
 gradient equals ``gradient6`` on the same floats or rows, in float64 and
-in long double.  A field that branches on a value, takes a power, calls
-a math function or uses a complex constant raises TypeError while being
-traced; its gradient stays on dual numbers, as do states that hold
-duals (nested derivatives).
+in long double.  ``v ** n`` is emitted as ``v ** n``, so floats and
+numpy rows take the power as the field itself does.  A field that
+branches on a value, takes a power other than an ``int`` one, calls a
+math function or uses a complex constant raises TypeError while being
+traced; it stays on dual numbers, as do states that hold duals (nested
+derivatives).
 
-Blocks.  On arrays a traced gradient runs on ``BLOCK`` columns at a time
-into preallocated rows of the input's dtype, and its code deletes each
-value after its last use.  Both bound the memory of a call, which
-otherwise holds one temporary row per line (op_min's X1 has 280 lines,
-run in long double by the closure check).  Two passes of the ``verify``
-benchmark's work, its 100k-state op_min sweep included, peaked at 78 MB
-of RSS with blocks of 1024-16384 columns and at 112 MB unblocked
-(89 MB on dual numbers); without the deletes they peaked at 82 MB with
-blocks of 4096, 131 MB with 16384 and 479 MB unblocked.  Blocks stay at
-4096 columns because wider long-double blocks fall out of the cache:
-op_min X1's gradient on 100k long-double states took 108-147 ms with
-4096 columns and 142-170 ms with 8192-16384.
+Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
+(:func:`evaluate_blocks`) into preallocated rows, and its code deletes
+each value after its last use.  Both bound the memory of a call, which
+otherwise holds one temporary row per line (op_min's X1 gradient has
+280 lines, run in long double by the closure check).  Two passes of the
+``verify`` benchmark's work, its 100k-state op_min sweep included, peak
+at 62 MB of RSS with the closure and the brackets traced as whole
+programs and the closure's long-double states cast block by block
+(79 MB with only the gradients traced, 89 MB on dual numbers).  With
+gradients alone they peaked at 78 MB with blocks of 1024-16384 columns
+and at 112 MB unblocked; without the deletes at 82 MB with blocks of
+4096, 131 MB with 16384 and 479 MB unblocked.  Blocks stay at 4096
+columns because wider long-double blocks fall out of the cache: op_min
+X1's gradient on 100k long-double states took 108-147 ms with 4096
+columns and 142-170 ms with 8192-16384.
 """
 
 from __future__ import annotations
@@ -43,21 +52,21 @@ import weakref
 import numpy as np
 
 from .autodiff import Dual
-from .phase import gradient6
 
 # Columns per call of a traced gradient on arrays.
 BLOCK = 4096
 
 
 class _Var:
-    """Recording scalar: each ``+ - * /`` on it appends one line of code.
+    """Recording scalar: each ``+ - * /`` on it, and each power ``v ** n``
+    with an ``int`` exponent, appends one line of code.
 
     Arithmetic with plain numbers is folded where the result is exact on
     finite values (``v + 0``, ``v * 1``, ``v * 0``), so fields that do
     not depend on an argument trace to constants.  Identical operations
-    share one line.  Any other use (a branch on its value, a power, a
-    math function) raises TypeError: such a field is not straight-line
-    code.
+    share one line.  Any other use (a branch on its value, another
+    power, a math function) raises TypeError: such a field is not
+    straight-line code.
     """
 
     __slots__ = ("tape", "name")
@@ -90,6 +99,13 @@ class _Var:
 
     def __rtruediv__(self, other):
         return self._arith("/", other, self)
+
+    def __pow__(self, n):
+        # ``v ** n`` as the fields write it: the same operator, with its
+        # own numpy fast paths, runs on floats and on rows.
+        if type(n) is not int:
+            raise TypeError(f"cannot trace a power with exponent {n!r}")
+        return self.tape.emit("**", self, n)
 
     def _arith(self, op, a, b):
         """``a op b`` where one of them is ``self``."""
@@ -143,7 +159,7 @@ class _Tape:
             expr = f"-{_operand(b)}"
         else:
             lhs, rhs = _operand(a), _operand(b)
-            if op in "+*" and rhs < lhs:
+            if op in ("+", "*") and rhs < lhs:
                 # Exact in IEEE arithmetic; lets a*b and b*a share a line.
                 lhs, rhs = rhs, lhs
             expr = f"{lhs} {op} {rhs}"
@@ -171,30 +187,49 @@ class _Tape:
                     body.append(f"    del {', '.join(dead)}")
                 live.update(reads)
                 body.append(f"    {name} = {expr}")
-        head = f"    {', '.join(v.name for v in inputs)} = y"
+        head = f"    {''.join(v.name + ', ' for v in inputs)}= y"
         return "\n".join(["def rhs(t, y):", head, *reversed(body),
                           f"    return ({', '.join(out)})"])
 
 
-def straight_line(fn, tag: str, free=False):
+def straight_line(fn, tag: str, free=False, inputs=6):
     """Turn a single-state ``fn(t, y)`` on scalars into generated code.
 
-    ``fn`` is run once on recording scalars; the function returned
-    repeats its arithmetic, in the same order, on the six floats of a
-    state ``y`` (the solver passes a tuple) or on six rows of a block,
-    so on finite values its results equal those of ``fn`` bit for bit.
-    ``fn`` returns a tuple; for a 1-tuple the generated function returns
-    its one value.  The code is compiled under the file name ``<tag>``;
-    ``free`` deletes each value after its last use (see
+    ``fn`` is run once on ``inputs`` recording scalars; the function
+    returned repeats its arithmetic, in the same order, on the floats of
+    a state ``y`` (the solver passes a tuple of six) or on rows of a
+    block, so on finite values its results equal those of ``fn`` bit for
+    bit.  ``fn`` returns a tuple; for a 1-tuple the generated function
+    returns its one value.  The code is compiled under the file name
+    ``<tag>``; ``free`` deletes each value after its last use (see
     :meth:`_Tape.source`).  Raises TypeError if ``fn`` is not
     straight-line code.
     """
     tape = _Tape()
-    inputs = [_Var(tape, f"y{i}") for i in range(6)]
-    src = tape.source(inputs, fn(0.0, inputs), free)
+    names = [_Var(tape, f"y{i}") for i in range(inputs)]
+    src = tape.source(names, fn(0.0, names), free)
     namespace: dict = {}
     exec(compile(src, f"<{tag}>", "exec"), namespace)
     return namespace["rhs"]
+
+
+def cached_program(cache, key, fn, tag: str, inputs=6):
+    """``straight_line(fn, tag, free=True)``, traced on first use.
+
+    The program is kept in ``cache[key]`` (a dict, or a weak-keyed one
+    for keys that are functions); a ``fn`` that cannot be traced is
+    cached as None, which callers take as "use dual numbers".
+    """
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    try:
+        program = straight_line(fn, tag, free=True, inputs=inputs)
+    except TypeError:
+        program = None
+    cache[key] = program
+    return program
 
 
 def evaluate_rows(fn, t, y, out=None) -> np.ndarray:
@@ -210,8 +245,40 @@ def evaluate_rows(fn, t, y, out=None) -> np.ndarray:
     return out
 
 
-# Observable function -> its generated gradient, or None if untraceable.
+def evaluate_blocks(fn, rows, n_out: int, dtype=None) -> list:
+    """``fn(0.0, block)`` on the columns of ``rows``, ``BLOCK`` at a time.
+
+    ``rows`` are arrays of one shape (or that broadcast to one); ``fn``
+    takes a block as a tuple of rows, cast to ``dtype`` if one is given,
+    and returns ``n_out`` values.  They are written, constants broadcast,
+    into ``n_out`` arrays of the rows' shape and of ``dtype`` (default:
+    the rows' dtype).  Casting block by block keeps no cast copy of the
+    whole input.  One array per output, as :func:`gradient6` gives: with
+    one (6, N) array, over numpy's 4 MiB huge-page threshold at 100k
+    states, 2 of 10 benchmark runs peaked at 93 MB of RSS in place of
+    84 MB.
+    """
+    rows = np.broadcast_arrays(*rows)
+    flat = [np.ravel(r) for r in rows]
+    out_dtype = np.result_type(*flat, 0.0) if dtype is None else dtype
+    out = [np.empty(flat[0].size, out_dtype) for _ in range(n_out)]
+    for lo in range(0, flat[0].size, BLOCK):
+        block = [r[lo:lo + BLOCK] for r in flat]
+        if dtype is not None:
+            block = [b.astype(dtype) for b in block]
+        values = fn(0.0, tuple(block))
+        for o, v in zip(out, values, strict=True):
+            o[lo:lo + BLOCK] = v
+    return [o.reshape(rows[0].shape) for o in out]
+
+
+def name_of(fn) -> str:
+    return getattr(fn, "__qualname__", "fn")
+
+
+# Observable function -> its generated gradient / value, or None if untraceable.
 _GRADIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_VALUES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def traced_gradient(fn):
@@ -219,17 +286,18 @@ def traced_gradient(fn):
 
     Returns None for a field that cannot be traced.
     """
-    try:
-        return _GRADIENTS[fn]
-    except KeyError:
-        pass
-    try:
-        grad = straight_line(lambda t, y: tuple(gradient6(fn, list(y))),
-                             f"grad {getattr(fn, '__qualname__', 'fn')}", free=True)
-    except TypeError:
-        grad = None
-    _GRADIENTS[fn] = grad
-    return grad
+    from .phase import gradient6   # phase imports this module
+
+    return cached_program(_GRADIENTS, fn, lambda t, y: tuple(gradient6(fn, list(y))),
+                          f"grad {name_of(fn)}")
+
+
+def traced_value(fn):
+    """Generated ``fn`` on one state, traced on first use and cached.
+
+    Returns None for a field that cannot be traced.
+    """
+    return cached_program(_VALUES, fn, lambda t, y: (fn(list(y)),), f"value {name_of(fn)}")
 
 
 def gradient(fn, state) -> list:
@@ -239,19 +307,11 @@ def gradient(fn, state) -> list:
     run ``BLOCK`` columns at a time.  A state holding duals, or a field
     that cannot be traced, goes to :func:`gradient6`.
     """
+    from .phase import gradient6
+
     grad = None if any(isinstance(c, Dual) for c in state) else traced_gradient(fn)
     if grad is None:
         return gradient6(fn, state)
     if all(np.ndim(c) == 0 for c in state):
         return list(grad(0.0, tuple(state)))
-    rows = np.broadcast_arrays(*state)
-    flat = [np.ravel(r) for r in rows]
-    # One array per component, as gradient6 gives.  With one (6, N)
-    # array, over numpy's 4 MiB huge-page threshold at 100k states, 2 of
-    # 10 benchmark runs peaked at 93 MB of RSS in place of 84 MB.
-    dtype = np.result_type(*flat, 0.0)
-    out = [np.empty(flat[0].size, dtype) for _ in range(6)]
-    for lo in range(0, flat[0].size, BLOCK):
-        evaluate_rows(grad, 0.0, [r[lo:lo + BLOCK] for r in flat],
-                      [o[lo:lo + BLOCK] for o in out])
-    return [o.reshape(rows[0].shape) for o in out]
+    return evaluate_blocks(grad, state, 6)

@@ -1,14 +1,17 @@
 """Poisson brackets, integral checks, functional rank, determining equations.
 
 All derivatives are exact; residuals are limited by floating point, not
-step size.  The 6-gradients of brackets, their norms, ranks and the
-closure are traced once per observable into straight-line code
-(:mod:`axisym.trace`) and evaluated on blocks of ``trace.BLOCK`` states;
-forward-mode duals remain for nested derivatives and for fields that
-cannot be traced, and each report names which one it used.  Brackets
-are normalized by the product of the two gradient norms at the
-evaluation point so that high-order integrals with large magnitudes
-compare on the same scale.
+step size.  Each check is traced into straight-line code
+(:mod:`axisym.trace`) on first use and evaluated on blocks of
+``trace.BLOCK`` states: one program per (f, g) gives the bracket and
+both squared gradient norms; one per spec gives {X1,Y3}^2 with H, X1,
+X2 and Y3 from a single tape, and one per closure polynomial evaluates
+it on those values, both in long double.  Ranks use each observable's
+traced 6-gradient.  Forward-mode duals remain for nested derivatives
+and for fields that cannot be traced, and each report names which one
+ran.  Brackets are normalized by the product of the two gradient norms
+at the evaluation point so that high-order integrals with large
+magnitudes compare on the same scale.
 
 The determining-equation tiers run on any integral at most quadratic in
 the momenta, with its coefficients (f, s, m0) read from the integral
@@ -18,6 +21,7 @@ involution claims a sweep checks are data on the :class:`SystemSpec`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -31,6 +35,7 @@ from .phase import (
     Observable,
     PhasePoint,
     grad_position,
+    gradient6,
     make_rng,
     sample_safe_states,
 )
@@ -68,15 +73,43 @@ def poisson(f, g, state):
                     trace.gradient(_fn_of(g), state))
 
 
+# f -> g -> generated ({f,g}, |grad f|^2, |grad g|^2), or None if untraceable.
+_BRACKETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _bracket_program(f: Callable, g: Callable):
+    """One traced program for {f, g} and both squared gradient norms."""
+    def outputs(t, y):
+        gf, gg = gradient6(f, list(y)), gradient6(g, list(y))
+        return _bracket(gf, gg), sum(c ** 2 for c in gf), sum(c ** 2 for c in gg)
+
+    return trace.cached_program(_BRACKETS.setdefault(f, weakref.WeakKeyDictionary()), g,
+                                outputs, f"bracket {trace.name_of(f)} {trace.name_of(g)}")
+
+
+def _bracket_check(f, g, states: np.ndarray) -> tuple:
+    """(bracket_residuals(f, g, states), the gradient path that ran)."""
+    program = _bracket_program(_fn_of(f), _fn_of(g))
+    state = [states[i] for i in range(6)]
+    if program is None:
+        gf = trace.gradient(_fn_of(f), state)
+        gg = trace.gradient(_fn_of(g), state)
+        br = np.asarray(ad.value(_bracket(gf, gg)), dtype=float)
+        nf = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gf))
+        ng = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gg))
+        return np.abs(br) / np.maximum(nf * ng, 1e-300), "dual"
+
+    def residual(t, y):
+        br, nf2, ng2 = program(t, y)
+        br = np.asarray(br, dtype=float)
+        return (np.abs(br) / np.maximum(np.sqrt(nf2) * np.sqrt(ng2), 1e-300),)
+
+    return trace.evaluate_blocks(residual, state, 1)[0], "generated"
+
+
 def bracket_residuals(f, g, states: np.ndarray) -> np.ndarray:
     """|{f,g}| / (|grad f| |grad g|) at each column of ``states`` (6, N)."""
-    state = [states[i] for i in range(6)]
-    gf = trace.gradient(_fn_of(f), state)
-    gg = trace.gradient(_fn_of(g), state)
-    br = np.asarray(ad.value(_bracket(gf, gg)), dtype=float)
-    nf = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gf))
-    ng = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gg))
-    return np.abs(br) / np.maximum(nf * ng, 1e-300)
+    return _bracket_check(f, g, states)[0]
 
 
 @dataclass(frozen=True)
@@ -111,14 +144,14 @@ def is_integral(spec: SystemSpec, g: Observable, samples: int = 1000,
     """Normalized max |{g, H}| over random safe states."""
     rng = rng if rng is not None else make_rng()
     states = sample_safe_states(rng, samples)
-    res = bracket_residuals(g, spec.hamiltonian, states)
+    res, backend = _bracket_check(g, spec.hamiltonian, states)
     return CheckReport(
         system_id=spec.system_id,
         check=f"{{{g.label},H}}=0",
         samples=samples,
         max_residual=float(np.max(res)),
         tolerance=tol,
-        gradient=_gradient_backend(g, spec.hamiltonian),
+        gradient=backend,
     )
 
 
@@ -292,6 +325,7 @@ class ClosureReport:
     lhs: np.ndarray
     rhs: np.ndarray
     tolerance: float
+    gradient: str        # "generated" (traced program) or "dual" (dual numbers)
 
     @property
     def residuals(self) -> np.ndarray:
@@ -307,29 +341,66 @@ class ClosureReport:
         return self.max_residual < self.tolerance
 
 
+def _closure_program(spec: SystemSpec):
+    """({X1,Y3}^2, H, X1, X2, Y3) from one tape, cached in ``spec.meta``.
+
+    The four values share their lines with the primal parts of the two
+    gradients.  None if a field cannot be traced.
+    """
+    x1, y3 = spec.integral("X1").fn, spec.integral("Y3").fn
+    H, x2 = spec.hamiltonian.fn, spec.integral("X2").fn
+
+    def outputs(t, y):
+        y = list(y)
+        br = _bracket(gradient6(x1, y), gradient6(y3, y))
+        return br ** 2, H(y), x1(y), x2(y), y3(y)
+
+    return trace.cached_program(spec.meta, "_closure", outputs, f"closure {spec.system_id}")
+
+
+# Closure polynomial -> its generated code, or None if untraceable.
+_POLYNOMIALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
+    """({X1,Y3}^2, poly(H, X1, X2, Y3), gradient path) in long double.
+
+    Extended precision: the polynomial cancels across terms orders of
+    magnitude above the result, which float64 alone cannot resolve at
+    the closure tolerance.  The traced programs run on blocks cast to
+    long double one at a time.
+    """
+    program = _closure_program(spec)
+    if program is None:
+        states = np.asarray(states, dtype=np.longdouble)
+        state = [states[i] for i in range(6)]
+        x1, x2, y3 = (spec.integral(k) for k in ("X1", "X2", "Y3"))
+        br = np.asarray(ad.value(poisson(x1, y3, state)))
+        values = [np.asarray(ad.value(o.fn(state))) for o in (spec.hamiltonian, x1, x2, y3)]
+        return br ** 2, np.asarray(poly(*values)), "dual"
+
+    poly_program = trace.cached_program(_POLYNOMIALS, poly, lambda t, v: (poly(*v),),
+                                        f"poly {trace.name_of(poly)}", inputs=4)
+
+    def sides(t, y):
+        lhs, *values = program(t, y)
+        return lhs, poly(*values) if poly_program is None else poly_program(t, values)
+
+    states = np.asarray(states)
+    lhs, rhs = trace.evaluate_blocks(sides, [states[i] for i in range(6)], 2, np.longdouble)
+    return lhs, rhs, "generated"
+
+
 def closure_residual(spec: SystemSpec, states: np.ndarray,
                      tol: float = 1e-9, poly=None) -> ClosureReport:
     """Evaluate ({X1, Y3})^2 and the closure polynomial at given states."""
     poly = poly if poly is not None else spec.closure
     if poly is None:
         raise ValueError(f"no closure polynomial for {spec.system_id}")
-    # Extended precision: the polynomial cancels across terms orders of
-    # magnitude above the result, which float64 alone cannot resolve at
-    # the required tolerance.
-    states = np.asarray(states, dtype=np.longdouble)
-    state = [states[i] for i in range(6)]
-    x1 = spec.integral("X1")
-    y3 = spec.integral("Y3")
-    br = np.asarray(ad.value(poisson(x1, y3, state)))
-    lhs = br ** 2
-    H = np.asarray(ad.value(spec.hamiltonian.fn(state)))
-    X1 = np.asarray(ad.value(x1.fn(state)))
-    X2 = np.asarray(ad.value(spec.integral("X2").fn(state)))
-    Y3 = np.asarray(ad.value(y3.fn(state)))
-    rhs = np.asarray(poly(H, X1, X2, Y3))
+    lhs, rhs, backend = _closure_sides(spec, states, poly)
     return ClosureReport(spec.system_id,
                          np.atleast_1d(lhs).astype(float),
-                         np.atleast_1d(rhs).astype(float), tol)
+                         np.atleast_1d(rhs).astype(float), tol, backend)
 
 
 def verify_system(spec: SystemSpec, samples: int = 1000,
@@ -357,15 +428,14 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
     if spec.involutions:
         pts = sample_safe_states(rng, samples)
         for a, b in spec.involutions:
-            fa, fb = spec.integral(a), spec.integral(b)
-            res = bracket_residuals(fa, fb, pts)
+            res, backend = _bracket_check(spec.integral(a), spec.integral(b), pts)
             reports.append(CheckReport(
                 system_id=spec.system_id,
                 check=f"{{{a},{b}}}=0",
                 samples=samples,
                 max_residual=float(np.max(res)),
                 tolerance=tol,
-                gradient=_gradient_backend(fa, fb),
+                gradient=backend,
             ))
     if spec.closure is not None:
         closure = closure_residual(spec, sample_safe_states(rng, samples))
@@ -375,6 +445,6 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
             samples=samples,
             max_residual=closure.max_residual,
             tolerance=closure.tolerance,
-            gradient=_gradient_backend(spec.integral("X1"), spec.integral("Y3")),
+            gradient=closure.gradient,
         ))
     return reports

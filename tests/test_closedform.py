@@ -103,6 +103,21 @@ def test_closed_form_satisfies_equations_of_motion(kind):
         assert np.max(np.abs(fd - rhs)) < 1e-5, (kind, t)
 
 
+@pytest.mark.parametrize("kind", [OP_MIN, CP_MIN, CP_BL])
+def test_cartesian_state_on_an_array_of_times(kind):
+    _, params, c = _case(kind)
+    ts = np.linspace(0.0, 8.0 * math.pi / c.nu, 501)
+    block = cartesian_state(kind, c, params, ts)
+    loop = np.stack([cartesian_state(kind, c, params, t) for t in ts], axis=1)
+    assert block.shape == (6, ts.size)
+    # numpy's cos, sin, tan and arctan may differ from math's in the last bit.
+    np.testing.assert_allclose(block, loop, rtol=1e-14, atol=1e-14)
+    pos, vel = closed_state(kind, c, params, ts)
+    assert all(np.shape(v) == ts.shape for v in (*pos, *vel))
+    (r, z, theta), _ = closed_state(kind, c, params, ts[7])
+    assert all(type(v) is float for v in (r, z, theta))
+
+
 def test_degenerate_constant_amplitudes_give_circular_orbit():
     params = PARAMS["cp_min_bz"]
     spec = build("cp_min", params)
@@ -112,6 +127,9 @@ def test_degenerate_constant_amplitudes_give_circular_orbit():
         assert rdot == pytest.approx(0.0, abs=1e-12)
         assert zdot == pytest.approx(0.0, abs=1e-12)
         assert z == pytest.approx(-params.u1 / c.nu ** 2)
+    (_, z, _), (rdot, zdot, _) = closed_state(CP_MIN, c, params, np.array([0.0, 0.7, 2.3]))
+    assert np.all(np.abs(rdot) < 1e-12) and np.all(np.abs(zdot) < 1e-12)
+    assert np.shape(z) == (3,)
     ic = cartesian_state(CP_MIN, c, params, 0.0)
     traj = integrate(spec, ic, 3.0, tol=1e-12)
     r = np.hypot(traj.states[:, 0], traj.states[:, 1])
