@@ -6,18 +6,22 @@ coordinates: r and z oscillate with one shared frequency nu fixed by
 the conserved angular momentum, while theta combines a linear drift
 with bounded oscillatory terms.  Derivatives are obtained by running
 the same expressions on dual numbers, so the solutions can be checked
-directly against the equations of motion.
+directly against the equations of motion.  That evaluation is traced
+once per set of constants into straight-line code (:mod:`axisym.trace`),
+which gives its values bit for bit on a time or an array of times.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
+from . import trace
 from .autodiff import Dual
 from .catalog import SystemParams, SystemSpec
 from .phase import (
@@ -185,40 +189,63 @@ def _cyl_solution(kind: str, c: ClosedFormConstants, params: SystemParams, t):
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
+def _dual_state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
+    """(r, z, theta, rdot, zdot, thetadot, x, y, z, px, py, pz) at time t.
+
+    Evaluated on one dual number, so the velocities are exact; ``t`` is
+    a float or an array of times.  In the axial gauge of the catalog
+    systems, p_r = rdot, p_z = zdot and the canonical angular momentum
+    is the constant Lz, so the Cartesian canonical momenta follow from
+    the point transformation.
+    """
+    r, z, theta = _cyl_solution(kind, c, params, Dual(t, 1.0))
+    r, z, theta, rdot, zdot, thetadot = (*map(ad.value, (r, z, theta)),
+                                         *map(ad.tangent, (r, z, theta)))
+    ct, st = ad.cos(theta), ad.sin(theta)
+    return (r, z, theta, rdot, zdot, thetadot,
+            r * ct, r * st, z, rdot * ct - c.Lz / r * st, rdot * st + c.Lz / r * ct, zdot)
+
+
+# Constants -> {params: generated _dual_state}, kept while the constants live.
+_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
+    """:func:`_dual_state` by its traced program, at a scalar or an array t.
+
+    One program per constants and params, traced on first use: floats
+    for a scalar ``t``, arrays of its shape for an ndarray of times.
+    """
+    if c.kind != kind:
+        raise ValueError("constants were built for a different branch")
+
+    def fn(_, y):
+        return _dual_state(kind, c, params, y[0])
+
+    program = trace.cached_program(_PROGRAMS.setdefault(c, {}), params, fn,
+                                   f"closed form {kind}", inputs=1) or fn
+    if isinstance(t, np.ndarray) and t.ndim > 0:
+        return [np.broadcast_to(v, t.shape) for v in program(0.0, (t.astype(float),))]
+    return program(0.0, (float(t),))
+
+
 def closed_state(kind: str, c: ClosedFormConstants, params: SystemParams, t):
     """Cylindrical position (r, z, theta) and its exact time derivative.
 
     Returns ((r, z, theta), (rdot, zdot, thetadot)) at time t: floats
     for a scalar t, arrays of its shape for an ndarray of times.
     """
-    if c.kind != kind:
-        raise ValueError("constants were built for a different branch")
-    times = isinstance(t, np.ndarray) and t.ndim > 0
-    r, z, theta = _cyl_solution(kind, c, params,
-                                Dual(t.astype(float) if times else float(t), 1.0))
-    pos = (ad.value(r), ad.value(z), ad.value(theta))
-    vel = (ad.tangent(r), ad.tangent(z), ad.tangent(theta))
-    if not times:
-        return pos, vel
-    return (tuple(np.broadcast_to(v, t.shape) for v in pos),
-            tuple(np.broadcast_to(v, t.shape) for v in vel))
+    values = _state(kind, c, params, t)
+    return tuple(values[:3]), tuple(values[3:6])
 
 
 def cartesian_state(kind: str, c: ClosedFormConstants, params: SystemParams,
                     t) -> np.ndarray:
     """Cartesian state (x, y, z, px, py, pz) with canonical momenta.
 
-    In the axial gauge of the catalog systems, p_r = rdot, p_z = zdot
-    and the canonical angular momentum is the constant Lz, so the
-    Cartesian canonical momenta follow from the point transformation.
     A scalar t gives a (6,) array, an (N,) ndarray of times a (6, N) block.
     """
-    (r, z, theta), (rdot, zdot, _) = closed_state(kind, c, params, t)
-    ct, st = ad.cos(theta), ad.sin(theta)
-    x, y = r * ct, r * st
-    px = rdot * ct - c.Lz / r * st
-    py = rdot * st + c.Lz / r * ct
-    return np.asarray([x, y, z, px, py, zdot])
+    return np.asarray(_state(kind, c, params, t)[6:])
 
 
 @dataclass(frozen=True)

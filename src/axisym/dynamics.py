@@ -3,12 +3,11 @@
 Hamilton's equations are generated from a SystemSpec either through a
 closed-form right-hand side (available whenever the system carries its
 axial-gauge data g(s, z) and W(s, z), with A = g * (-y, x, 0)) or, as a
-fallback, through exact forward-mode gradients of the Hamiltonian.  For
-single-state integration the closed form is traced once per spec into
-straight-line Python (:mod:`axisym.trace`; forward-mode derivatives by
-source transformation), so each call does plain float arithmetic.  That
-code uses only ``+ - * /``, so :func:`eom_rhs` runs the same function on
-(6, k) blocks.
+fallback, through exact forward-mode gradients of the Hamiltonian.
+Either is traced once per spec into straight-line Python
+(:mod:`axisym.trace`; forward-mode derivatives by source
+transformation), so each call does plain float arithmetic, and
+:func:`eom_rhs` runs the same function on (6, k) blocks.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner), an adaptive
 embedded Runge-Kutta pair of order 8(5,3) with dense output, run on a
@@ -103,20 +102,24 @@ def _check_guard(spec: SystemSpec, y):
 def _make_scalar_rhs(spec: SystemSpec):
     """Right-hand side ``integrate`` hands to the solver and ``eom_rhs`` uses.
 
-    For a spec with axial-gauge data g and W, the dual-number RHS is
-    traced once into straight-line code (exact derivatives, no per-call
-    objects).  The result is cached in ``spec.meta`` so distinct
-    instances never share a function.  Specs without g and W, or whose
-    g or W cannot be traced, use :func:`_make_dual_rhs` directly.
+    The dual-number RHS of :func:`_make_dual_rhs` is traced once into
+    straight-line code (exact derivatives, no per-call objects): the
+    closed form for a spec with axial-gauge data g and W, the exact
+    6-gradient of H otherwise.  Code without math functions (every
+    catalog config) is the compiled function itself; code with them
+    (the chart families) runs ``math`` on floats and numpy on rows, as
+    the dual RHS does.  The result is cached in ``spec.meta``, with the
+    backend under ``"_rhs_backend"``, so distinct instances never share
+    a function.  A field that cannot be traced (one that branches on a
+    value) keeps :func:`_make_dual_rhs` itself.
     """
     cached = spec.meta.get("_scalar_rhs")
     if cached is None:
         cached, backend = _make_dual_rhs(spec), "dual"
-        if spec.gauge_factor is not None and spec.potential_sw is not None:
-            try:
-                cached, backend = straight_line(cached, f"rhs {spec.system_id}"), "generated"
-            except TypeError:
-                pass   # g or W branches or calls a math function: keep duals
+        try:
+            cached, backend = straight_line(cached, f"rhs {spec.system_id}"), "generated"
+        except TypeError:
+            pass   # a field branches on a value: keep duals
         spec.meta["_scalar_rhs"] = cached
         spec.meta["_rhs_backend"] = backend
     return cached
@@ -501,11 +504,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
     steps run on floats, and the interpolant rows of the steps that
     need one are computed after the steps, ``_CHUNK`` steps at a time,
     on (6, k) blocks with the same ``fun``.  For a ``fun`` that does
-    only ``+ - * /`` (the generated RHS) the rows equal those of the
-    per-step arithmetic bit for bit; one that calls a math function on
-    floats and its numpy ufunc on rows (the dual-number RHS, e.g.
-    ``math.exp`` against ``np.exp``) may give rows that differ in the
-    last bits.  Each event ``ev(t, y)`` stops the run when its
+    only ``+ - * /`` (the catalog configs' generated RHS) the rows equal
+    those of the per-step arithmetic bit for bit; one that calls a math
+    function on floats and its numpy ufunc on rows (the chart families'
+    RHS, e.g. ``math.cosh`` against ``np.cosh``) may give rows that
+    differ in the last bits.  Each event ``ev(t, y)`` stops the run when its
     value falls from >= 0 to <= 0 between two accepted steps (scipy's
     terminal event with ``direction = -1``): the run ends at its root on
     the step's interpolant (:func:`_brentq`, scipy's ``brentq``), with

@@ -199,7 +199,8 @@ def build_family(f: IntegrableFamily) -> SystemSpec:
     in which X2 = p_phi and the magnetic field derived from it.
     Evaluation at chart-singular points (the symmetry axis, the focal
     set of the spheroidal charts) is undefined and will not return
-    finite values; claimed functional rank is 3 (H, X1, X2).
+    finite values; integration stops at the guard radius of the axis
+    (``singular_in={"r"}``).  Claimed functional rank is 3 (H, X1, X2).
     """
     kind, a = f.kind, f.a
     G = _gauge_chart(f)
@@ -248,6 +249,7 @@ def build_family(f: IntegrableFamily) -> SystemSpec:
             Observable(X2_fn, label="X2", momentum_order=1),
         ),
         claimed_rank=3,
+        singular_in=frozenset({"r"}),
         serializable=False,
         meta={"kind": kind, "family": True},
     )

@@ -139,11 +139,20 @@ class Observable:
 
         On one state of six floats (numpy float64 scalars included) the
         field's traced value runs (:func:`axisym.trace.traced_value`,
-        equal to ``fn`` bit for bit), else ``fn`` itself.
+        equal to ``fn`` bit for bit), else ``fn`` itself.  A PhasePoint
+        or a float64 array of one state is read as Python floats
+        (``ndarray.tolist``), on which the traced code runs fastest.
         """
-        state = _as_state(point_or_state)
-        on_floats = all(isinstance(c, float) for c in state)
-        program = self._value_program if on_floats else None
+        state = point_or_state
+        if isinstance(state, PhasePoint):
+            state = state.state
+        if isinstance(state, np.ndarray) and state.dtype == np.float64 and state.ndim == 1:
+            program = self._value_program
+            state = list(state) if program is None else state.tolist()
+        else:
+            state = list(state)
+            on_floats = all(isinstance(c, float) for c in state)
+            program = self._value_program if on_floats else None
         try:
             val = self.fn(state) if program is None else program(0.0, state)
         except (ZeroDivisionError, OverflowError) as exc:

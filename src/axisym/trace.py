@@ -1,17 +1,31 @@
 """Straight-line code traced from scalar fields, and traced programs.
 
 A field written against :mod:`axisym.autodiff` is run once on recording
-scalars (``_Var``); every ``+ - * /`` and every integer power ``v ** n``
-becomes one line of a generated Python function that repeats the same
-operations, in the same order, on floats or on numpy rows, with no
-per-operation objects (forward-mode derivatives by source
-transformation; Griewank & Walther, "Evaluating Derivatives", 2nd ed.,
-SIAM 2008, ch. 3-4).  The integrator's RHS and H are traced this way,
-and so are an observable's value (:func:`traced_value`, run by
-``Observable.eval``) and ``gradient6(fn, .)`` (:func:`gradient`, run in
-place of six dual-number passes).  :mod:`axisym.verify` traces whole
-checks the same way: each bracket with both gradient norms, and the
-closure's squared bracket with the four values it is compared at.
+scalars (``_Var``); every ``+ - * /``, every integer power ``v ** n``
+and every math function becomes one line of a generated Python function
+that repeats the same operations, in the same order, on floats or on
+numpy rows, with no per-operation objects (forward-mode derivatives by
+source transformation; Griewank & Walther, "Evaluating Derivatives",
+2nd ed., SIAM 2008, ch. 3-4).  The integrator's RHS and H are traced
+this way, and so are an observable's value (:func:`traced_value`, run by
+``Observable.eval``), ``gradient6(fn, .)`` (:func:`gradient`, run in
+place of six dual-number passes) and the closed-form solutions.
+:mod:`axisym.verify` traces whole checks the same way: each bracket with
+both gradient norms, and the closure's squared bracket with the four
+values it is compared at.
+
+Math functions.  The autodiff helpers call a numpy ufunc on any leaf
+that is not a Python float or int (``np.sqrt(v)``); on a ``_Var`` that
+call is recorded as one line, ``sqrt(v)``, for the ufuncs of
+:data:`FUNCTIONS`.  A program with such a line is compiled once and
+bound twice: to the ``math`` functions, which autodiff calls on floats
+and ints, and to the numpy ufuncs, which it calls on everything else
+(rows, long doubles).  The returned program picks the first when every
+input is a Python or NumPy float or int, the second otherwise, so on a
+state of floats or of rows it gives autodiff's values bit for bit.  (On
+a state mixing floats and rows, lines that read only the floats run the
+ufunc where autodiff would run the math function.)  A program without a
+function line is the compiled function itself.
 
 Exactness.  Arithmetic with a constant is folded only where the result
 is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``), operands of
@@ -22,9 +36,9 @@ gradient equals ``gradient6`` on the same floats or rows, in float64 and
 in long double.  ``v ** n`` is emitted as ``v ** n``, so floats and
 numpy rows take the power as the field itself does.  A field that
 branches on a value, takes a power other than an ``int`` one, calls a
-math function or uses a complex constant raises TypeError while being
-traced; it stays on dual numbers, as do states that hold duals (nested
-derivatives).
+ufunc outside :data:`FUNCTIONS` or uses a complex constant raises
+TypeError while being traced; it stays on dual numbers, as do states
+that hold duals (nested derivatives).
 
 Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
 (:func:`evaluate_blocks`) into preallocated rows, and its code deletes
@@ -47,6 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import types
 import weakref
 
 import numpy as np
@@ -56,25 +71,51 @@ from .autodiff import Dual
 # Columns per call of a traced gradient on arrays.
 BLOCK = 4096
 
+# Ufunc an autodiff helper calls on a non-float leaf -> the math function
+# it calls on Python floats and ints.  A traced line calls the ufunc by
+# its name, bound to one or the other.
+FUNCTIONS = {
+    np.sqrt: math.sqrt, np.exp: math.exp, np.log: math.log,
+    np.sin: math.sin, np.cos: math.cos, np.tan: math.tan,
+    np.sinh: math.sinh, np.cosh: math.cosh, np.arctan: math.atan,
+    np.arcsin: math.asin, np.arccos: math.acos, np.arcsinh: math.asinh,
+    np.arctan2: math.atan2, np.floor: math.floor,
+}
+_FLOAT_FUNCTIONS = {u.__name__: f for u, f in FUNCTIONS.items()}
+_ROW_FUNCTIONS = {u.__name__: u for u in FUNCTIONS}
+# The leaves on which autodiff calls the math functions.
+_MATH_LEAVES = (float, int)
+# Numpy calls these ufuncs for an operator whose other operand is a
+# numpy scalar (``np.float64(2.0) * v``).
+_OPERATORS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.true_divide: "/"}
+
 
 class _Var:
-    """Recording scalar: each ``+ - * /`` on it, and each power ``v ** n``
-    with an ``int`` exponent, appends one line of code.
+    """Recording scalar: each ``+ - * /`` on it, each power ``v ** n``
+    with an ``int`` exponent and each ufunc of :data:`FUNCTIONS` applied
+    to it appends one line of code.
 
     Arithmetic with plain numbers is folded where the result is exact on
     finite values (``v + 0``, ``v * 1``, ``v * 0``), so fields that do
     not depend on an argument trace to constants.  Identical operations
     share one line.  Any other use (a branch on its value, another
-    power, a math function) raises TypeError: such a field is not
+    power, another ufunc) raises TypeError: such a field is not
     straight-line code.
     """
 
     __slots__ = ("tape", "name")
-    __array_ufunc__ = None
 
     def __init__(self, tape: "_Tape", name: str):
         self.tape = tape
         self.name = name
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "__call__" and not kwargs:
+            if ufunc in FUNCTIONS:
+                return self.tape.call(ufunc.__name__, inputs)
+            if ufunc in _OPERATORS:
+                return self._arith(_OPERATORS[ufunc], *inputs)
+        raise TypeError(f"cannot trace numpy {ufunc.__name__}.{method}")
 
     def __add__(self, other):
         return self._arith("+", self, other)
@@ -152,24 +193,30 @@ class _Tape:
 
     def __init__(self):
         self.lines = []           # (name, expression, names it reads)
-        self.memo = {}            # expression -> _Var holding it
+        self.memo = {}            # expression -> name of its line
 
     def emit(self, op, a, b) -> _Var:
         if a is None:
-            expr = f"-{_operand(b)}"
-        else:
-            lhs, rhs = _operand(a), _operand(b)
-            if op in ("+", "*") and rhs < lhs:
-                # Exact in IEEE arithmetic; lets a*b and b*a share a line.
-                lhs, rhs = rhs, lhs
-            expr = f"{lhs} {op} {rhs}"
-        var = self.memo.get(expr)
-        if var is None:
-            var = _Var(self, f"v{len(self.lines)}")
-            reads = tuple(x.name for x in (a, b) if isinstance(x, _Var))
-            self.lines.append((var.name, expr, reads))
-            self.memo[expr] = var
-        return var
+            return self._line(f"-{_operand(b)}", (b,))
+        lhs, rhs = _operand(a), _operand(b)
+        if op in ("+", "*") and rhs < lhs:
+            # Exact in IEEE arithmetic; lets a*b and b*a share a line.
+            lhs, rhs = rhs, lhs
+        return self._line(f"{lhs} {op} {rhs}", (a, b))
+
+    def call(self, fn: str, args) -> _Var:
+        """``fn(*args)``, a function of :data:`FUNCTIONS` named as its ufunc."""
+        return self._line(f"{fn}({', '.join(_operand(a) for a in args)})", args)
+
+    def _line(self, expr, operands) -> _Var:
+        # The tape holds names, not _Vars, so it is freed with the last
+        # _Var rather than by the cycle collector.
+        name = self.memo.get(expr)
+        if name is None:
+            name = self.memo[expr] = f"v{len(self.lines)}"
+            reads = tuple(x.name for x in operands if isinstance(x, _Var))
+            self.lines.append((name, expr, reads))
+        return _Var(self, name)
 
     def source(self, inputs, outputs, free=False) -> str:
         """Source of ``rhs(t, y)`` returning ``outputs``, dead lines dropped.
@@ -202,15 +249,44 @@ def straight_line(fn, tag: str, free=False, inputs=6):
     bit.  ``fn`` returns a tuple; for a 1-tuple the generated function
     returns its one value.  The code is compiled under the file name
     ``<tag>``; ``free`` deletes each value after its last use (see
-    :meth:`_Tape.source`).  Raises TypeError if ``fn`` is not
+    :meth:`_Tape.source`).  Code that calls a math function comes back
+    behind :func:`_dispatch`.  Raises TypeError if ``fn`` is not
     straight-line code.
+    """
+    namespace: dict = {}
+    exec(compile(_trace(fn, free, inputs), f"<{tag}>", "exec"), namespace)
+    program = namespace["rhs"]
+    code = program.__code__
+    if not _ROW_FUNCTIONS.keys() & set(code.co_names):
+        return program
+    return _dispatch(types.FunctionType(code, _FLOAT_FUNCTIONS),
+                     types.FunctionType(code, _ROW_FUNCTIONS))
+
+
+def _trace(fn, free, inputs) -> str:
+    """Source of ``fn`` traced on ``inputs`` recording scalars.
+
+    The tape is freed on return, before the source is compiled: the
+    two together set the peak memory of tracing a large program.
     """
     tape = _Tape()
     names = [_Var(tape, f"y{i}") for i in range(inputs)]
-    src = tape.source(names, fn(0.0, names), free)
-    namespace: dict = {}
-    exec(compile(src, f"<{tag}>", "exec"), namespace)
-    return namespace["rhs"]
+    return tape.source(names, fn(0.0, names), free)
+
+
+def _dispatch(on_floats, on_rows):
+    """One program from its code bound to the math functions and to the ufuncs.
+
+    A state whose inputs are all Python or NumPy floats or ints runs
+    ``on_floats``, any other ``on_rows``: the test autodiff applies to
+    each leaf it calls a function on.
+    """
+    def program(t, y):
+        for v in y:
+            if not isinstance(v, _MATH_LEAVES):
+                return on_rows(t, y)
+        return on_floats(t, y)
+    return program
 
 
 def cached_program(cache, key, fn, tag: str, inputs=6):

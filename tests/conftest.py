@@ -1,8 +1,11 @@
 """Shared fixtures: reference parameter sets and sampling helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
+from axisym import autodiff as ad
 from axisym.catalog import SystemParams
 from axisym.families import IntegrableFamily
 
@@ -50,6 +53,15 @@ def chart_family(kind, a):
         rho2=lambda x: 0.4 * x * x,
         a=a,
     )
+
+
+def value_branch(v):
+    """0.0, reached by a branch on the value of ``v``.
+
+    Adding it to a field keeps its values (on floats, arrays and duals)
+    but makes it other than straight-line code, so it cannot be traced.
+    """
+    return 0.0 if np.all(ad.value(v) < math.inf) else 0.0
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 """Closed-form trajectories, resonance detection, and the rotating frame."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from axisym import closedform
 from axisym.catalog import SystemParams, build
 from axisym.closedform import (
     CP_BL,
@@ -116,6 +119,34 @@ def test_cartesian_state_on_an_array_of_times(kind):
     assert all(np.shape(v) == ts.shape for v in (*pos, *vel))
     (r, z, theta), _ = closed_state(kind, c, params, ts[7])
     assert all(type(v) is float for v in (r, z, theta))
+
+
+@pytest.mark.parametrize("kind", [OP_MIN, CP_MIN, CP_BL])
+def test_scalar_states_equal_the_dual_evaluation(kind):
+    _, params, c = _case(kind)
+    for t in np.linspace(0.0, 8.0 * math.pi / c.nu, 2001):
+        want = closedform._dual_state(kind, c, params, float(t))
+        pos, vel = closed_state(kind, c, params, t)
+        assert np.array_equal([*pos, *vel], want[:6]), (kind, t)
+        assert np.array_equal(cartesian_state(kind, c, params, t), want[6:]), (kind, t)
+
+
+def test_state_programs_do_not_outlive_their_constants():
+    params = PARAMS["op_min"]
+    gc.collect()
+    before = len(closedform._PROGRAMS)
+    alive = weakref.WeakSet()
+    for k in range(1000):
+        c = constants(OP_MIN, params, 0.5 + 1e-4 * k, 0.3, 0.4, -0.2, 0.2, Lz=1.0)
+        cartesian_state(OP_MIN, c, params, 0.1 * k)
+        (program,) = closedform._PROGRAMS[c].values()
+        alive.add(program)
+        del program
+        # The programs of the constants dropped so far are gone.
+        assert len(alive) == 1 and len(closedform._PROGRAMS) == before + 1
+    del c
+    gc.collect()
+    assert len(alive) == 0 and len(closedform._PROGRAMS) == before
 
 
 def test_degenerate_constant_amplitudes_give_circular_orbit():

@@ -12,6 +12,7 @@ import scipy.integrate
 import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients
 
+from axisym import autodiff as ad
 from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
@@ -43,8 +44,9 @@ from axisym.phase import (
     make_rng,
     sample_safe_states,
 )
+from axisym.trace import evaluate_rows
 
-from conftest import PARAMS, SYSTEM_OF
+from conftest import PARAMS, SYSTEM_OF, value_branch
 
 # The seed of acceptance criterion 1.
 CRITERION_SEED = 20260823
@@ -112,30 +114,43 @@ def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
         assert np.array_equal(eom_rhs(spec, PhasePoint.from_state(state)), block[:, k])
 
 
-def _gaussian_well() -> SystemSpec:
-    import axisym.autodiff as ad
-
+def _well(W_sw) -> SystemSpec:
+    """A field-free system in the potential W_sw(x^2 + y^2, z)."""
     A = CovectorField(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z))
     B = TwoForm(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z))
-    W = lambda x, y, z: ad.exp(-(x * x + y * y)) + z * z
+    W = lambda x, y, z: W_sw(x * x + y * y, z)
     return SystemSpec(
-        system_id="gauss", params=SystemParams(),
+        system_id="well", params=SystemParams(),
         W=W, A=A, B=B,
         hamiltonian=hamiltonian_observable(A, W),
         integrals=(),
         claimed_rank=2,
         gauge_factor=lambda s, w: 0.0 * s + 0.0 * w,
-        potential_sw=lambda s, w: ad.exp(-s) + w * w,
+        potential_sw=W_sw,
     )
 
 
+def _gaussian_well(calls=None) -> SystemSpec:
+    # exp() is recorded on the tape as one line; ``calls`` counts W's calls.
+    def W_sw(s, w):
+        if calls is not None:
+            calls.append(s)
+        return ad.exp(-s) + w * w
+    return _well(W_sw)
+
+
+def _branching_well(calls=None) -> SystemSpec:
+    # The Gaussian well with a branch on a value in W: not straight-line code.
+    gauss = _gaussian_well(calls).potential_sw
+    return _well(lambda s, w: gauss(s, w) + value_branch(s))
+
+
 def test_scalar_rhs_keeps_duals_for_untraceable_fields():
-    # exp() has no straight-line form, so the dual-number RHS is used.
     from axisym.phase import gradient6
 
-    spec = _gaussian_well()
+    spec = _branching_well()
     rhs = _make_scalar_rhs(spec)
-    assert not rhs.__code__.co_filename.startswith("<rhs ")
+    assert spec.meta["_rhs_backend"] == "dual"
     state = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
     grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
     expected = np.r_[grad[3:], [-grad[0], -grad[1], -grad[2]]]
@@ -155,6 +170,32 @@ def test_scalar_rhs_keeps_duals_for_untraceable_fields():
         assert np.allclose(one, block[:, k], rtol=1e-15, atol=1e-15)
 
 
+def test_math_function_fields_run_generated_code_equal_to_duals():
+    calls = []
+    spec = _gaussian_well(calls)
+    rhs, H = _make_scalar_rhs(spec), _make_scalar_h(spec)
+    assert spec.meta["_rhs_backend"] == "generated"
+    traced = len(calls)
+    states = sample_safe_states(make_rng(35), 50)
+    ys = [tuple(state.tolist()) for state in states.T]
+    got = [(rhs(0.0, y), H(0.0, y)) for y in ys]
+    assert len(calls) == traced                 # the generated code does not call W
+    dual = _make_dual_rhs(spec)
+    assert got == [(dual(0.0, y), spec.hamiltonian.fn(y)) for y in ys]
+    block = eom_rhs(spec, states)
+    assert np.array_equal(block, evaluate_rows(dual, 0.0, states))
+    for dtype in (np.float64, np.longdouble):
+        rows = states.astype(dtype)
+        assert np.array_equal(evaluate_rows(rhs, 0.0, rows), evaluate_rows(dual, 0.0, rows))
+    # The run is the dual RHS's run, through both solvers.
+    y0 = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
+    ours, ref = _both_solvers(rhs, _guard_events(spec), y0, 3.0, dense=True)
+    _assert_same_run(ours, ref, dense=True)
+    duals, _ = _both_solvers(dual, _guard_events(spec), y0, 3.0, dense=True)
+    assert (ours.nfev, ours.steps) == (duals.nfev, duals.steps)
+    assert np.array_equal(ours.y, duals.y) and np.array_equal(ours.sol.rows, duals.sol.rows)
+
+
 @pytest.mark.parametrize("key", list(PARAMS))
 def test_traced_hamiltonian_equals_the_observable(key):
     spec = build(SYSTEM_OF[key], PARAMS[key])
@@ -166,11 +207,13 @@ def test_traced_hamiltonian_equals_the_observable(key):
 
 
 def test_untraceable_hamiltonian_is_called_as_it_is():
-    spec = _gaussian_well()
+    calls = []
+    spec = _branching_well(calls)
     H = _make_scalar_h(spec)
-    assert not H.__code__.co_filename.startswith("<rhs ")
     y = (0.5, -0.7, 1.0, 1.0, 2.0, -1.0)
+    before = len(calls)
     assert H(0.0, y) == spec.hamiltonian.fn(y)
+    assert len(calls) == before + 2             # the fallback called W, then fn did
 
 
 def _both_solvers(rhs, events, y0, t_end, dense):
@@ -356,7 +399,7 @@ def test_fminbound_port_matches_scipy_on_the_figures_polish_calls(monkeypatch):
 
 
 def test_dual_rhs_fallback_runs_through_the_same_solver():
-    spec = _gaussian_well()
+    spec = _branching_well()
     rhs = _make_scalar_rhs(spec)
     y0 = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
     ours, ref = _both_solvers(rhs, _guard_events(spec), y0, 3.0, dense=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axisym import autodiff as ad
-from axisym.dynamics import eom_rhs, integrate
+from axisym.dynamics import GUARD_RADIUS, _make_dual_rhs, _make_scalar_rhs, eom_rhs, integrate
 from axisym.families import IntegrableFamily, build_family
 from axisym.phase import DomainError, gradient6, make_rng, sample_safe_states
 from axisym.verify import bracket_residuals
@@ -43,18 +43,41 @@ def test_family_brackets_vanish(kind, a):
 
 def test_family_equations_of_motion_and_integration():
     # Chart families carry no axial-gauge data g and W: their RHS is
-    # the exact 6-gradient of H, on blocks and on single states alike.
+    # the exact 6-gradient of H, traced with its math functions, on
+    # blocks and on single states alike.
     spec = build_family(chart_family("oblate", 1.3))
     assert spec.gauge_factor is None and spec.potential_sw is None
     states = _safe_family_states(4, seed=15)
     grad = gradient6(spec.hamiltonian.fn, list(states))
     expected = np.array([grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2]])
-    assert np.allclose(eom_rhs(spec, states), expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(eom_rhs(spec, states), expected)
+    dual = _make_dual_rhs(spec)
+    for state in states.T:
+        y = tuple(state.tolist())
+        assert _make_scalar_rhs(spec)(0.0, y) == dual(0.0, y)
     traj = integrate(spec, states[:, 0], 1.0, tol=1e-10)
     assert traj.meta["reason"] == "completed"
-    assert traj.meta["rhs_backend"] == "dual"
+    assert traj.meta["rhs_backend"] == "generated"
+    assert traj.meta["nfev"] == 764          # as on dual numbers, axis guard or not
     for label in ("H", "X1", "X2"):
         assert traj.drift(label) < 1e-8, label
+
+
+@pytest.mark.parametrize("kind,a", [
+    ("circular_parabolic", None),
+    ("oblate", 1.3),
+    ("prolate", 1.3),
+])
+def test_family_run_towards_the_axis_stops_at_the_guard(kind, a):
+    # rho1 pulls towards the axis, where every chart is singular; with
+    # Lz = x py - y px = 0 nothing holds the particle off it.
+    spec = build_family(IntegrableFamily(kind=kind, a=a, rho1=lambda e: 0.5 * e))
+    assert spec.singular_in == {"r"}
+    traj = integrate(spec, [0.5, 0.0, 0.3, -1.0, 0.0, 0.0], 5.0, tol=1e-10)
+    assert traj.meta["reason"] == "axis_guard" and traj.aborted
+    assert np.hypot(*traj.states[-1, :2]) == pytest.approx(GUARD_RADIUS, rel=1e-6)
+    with pytest.raises(DomainError):
+        eom_rhs(spec, [0.01, 0.0, 0.3, -1.0, 0.0, 0.0])
 
 
 def test_family_free_particle_limit():

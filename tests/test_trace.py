@@ -1,6 +1,7 @@
 """Traced programs: bit-equal to dual numbers and direct values, blocked, lazy."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from axisym import autodiff as ad
 from axisym import trace, verify
 from axisym.catalog import build, op_closure_polynomial
+from axisym.dynamics import _make_scalar_h, _make_scalar_rhs
 from axisym.families import build_family
 from axisym.phase import (
     EvaluationError,
     Observable,
+    PhasePoint,
     gradient6,
     make_rng,
     sample_safe_states,
@@ -24,12 +27,11 @@ from axisym.verify import (
     verify_system,
 )
 
-from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family
+from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family, value_branch
 
 # Fields whose gradients stay on dual numbers: Y4 of max5/max6 uses
-# complex constants, the chart families' H and X1 call math functions.
-UNTRACEABLE = {("max5", "Y4"), ("max6", "Y4"),
-               *((key, label) for key in FAMILY_ARGS for label in ("H", "X1"))}
+# complex constants.
+UNTRACEABLE = {("max5", "Y4"), ("max6", "Y4")}
 
 
 def _spec(key):
@@ -87,6 +89,17 @@ def test_rank_vote_is_majority_of_functional_ranks(key):
     assert rank_vote(observables, states) == values[np.argmax(counts)]
 
 
+def _dual_bracket_residuals(f, g, states):
+    gf = gradient6(f.fn, list(states))
+    gg = gradient6(g.fn, list(states))
+    br = 0.0
+    for i in range(3):
+        br = br + gf[i] * gg[i + 3] - gf[i + 3] * gg[i]
+    nf = np.sqrt(sum(c ** 2 for c in gf))
+    ng = np.sqrt(sum(c ** 2 for c in gg))
+    return np.abs(br) / np.maximum(nf * ng, 1e-300)
+
+
 def test_bracket_residuals_equal_dual_reference():
     states = sample_safe_states(make_rng(44), 1000)
     for key in PARAMS:
@@ -96,15 +109,8 @@ def test_bracket_residuals_equal_dual_reference():
         for f, g in pairs:
             traced = verify._bracket_program(f.fn, g.fn) is not None
             assert traced == ((key, f.label) not in UNTRACEABLE), (key, f.label)
-            gf = gradient6(f.fn, list(states))
-            gg = gradient6(g.fn, list(states))
-            br = 0.0
-            for i in range(3):
-                br = br + gf[i] * gg[i + 3] - gf[i + 3] * gg[i]
-            nf = np.sqrt(sum(c ** 2 for c in gf))
-            ng = np.sqrt(sum(c ** 2 for c in gg))
-            want = np.abs(br) / np.maximum(nf * ng, 1e-300)
-            assert np.array_equal(bracket_residuals(f, g, states), want), (key, f.label, g.label)
+            assert np.array_equal(bracket_residuals(f, g, states),
+                                  _dual_bracket_residuals(f, g, states)), (key, f.label, g.label)
 
 
 def _mutated(spec):
@@ -143,17 +149,25 @@ def test_closure_equals_dual_reference(key, n):
     assert rep.gradient == "generated"
 
 
-def _with_untraceable_h(spec):
-    # H + 0 * sqrt(x^2): the same values, but sqrt cannot be traced.
+def _with_h(spec, H):
+    return dataclasses.replace(spec, hamiltonian=Observable(H, "H", 2))
+
+
+def _with_branching_h(spec):
+    # The same values as H, but H branches on a value: it cannot be traced.
     H = spec.hamiltonian.fn
-    return dataclasses.replace(
-        spec, meta={},
-        hamiltonian=Observable(lambda s: H(s) + 0.0 * ad.sqrt(s[0] * s[0]), "H", 2))
+    return _with_h(spec, lambda s: H(s) + value_branch(s[0]))
+
+
+def _with_sqrt_h(spec):
+    # H plus a term that calls sqrt, which the tape records.
+    H = spec.hamiltonian.fn
+    return _with_h(spec, lambda s: H(s) + 0.1 * ad.sqrt(s[0] * s[0] + s[1] * s[1]))
 
 
 def test_untraceable_checks_fall_back_to_duals_with_the_same_results():
     spec = _spec("op_min")
-    slow = _with_untraceable_h(spec)
+    slow = _with_branching_h(spec)
     states = sample_safe_states(make_rng(46), 300)
     traced, fallback = closure_residual(spec, states), closure_residual(slow, states)
     assert (traced.gradient, fallback.gradient) == ("generated", "dual")
@@ -167,6 +181,119 @@ def test_untraceable_checks_fall_back_to_duals_with_the_same_results():
     backend = {r.check: r.gradient for r in verify_system(slow, samples=50, rank_points=5)}
     assert backend["closure"] == backend["{X1,H}=0"] == "dual"
     assert backend["{X1,X2}=0"] == "generated"
+
+
+def test_math_function_checks_run_generated_code_equal_to_duals():
+    spec = _with_sqrt_h(_spec("op_min"))
+    states = sample_safe_states(make_rng(46), 300)
+    want_lhs, want_rhs = _closure_reference(spec, states, spec.closure)
+    lhs, rhs, backend = verify._closure_sides(spec, states, spec.closure)
+    assert backend == "generated"
+    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+    x1 = spec.integral("X1")
+    assert verify._bracket_program(x1.fn, spec.hamiltonian.fn) is not None
+    assert np.array_equal(bracket_residuals(x1, spec.hamiltonian, states),
+                          _dual_bracket_residuals(x1, spec.hamiltonian, states))
+    backend = {r.check: r.gradient for r in verify_system(spec, samples=50, rank_points=5)}
+    assert set(backend.values()) == {"generated"}
+
+
+def _program_values(spec, states):
+    """Closure sides, scalar H and RHS of ``spec``, each from its own program."""
+    y = tuple(states[:, 0].tolist())
+    lhs, rhs, _ = verify._closure_sides(spec, states, spec.closure)
+    return lhs, rhs, _make_scalar_h(spec)(0.0, y), _make_scalar_rhs(spec)(0.0, y)
+
+
+@pytest.mark.parametrize("first", ["original", "replaced"])
+def test_a_replaced_spec_runs_its_own_programs(first):
+    # Whichever spec traces its programs first, the other one runs its own.
+    original = _spec("op_min")
+    h3 = build("op_min", dataclasses.replace(PARAMS["op_min"], u1=3.0)).hamiltonian
+    replaced = dataclasses.replace(original, hamiltonian=h3)
+    states = sample_safe_states(make_rng(49), 50)
+    # The same fields, never traced for another spec.
+    reference = {"original": _spec("op_min"),
+                 "replaced": dataclasses.replace(_spec("op_min"), hamiltonian=h3)}
+    specs = {"original": original, "replaced": replaced}
+    order = [first, *({"original", "replaced"} - {first})]
+    got = {}
+    for key in order:
+        got[key] = _program_values(specs[key], states)
+    assert replaced.meta is not original.meta
+    for key in order:
+        want = _program_values(reference[key], states)
+        for g, w in zip(got[key], want, strict=True):
+            assert np.array_equal(g, w), key
+    # The two H differ, so a shared program would have shown.
+    assert got["original"][2] != got["replaced"][2]
+    assert not np.array_equal(got["original"][1], got["replaced"][1])
+    # Replacing a spec that holds programs drops them, and keeps the rest of meta.
+    again = dataclasses.replace(replaced, claimed_rank=replaced.claimed_rank)
+    assert again.meta == {k: v for k, v in replaced.meta.items() if not k.startswith("_")}
+
+
+def _math_functions():
+    """autodiff's functions that call ``math`` on floats and numpy otherwise."""
+    return {name: f for name, f in vars(ad).items()
+            if inspect.isfunction(f) and {"math", "np"} <= set(f.__code__.co_names)}
+
+
+def _arguments(f, nargs):
+    """Floats, ints and float64 scalars on which ``f`` is defined, as tuples."""
+    grid, ints = [v / 4.0 for v in range(-12, 13)], list(range(-3, 4))
+    if nargs == 1:
+        cases = [[x] for x in grid + ints]
+    else:
+        cases = [[x, y] for x in grid[::3] for y in grid[::3]]
+        cases += [[x, y] for x in ints for y in ints]
+    cases += [[np.float64(v) for v in c] for c in cases if isinstance(c[0], float)]
+    out = []
+    for c in cases:
+        try:
+            f(*c)
+        except ValueError:
+            continue
+        out.append(tuple(c))
+    return out
+
+
+def test_every_autodiff_math_function_traces_bit_for_bit():
+    functions = _math_functions()
+    assert {"sqrt", "atan2", "floor", "asinh"} <= functions.keys()
+    for name, f in functions.items():
+        nargs = f.__code__.co_argcount
+        ufuncs = {getattr(np, n) for n in f.__code__.co_names
+                  if isinstance(getattr(np, n, None), np.ufunc)}
+        assert ufuncs and ufuncs <= trace.FUNCTIONS.keys(), name
+        program = trace.straight_line(lambda t, y: (f(*y),), f"fn {name}", inputs=nargs)
+        cases = _arguments(f, nargs)
+        assert len(cases) > 10, name
+        for args in cases:
+            got, want = program(0.0, args), f(*args)
+            assert type(got) is type(want) and repr(got) == repr(want), (name, args)
+        floats = [c for c in cases if type(c[0]) is float]
+        for dtype in (np.float64, np.longdouble):
+            rows = tuple(np.array([c[i] for c in floats], dtype=dtype) for i in range(nargs))
+            with np.errstate(all="ignore"):
+                got, want = program(0.0, rows), f(*rows)
+            assert got.dtype == want.dtype == dtype, name
+            assert np.array_equal(got, want, equal_nan=True), (name, dtype)
+
+
+def test_programs_without_math_functions_are_returned_unwrapped():
+    plain = trace.straight_line(lambda t, y: (y[0] * y[1],), "plain", inputs=2)
+    assert plain.__code__.co_filename == "<plain>"
+    calls = trace.straight_line(lambda t, y: (y[0] * 0.0 * ad.sqrt(y[1]),), "dead", inputs=2)
+    assert calls.__code__.co_filename == "<dead>"      # the sqrt line is dead
+    with pytest.raises(TypeError):
+        trace.straight_line(lambda t, y: (np.expm1(y[0]),), "expm1", inputs=1)
+    with pytest.raises(TypeError):
+        trace.straight_line(lambda t, y: (np.float64(2.0) < y[0],), "less", inputs=1)
+    # Numpy scalar constants trace like floats.
+    scaled = trace.straight_line(lambda t, y: (np.float64(2.0) * y[0] - np.float64(1.0),),
+                                 "scaled", inputs=1)
+    assert scaled(0.0, (3.0,)) == 5.0
 
 
 def test_tape_emits_integer_powers_only():
@@ -184,7 +311,7 @@ def test_tape_emits_integer_powers_only():
     assert np.array_equal(cube(0.0, (rows, rows[::-1])), rows ** 3 - rows[::-1] ** -1)
 
 
-@pytest.mark.parametrize("key", PARAMS)
+@pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
 def test_eval_runs_traced_value_equal_to_fn(key):
     spec = _spec(key)
     rows = sample_safe_states(make_rng(47), 200)
@@ -192,8 +319,11 @@ def test_eval_runs_traced_value_equal_to_fn(key):
         traced = trace.traced_value(obs.fn) is not None
         assert traced == ((key, obs.label) not in UNTRACEABLE), (key, obs.label)
         for column in rows.T:
-            for state in (column.tolist(), list(column)):
-                assert obs.eval(state) == float(ad.value(obs.fn(state))), (key, obs.label)
+            for state in (column, PhasePoint.from_state(column), column.tolist(),
+                          list(column)):
+                # An array is read as float64 scalars, as fn reads it.
+                want = ad.value(obs.fn(state if isinstance(state, list) else list(column)))
+                assert obs.eval(state) == float(want), (key, obs.label)
 
 
 def test_eval_on_the_axis_raises_evaluation_error():
@@ -210,10 +340,15 @@ def test_untraceable_fields_keep_the_dual_path():
     fields = [(key, obs) for key in [*PARAMS, *FAMILY_ARGS]
               for obs in _spec(key).observables() if (key, obs.label) in UNTRACEABLE]
     assert {(key, obs.label) for key, obs in fields} == UNTRACEABLE
+    branching = _with_branching_h(_spec("family_oblate"))
+    fields.append(("family_oblate", branching.hamiltonian))
     for key, obs in fields:
         assert trace.traced_value(obs.fn) is None
         assert trace.traced_gradient(obs.fn) is None
         assert verify._bracket_program(obs.fn, _spec(key).integrals[-1].fn) is None
+    states = sample_safe_states(make_rng(50), 20)
+    for column in states.T:
+        assert branching.hamiltonian.eval(column) == _spec("family_oblate").hamiltonian.eval(column)
 
 
 def test_reports_name_the_gradient_backend():
@@ -223,8 +358,13 @@ def test_reports_name_the_gradient_backend():
     assert backend.pop("{Y4,H}=0") == "dual"
     assert backend.pop("functional_rank") == "dual"
     assert set(backend.values()) == {"generated"}
-    family = verify_system(_spec("family_oblate"), samples=50, rank_points=5, seed=1)
-    assert {r.check: r.gradient for r in family}["{X2,H}=0"] == "dual"
+    family = _spec("family_oblate")
+    backend = {r.check: r.gradient for r in verify_system(family, samples=50, rank_points=5,
+                                                          seed=1)}
+    assert set(backend.values()) == {"generated"}
+    branching = verify_system(_with_branching_h(family), samples=50, rank_points=5, seed=1)
+    assert {r.check: r.gradient for r in branching} == {
+        "{X1,H}=0": "dual", "{X2,H}=0": "dual", "functional_rank": "dual"}
 
 
 def test_building_specs_traces_nothing(monkeypatch):
