@@ -78,12 +78,29 @@ class PhasePoint:
 
 
 def sample_safe_states(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n random phase-space states in the safe box, shape (6, n)."""
-    mag = rng.uniform(SAFE_QMIN, SAFE_QMAX, size=(3, n))
-    sign = rng.choice([-1.0, 1.0], size=(3, n))
-    q = mag * sign
-    p = rng.uniform(-SAFE_PMAX, SAFE_PMAX, size=(3, n))
-    return np.vstack([q, p])
+    """n random phase-space states in the safe box, shape (6, n).
+
+    Three draws, in this order, written in place into one array: the
+    position magnitudes, their signs, the momenta.  They are the draws
+    of ``uniform(SAFE_QMIN, SAFE_QMAX)``, ``choice([-1.0, 1.0])`` and
+    ``uniform(-SAFE_PMAX, SAFE_PMAX)``, each of shape (3, n), with the
+    same values and the generator left in the same state: ``uniform``
+    computes ``low + (high - low) * u`` from ``random()``, and
+    ``choice`` picks by ``integers(0, 2)``.
+    """
+    out = np.empty((6, n))
+    q, p = out[:3], out[3:]
+    rng.random(out=q)
+    q *= SAFE_QMAX - SAFE_QMIN
+    q += SAFE_QMIN
+    sign = rng.integers(0, 2, size=(3, n))
+    sign *= 2
+    sign -= 1
+    q *= sign
+    rng.random(out=p)
+    p *= 2.0 * SAFE_PMAX
+    p -= SAFE_PMAX
+    return out
 
 
 def sample_safe_points(rng: np.random.Generator, n: int) -> list[PhasePoint]:

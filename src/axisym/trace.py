@@ -11,8 +11,8 @@ this way, and so are an observable's value (:func:`traced_value`, run by
 ``Observable.eval``), ``gradient6(fn, .)`` (:func:`gradient`, run in
 place of six dual-number passes) and the closed-form solutions.
 :mod:`axisym.verify` traces whole checks the same way: each bracket with
-both gradient norms, and the closure's squared bracket with the four
-values it is compared at.
+both gradient norms, the closure's squared bracket with the four values
+it is compared at, and the rows of the determining equations.
 
 Math functions.  The autodiff helpers call a numpy ufunc on any leaf
 that is not a Python float or int (``np.sqrt(v)``); on a ``_Var`` that
@@ -37,8 +37,12 @@ in long double.  ``v ** n`` is emitted as ``v ** n``, so floats and
 numpy rows take the power as the field itself does.  A field that
 branches on a value, takes a power other than an ``int`` one, calls a
 ufunc outside :data:`FUNCTIONS` or uses a complex constant raises
-TypeError while being traced; it stays on dual numbers, as do states
-that hold duals (nested derivatives).
+TypeError while being traced (as does ``abs`` of a dual over a traced
+value, which branches on its sign); it stays on dual numbers.  Nested
+derivatives trace as well when the duals are built on the recording
+scalars, as the determining equations' program builds them: each dual
+layer's arithmetic becomes lines of the one program.  A state handed to
+:func:`gradient` that already holds duals stays on dual numbers.
 
 Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
 (:func:`evaluate_blocks`) into preallocated rows, and its code deletes
@@ -174,6 +178,11 @@ class _Var:
         raise TypeError("a traced value has no concrete value to branch on")
 
     __bool__ = __eq__ = __ne__ = _untraceable
+
+    @property
+    def real(self):
+        # ``abs`` of a dual branches on ``value(d).real``.
+        self._untraceable()
 
 
 def _is_const(v) -> bool:

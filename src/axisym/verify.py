@@ -6,12 +6,14 @@ step size.  Each check is traced into straight-line code
 ``trace.BLOCK`` states: one program per (f, g) gives the bracket and
 both squared gradient norms; one per spec gives {X1,Y3}^2 with H, X1,
 X2 and Y3 from a single tape, and one per closure polynomial evaluates
-it on those values, both in long double.  Ranks use each observable's
-traced 6-gradient.  Forward-mode duals remain for nested derivatives
-and for fields that cannot be traced, and each report names which one
-ran.  Brackets are normalized by the product of the two gradient norms
-at the evaluation point so that high-order integrals with large
-magnitudes compare on the same scale.
+it on those values, both in long double; one per (ansatz, B, W) gives
+every residual row of the determining equations, its nested (hyper-dual)
+spatial and momentum derivatives traced with it.  Ranks use each
+observable's traced 6-gradient.  Forward-mode duals remain for fields
+that cannot be traced, and each report names which one ran.  Brackets
+are normalized by the product of the two gradient norms at the
+evaluation point so that high-order integrals with large magnitudes
+compare on the same scale.
 
 The determining-equation tiers run on any integral at most quadratic in
 the momenta, with its coefficients (f, s, m0) read from the integral
@@ -209,19 +211,29 @@ def quadratic_ansatz(spec: SystemSpec, obs: Observable) -> QuadraticAnsatz:
     (hyper-dual numbers for the second derivatives).  Position and the
     unseeded momenta are lifted into every momentum layer, so a dual
     in q from an outer spatial derivative stays innermost and never
-    mixes with the momentum seeds.
+    mixes with the momentum seeds.  The ansatz is kept in ``spec.meta``
+    per observable, so a repeated call returns the same object and its
+    determining program (:func:`determining_residuals`) is traced once.
     """
     if not 0 <= obs.momentum_order <= 2:
         raise ValueError(f"{obs.label} is not at most quadratic in momenta")
+    known = spec.meta.setdefault("_ansatz", {})
+    if obs not in known:
+        known[obs] = _read_ansatz(spec.A.fn, obs.fn)
+    return known[obs]
 
+
+def _read_ansatz(A: Callable, fn: Callable) -> QuadraticAnsatz:
+    # The coefficients hold A and fn, not the spec, so the ansatz kept in
+    # ``spec.meta`` makes no reference cycle.
     def coefficient(scale, *seeds):
         def c(x, y, z):
-            ax, ay, az = spec.A.fn(x, y, z)
+            ax, ay, az = A(x, y, z)
             state = [x, y, z, -ax, -ay, -az]
             for k in seeds:
                 state = [Dual(v, 1.0 if i == k + 3 else 0.0)
                          for i, v in enumerate(state)]
-            out = obs.fn(state)
+            out = fn(state)
             for _ in seeds:
                 out = ad.tangent(out)
             return scale * out
@@ -254,17 +266,16 @@ def _value_and_gradient(F: Callable, q) -> tuple:
     return val, grad
 
 
-def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
-                          grid) -> dict:
-    """Max absolute residual of each determining-equation tier on a grid.
+# Tier -> its number of residual rows, in the order _tier_rows returns them.
+_TIERS = {"third": 10, "second": 6, "first": 3, "zeroth": 1}
 
-    Tier keys: "third", "second", "first", "zeroth"; the third-order
-    tier constrains the leading coefficients, the second-order tier the
-    linear coefficients against the field, the first/zeroth tiers the
-    scalar part against the potential.  The grid is evaluated as arrays.
+
+def _tier_rows(ansatz: QuadraticAnsatz, B, W: Callable, pt) -> tuple:
+    """The residual rows of every tier at positions ``pt`` = (x, y, z).
+
+    Third-order rows first, zeroth last (:data:`_TIERS`).  Run on arrays
+    with dual numbers, or once on recording scalars to be traced.
     """
-    q = np.asarray(grid, dtype=float)
-    pt = (q[:, 0], q[:, 1], q[:, 2])
     ((v11, df11), (v22, df22), (v33, df33), (v12, df12), (v13, df13),
      (v23, df23), (sv1, ds1), (sv2, ds2), (sv3, ds3), (_, dm)) = [
         _value_and_gradient(getattr(ansatz, f.name), pt) for f in fields(ansatz)]
@@ -299,12 +310,47 @@ def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
     ]
 
     zeroth = [sv1 * w1 + sv2 * w2 + sv3 * w3]
+    return (*third, *second, *first, *zeroth)
 
-    def worst(rows):
-        return max(float(np.max(np.abs(r))) for r in rows)
 
-    return {"third": worst(third), "second": worst(second),
-            "first": worst(first), "zeroth": worst(zeroth)}
+# ansatz -> B -> W -> generated _tier_rows, or None if untraceable.
+_DETERMINING: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _determining_program(ansatz: QuadraticAnsatz, B, W: Callable):
+    """``_tier_rows`` traced on three recording positions, cached."""
+    cache = _DETERMINING.setdefault(ansatz, weakref.WeakKeyDictionary()).setdefault(
+        B, weakref.WeakKeyDictionary())
+    return trace.cached_program(cache, W, lambda t, q: _tier_rows(ansatz, B, W, q),
+                                f"determining {trace.name_of(W)}", inputs=3)
+
+
+def _determining_rows(ansatz: QuadraticAnsatz, B, W: Callable, grid) -> list:
+    """Every tier's residual rows on ``grid``, each of one value per position."""
+    q = np.asarray(grid, dtype=float)
+    pt = (q[:, 0], q[:, 1], q[:, 2])
+    program = _determining_program(ansatz, B, W)
+    if program is None:
+        return [np.broadcast_to(r, q.shape[:1]) for r in _tier_rows(ansatz, B, W, pt)]
+    return trace.evaluate_blocks(program, pt, sum(_TIERS.values()))
+
+
+def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
+                          grid) -> dict:
+    """Max absolute residual of each determining-equation tier on a grid.
+
+    Tier keys: "third", "second", "first", "zeroth"; the third-order
+    tier constrains the leading coefficients, the second-order tier the
+    linear coefficients against the field, the first/zeroth tiers the
+    scalar part against the potential.  The tiers are one function of
+    position (:func:`_tier_rows`), traced once per (ansatz, B, W) and
+    run on blocks of the grid; where a field cannot be traced the same
+    function runs on the grid as arrays of dual numbers, with the same
+    values.
+    """
+    rows = iter(_determining_rows(ansatz, B, W, grid))
+    return {tier: max(float(np.max(np.abs(next(rows)))) for _ in range(n))
+            for tier, n in _TIERS.items()}
 
 
 def safe_grid(n: int = 5) -> list:

@@ -56,6 +56,27 @@ def test_rng_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def _reference_states(rng, n):
+    """The sampler as first written, on whole temporary arrays."""
+    mag = rng.uniform(SAFE_QMIN, SAFE_QMAX, size=(3, n))
+    sign = rng.choice([-1.0, 1.0], size=(3, n))
+    q = mag * sign
+    p = rng.uniform(-SAFE_PMAX, SAFE_PMAX, size=(3, n))
+    return np.vstack([q, p])
+
+
+@pytest.mark.parametrize("n", [1, 5, 1000, 100_000])
+def test_sampler_draws_the_reference_bytes(n):
+    # Same values and the generator left in the same state, so every
+    # caller (conservation_suite's draws included) sees the same states.
+    for seed in (0, 7, 20260823, 0x5EED):
+        a, b = make_rng(seed), make_rng(seed)
+        got, want = sample_safe_states(a, n), _reference_states(b, n)
+        assert got.shape == want.shape == (6, n) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert a.random() == b.random()
+
+
 def test_gradient6_quadratic_form():
     def fn(state):
         x, y, z, px, py, pz = state

@@ -351,6 +351,23 @@ def test_untraceable_fields_keep_the_dual_path():
         assert branching.hamiltonian.eval(column) == _spec("family_oblate").hamiltonian.eval(column)
 
 
+def test_abs_of_a_dual_falls_back_to_duals():
+    # abs of a dual branches on the sign of its value, which a traced
+    # value does not have: tracing raises TypeError, not AttributeError.
+    pz = Observable(lambda s: abs(s[0]) * 0.0 + s[5], "Pz", 1)
+    z = Observable(lambda s: s[2], "z", 0)
+    assert trace.traced_gradient(pz.fn) is None
+    assert trace.cached_program({}, "abs", lambda t, y: (abs(ad.Dual(y[0], 1.0)).im,),
+                                "abs") is None
+    state = sample_safe_states(make_rng(51), 1)[:, 0].tolist()
+    gf, gg = gradient6(pz.fn, state), gradient6(z.fn, state)
+    want = sum(gf[i] * gg[i + 3] - gf[i + 3] * gg[i] for i in range(3))
+    assert verify.poisson(pz, z, state) == want == -1.0
+    spec = _spec("op_min")
+    report = verify.is_integral(spec, pz, samples=1, rng=make_rng(52))
+    assert report.gradient == "dual"
+
+
 def test_reports_name_the_gradient_backend():
     reports = verify_system(build("max5", PARAMS["max5"]), samples=50,
                             rank_points=5, seed=1)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from axisym import verify
+from axisym import trace, verify
 from axisym.catalog import SystemParams, build
 from axisym.families import build_family
 from axisym.phase import Observable, make_rng, sample_safe_states
@@ -25,7 +25,7 @@ from axisym.verify import (
     y3_quadratic_ansatz,
 )
 
-from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family
+from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family, value_branch
 
 
 def test_poisson_canonical_pairs():
@@ -121,17 +121,44 @@ def _spec(key):
     return build(SYSTEM_OF[key], PARAMS[key])
 
 
+def _dual_rows(ansatz, B, W, grid):
+    """The tier rows of the dual-number path: the tier function on arrays."""
+    q = np.asarray(grid, dtype=float)
+    rows = verify._tier_rows(ansatz, B, W, (q[:, 0], q[:, 1], q[:, 2]))
+    return [np.broadcast_to(r, q.shape[:1]) for r in rows]
+
+
+def _dual_tiers(ansatz, B, W, grid):
+    rows = _dual_rows(ansatz, B, W, grid)
+    tiers = {"third": rows[:10], "second": rows[10:16], "first": rows[16:19],
+             "zeroth": rows[19:]}
+    assert sum(map(len, tiers.values())) == len(rows)
+    return {k: max(float(np.max(np.abs(r))) for r in v) for k, v in tiers.items()}
+
+
+def _assert_traced_equals_duals(ansatz, B, W, grid):
+    """Traced tiers, checked row by row against the dual path."""
+    assert verify._determining_program(ansatz, B, W) is not None
+    rows = verify._determining_rows(ansatz, B, W, grid)
+    for got, want in zip(rows, _dual_rows(ansatz, B, W, grid), strict=True):
+        assert np.array_equal(got, want)
+    tiers = determining_residuals(ansatz, B, W, grid)
+    assert tiers == _dual_tiers(ansatz, B, W, grid)
+    return tiers
+
+
 @pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
 def test_determining_tiers_vanish(key):
     # Every observable at most quadratic in momenta, H included, with
-    # its (f, s, m0) read from the integral itself.
+    # its (f, s, m0) read from the integral itself; the traced tiers
+    # equal the dual-number ones row by row.
     spec = _spec(key)
     checked = []
     for obs in spec.observables():
         if not 0 <= obs.momentum_order <= 2:
             continue
-        tiers = determining_residuals(quadratic_ansatz(spec, obs), spec.B,
-                                      spec.W, safe_grid(3))
+        tiers = _assert_traced_equals_duals(quadratic_ansatz(spec, obs), spec.B,
+                                            spec.W, safe_grid(3))
         bound = 1e-12 if obs.label == "H" else 1e-10
         assert max(tiers.values()) < bound, (key, obs.label, tiers)
         checked.append(obs.label)
@@ -165,8 +192,8 @@ def test_determining_tiers_reject_a_perturbed_integral(field, label):
     good = build("op_min", PARAMS["op_min"])
     bad = build("op_min", dataclasses.replace(
         PARAMS["op_min"], **{field: getattr(PARAMS["op_min"], field) + 1e-3}))
-    tiers = determining_residuals(quadratic_ansatz(good, bad.integral(label)),
-                                  good.B, good.W, safe_grid(3))
+    tiers = _assert_traced_equals_duals(quadratic_ansatz(good, bad.integral(label)),
+                                        good.B, good.W, safe_grid(3))
     assert tiers["first"] > 1e-3, (field, label, tiers)
 
 
@@ -174,9 +201,59 @@ def test_determining_tiers_broken_ansatz_fails():
     spec = build("op_min", PARAMS["op_min"])
     good = y3_quadratic_ansatz(spec)
     broken = dataclasses.replace(good, s1=lambda x, y, z: good.s1(x, y, z) + 0.01 * x)
-    tiers = determining_residuals(broken, spec.B, spec.W, safe_grid(3))
+    tiers = _assert_traced_equals_duals(broken, spec.B, spec.W, safe_grid(3))
     assert tiers["third"] < 1e-10          # leading tier untouched
     assert tiers["second"] > 1e-4          # linear tier now inconsistent
+    # f12 + 0.01 z breaks only the last third-order row, d(f23)/dx +
+    # d(f13)/dy + d(f12)/dz, among the leading coefficients.
+    broken = dataclasses.replace(good, f12=lambda x, y, z: good.f12(x, y, z) + 0.01 * z)
+    tiers = _assert_traced_equals_duals(broken, spec.B, spec.W, safe_grid(3))
+    assert tiers["third"] == pytest.approx(0.01, rel=1e-12)
+
+
+def test_untraceable_ansatz_runs_the_tiers_on_duals():
+    spec = build("cp_min", PARAMS["cp_min_bz"])
+    good = y3_quadratic_ansatz(spec)
+    grid = safe_grid(3)
+    branching = dataclasses.replace(good, s1=lambda x, y, z: good.s1(x, y, z) + value_branch(x))
+    assert verify._determining_program(branching, spec.B, spec.W) is None
+    tiers = determining_residuals(branching, spec.B, spec.W, grid)
+    assert tiers == _dual_tiers(branching, spec.B, spec.W, grid)
+    assert tiers == determining_residuals(good, spec.B, spec.W, grid)
+
+
+def test_repeated_y3_tiers_are_traced_once(monkeypatch):
+    # The ansatz is kept on the spec, so each call finds its program.
+    traced = []
+    straight_line = trace.straight_line
+
+    def counting(fn, tag, *args, **kwargs):
+        traced.append(tag)
+        return straight_line(fn, tag, *args, **kwargs)
+
+    monkeypatch.setattr(trace, "straight_line", counting)
+    spec = build("cp_min", PARAMS["cp_min_bz"])
+    grid = safe_grid(5)
+    first = determining_residuals(y3_quadratic_ansatz(spec), spec.B, spec.W, grid)
+    for _ in range(3):
+        assert determining_residuals(y3_quadratic_ansatz(spec), spec.B, spec.W, grid) == first
+    assert len(traced) == 1 and traced[0].startswith("determining")
+    assert y3_quadratic_ansatz(spec) is y3_quadratic_ansatz(spec)
+
+
+def test_a_replaced_spec_reads_its_own_ansatz():
+    spec = build("op_min", PARAMS["op_min"])
+    bad = build("op_min", dataclasses.replace(PARAMS["op_min"], u2=PARAMS["op_min"].u2 + 1e-3))
+    grid = safe_grid(3)
+    old = y3_quadratic_ansatz(spec)
+    assert max(determining_residuals(old, spec.B, spec.W, grid).values()) < 1e-10
+    assert y3_quadratic_ansatz(dataclasses.replace(spec)) is not old
+    replaced = dataclasses.replace(spec, integrals=bad.integrals)
+    ansatz = y3_quadratic_ansatz(replaced)
+    program = verify._determining_program(ansatz, spec.B, spec.W)
+    assert program is not verify._determining_program(old, spec.B, spec.W)
+    tiers = _assert_traced_equals_duals(ansatz, spec.B, spec.W, grid)
+    assert tiers["first"] > 1e-3
 
 
 def test_verify_system_reports():
