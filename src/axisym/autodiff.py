@@ -84,7 +84,10 @@ class Dual:
 
     def __abs__(self):
         # Real-valued use only (sign selection); not differentiable at 0.
-        return -self if value(self).real < 0 else self
+        v = value(self)
+        if isinstance(v, np.ndarray):
+            return self * np.where(np.real(v) < 0, -1.0, 1.0)
+        return -self if v.real < 0 else self
 
     # Comparisons act on the primal value so that branch selection in
     # generic code follows the undifferentiated control flow.

@@ -59,12 +59,30 @@ and at 112 MB unblocked; without the deletes at 82 MB with blocks of
 columns because wider long-double blocks fall out of the cache: op_min
 X1's gradient on 100k long-double states took 108-147 ms with 4096
 columns and 142-170 ms with 8192-16384.
+
+Two threads.  A long-double call of more than one block runs on two
+threads when the process may run on at least two CPUs
+(``os.sched_getaffinity``, else ``os.cpu_count``): half blocks of
+``BLOCK // 2`` columns alternate between the calling thread and one
+worker started for the call, which keeps off the caller's CPU, takes
+the caller's numpy error state and writes its own columns of the
+outputs.  numpy releases the GIL inside its long-double loops.  Each
+column runs the same code as on one thread, so the values are the same.
+On a 2-CPU Xeon VM, op_min's closure program on 100k long-double states
+took 0.28-0.39 s on one thread and 0.14-0.24 s on two; left to the
+scheduler, the worker shared the caller's CPU for whole calls and gained
+nothing.  Half blocks hold about the memory of one thread's blocks: with
+full blocks on each thread the ``verify`` benchmark peaked at 62.7 MB of
+RSS, against 60.3-60.4 MB.  Float64 blocks stay on one thread (op_min
+X1's gradient at 100k took 26-32 ms on one thread and 51-58 ms on two),
+as do single blocks and one-CPU processes.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import types
 import weakref
 
@@ -186,7 +204,8 @@ class _Var:
 
 
 def _is_const(v) -> bool:
-    return isinstance(v, numbers.Real)
+    # The exact-type test skips the ABC check for the common operands.
+    return type(v) is float or type(v) is int or isinstance(v, numbers.Real)
 
 
 def _operand(v) -> str:
@@ -342,19 +361,74 @@ def evaluate_blocks(fn, rows, n_out: int, dtype=None) -> list:
     one (6, N) array, over numpy's 4 MiB huge-page threshold at 100k
     states, 2 of 10 benchmark runs peaked at 93 MB of RSS in place of
     84 MB.
+
+    Long-double outputs of more than one block run on two threads when
+    the process may use two CPUs (see the module's "Two threads"); the
+    values are those of one thread.
     """
     rows = np.broadcast_arrays(*rows)
     flat = [np.ravel(r) for r in rows]
-    out_dtype = np.result_type(*flat, 0.0) if dtype is None else dtype
-    out = [np.empty(flat[0].size, out_dtype) for _ in range(n_out)]
-    for lo in range(0, flat[0].size, BLOCK):
-        block = [r[lo:lo + BLOCK] for r in flat]
-        if dtype is not None:
-            block = [b.astype(dtype) for b in block]
-        values = fn(0.0, tuple(block))
-        for o, v in zip(out, values, strict=True):
-            o[lo:lo + BLOCK] = v
+    size = flat[0].size
+    out_dtype = np.result_type(*flat, 0.0) if dtype is None else np.dtype(dtype)
+    out = [np.empty(size, out_dtype) for _ in range(n_out)]
+
+    def run(starts, width):
+        for lo in starts:
+            block = [r[lo:lo + width] for r in flat]
+            if dtype is not None:
+                block = [b.astype(dtype) for b in block]
+            values = fn(0.0, tuple(block))
+            for o, v in zip(out, values, strict=True):
+                o[lo:lo + width] = v
+
+    if out_dtype == np.longdouble and size > BLOCK and _cpus() >= 2:
+        # numpy releases the GIL in its long-double loops; float64 blocks
+        # are too short for a second thread to pay.
+        from concurrent.futures import ThreadPoolExecutor
+
+        starts = range(0, size, BLOCK // 2)
+        errors = np.geterr()
+        elsewhere = _other_cpus()
+
+        def worker():
+            # Left to the scheduler, the worker often shares the caller's
+            # CPU for the whole call while another stays idle.
+            if elsewhere:
+                try:
+                    os.sched_setaffinity(0, elsewhere)
+                except OSError:
+                    pass
+            with np.errstate(**errors):
+                run(starts[1::2], BLOCK // 2)
+
+        with ThreadPoolExecutor(1) as pool:
+            done = pool.submit(worker)
+            run(starts[::2], BLOCK // 2)
+            done.result()
+    else:
+        run(range(0, size, BLOCK), BLOCK)
     return [o.reshape(rows[0].shape) for o in out]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _other_cpus() -> set:
+    """The CPUs of the calling thread but the one it runs on now.
+
+    Empty where that CPU cannot be read (outside Linux).
+    """
+    try:
+        with open("/proc/thread-self/stat") as f:
+            here = int(f.read().rsplit(")", 1)[1].split()[36])    # field 39
+        return os.sched_getaffinity(0) - {here}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return set()
 
 
 def name_of(fn) -> str:

@@ -115,6 +115,16 @@ def test_comparisons_use_primal_value():
     assert abs(Dual(-2.0, 1.0)).re == 2.0
 
 
+def test_abs_of_a_dual_row_is_abs_of_each_entry():
+    re = np.array([-2.0, 3.0, -0.0, 0.0, -1e-300, 5.5])
+    im = np.array([1.0, -4.0, 2.0, -3.0, 7.0, 0.5])
+    row = abs(Dual(re, im))
+    for i in range(re.size):
+        want = abs(Dual(re[i], im[i]))
+        assert np.signbit(row.re[i]) == np.signbit(want.re)
+        assert row.re[i] == want.re and row.im[i] == want.im
+
+
 def test_derivative_and_partial_helpers():
     f = lambda x: x * x * x
     assert ad.derivative(f, 2.0) == pytest.approx(12.0)

@@ -2,6 +2,11 @@
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +373,13 @@ def test_abs_of_a_dual_falls_back_to_duals():
     assert report.gradient == "dual"
 
 
+def test_abs_of_dual_rows_checks_an_integral_on_many_samples():
+    pz = Observable(lambda s: abs(s[0]) * 0.0 + s[5], "Pz", 1)
+    report = verify.is_integral(_spec("linear_min"), pz, samples=1000)
+    assert report.max_residual == 0.0
+    assert report.gradient == "dual"
+
+
 def test_reports_name_the_gradient_backend():
     reports = verify_system(build("max5", PARAMS["max5"]), samples=50,
                             rank_points=5, seed=1)
@@ -401,3 +413,128 @@ def test_building_specs_traces_nothing(monkeypatch):
     assert not any(fn in cache for fn in fns for cache in caches)
     assert not any(spec.closure in verify._POLYNOMIALS for spec in specs if spec.closure)
     assert not any("_closure" in spec.meta for spec in specs)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def _on_cpus(monkeypatch, n):
+    # The count the process reads, not its affinity, which stays as it is.
+    monkeypatch.setattr(trace, "_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("n", [trace.BLOCK - 1, trace.BLOCK, trace.BLOCK + 1,
+                               2 * trace.BLOCK + 3, 100_000])
+def test_two_threads_give_the_serial_closure_sides(monkeypatch, thread_starts, n):
+    spec = _spec("op_min")
+    states = sample_safe_states(make_rng(46), n)
+    _on_cpus(monkeypatch, 1)
+    serial = verify._closure_sides(spec, states, spec.closure)
+    assert thread_starts == []
+    _on_cpus(monkeypatch, 2)
+    threaded = verify._closure_sides(spec, states, spec.closure)
+    assert len(thread_starts) == (n > trace.BLOCK)
+    assert not any(t.is_alive() for t in thread_starts)
+    for got, want in zip(threaded[:2], serial[:2], strict=True):
+        assert got.dtype == np.longdouble and np.array_equal(got, want)
+
+
+def _columns(n):
+    # One long-double row whose entries are their column numbers.
+    return [np.arange(n, dtype=np.longdouble)]
+
+
+def test_an_error_in_the_workers_half_reaches_the_caller(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    half = trace.BLOCK // 2
+    threads = []
+
+    def fn(t, y):
+        if y[0][0] == half:       # the first half block of the worker
+            threads.append(threading.current_thread())
+            raise ArithmeticError("worker")
+        return (y[0],)
+
+    with pytest.raises(ArithmeticError, match="worker"):
+        trace.evaluate_blocks(fn, _columns(2 * trace.BLOCK + 3), 1)
+    assert threads and threads[0] is not threading.main_thread()
+
+
+def test_the_worker_keeps_the_callers_error_state(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    y = [np.ones(2 * trace.BLOCK, np.longdouble)]
+    y[0][trace.BLOCK // 2 + 1] = 0.0         # in the worker's half block
+
+    def reciprocal(t, y):
+        return (1.0 / y[0],)
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        trace.evaluate_blocks(reciprocal, y, 1)
+    with np.errstate(divide="ignore"):
+        (got,) = trace.evaluate_blocks(reciprocal, y, 1)
+    assert np.isinf(got[trace.BLOCK // 2 + 1]) and got.dtype == np.longdouble
+
+
+def test_one_cpu_runs_long_double_blocks_serially(monkeypatch, thread_starts):
+    _on_cpus(monkeypatch, 1)
+    (got,) = trace.evaluate_blocks(lambda t, y: (y[0] * 2,), _columns(2 * trace.BLOCK + 3), 1)
+    assert np.array_equal(got, 2 * _columns(2 * trace.BLOCK + 3)[0])
+    assert thread_starts == []
+
+
+def test_cpu_count_reads_the_affinity_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert trace._cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert trace._cpus() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert trace._cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or trace._cpus() < 2,
+                    reason="needs two CPUs and per-thread affinity")
+def test_the_worker_leaves_the_callers_cpu():
+    allowed = os.sched_getaffinity(0)
+    seen = []
+
+    def fn(t, y):
+        if threading.current_thread() is not threading.main_thread():
+            seen.append(os.sched_getaffinity(0))
+        return (y[0],)
+
+    trace.evaluate_blocks(fn, _columns(2 * trace.BLOCK), 1)
+    assert seen and all(len(s) == len(allowed) - 1 and s < allowed for s in seen)
+    assert os.sched_getaffinity(0) == allowed
+
+
+def test_float64_blocks_start_no_thread(monkeypatch, thread_starts):
+    _on_cpus(monkeypatch, 2)
+    spec = _spec("op_min")
+    states = sample_safe_states(make_rng(47), 100_000)
+    grad = trace.gradient(spec.integral("X1").fn, list(states))
+    assert all(g.dtype == np.float64 for g in grad)
+    (got,) = trace.evaluate_blocks(lambda t, y: (y[0],), [states[0]], 1)
+    assert np.array_equal(got, states[0])
+    assert thread_starts == []
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # The pool is imported by the first threaded call, not by
+    # ``import axisym``, whose time every CLI call pays.
+    src = str(Path(trace.__file__).parents[1])
+    code = ("import sys, axisym; "
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
