@@ -106,6 +106,11 @@ def _build_system(system_id: str, params: SystemParams):
         raise ConfigError(f"{system_id}: {exc}")
 
 
+def _check_tol(tol: float) -> None:
+    if not (1e-14 <= tol <= 1e-6):    # NaN fails too
+        raise ConfigError("--tol must lie in [1e-14, 1e-6]")
+
+
 def cmd_list(args) -> int:
     info = {**SYSTEM_INFO, **_FAMILY_INFO}
     if args.system:
@@ -189,8 +194,7 @@ def cmd_simulate(args) -> int:
         a = np.asarray([float(value(c)) for c in spec.A(ic[:3])])
         ic = ic.copy()
         ic[3:] = ic[3:] - a
-    if not (1e-14 <= args.tol <= 1e-6):
-        raise ConfigError("--tol must lie in [1e-14, 1e-6]")
+    _check_tol(args.tol)
     if not (0.0 < args.t_end < math.inf):
         raise ConfigError("--t-end must be a positive finite number")
 
@@ -234,6 +238,7 @@ def cmd_simulate(args) -> int:
 def cmd_figure(args) -> int:
     if args.figure_id not in RECIPES:
         raise ConfigError("figure id must be 1..6")
+    _check_tol(args.tol)
     outdir = args.out or f"figure{args.figure_id}"
     meta = run_figure(args.figure_id, outdir, tol=args.tol)
     if args.json:

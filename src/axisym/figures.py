@@ -10,15 +10,19 @@ horizon.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+import pickle
+import signal
+import sys
+import threading
+from dataclasses import dataclass
+from typing import Optional
 
 from . import io as aio
-from . import svg
+from . import svg, trace
 from .catalog import SystemParams, build
 from .dynamics import detect_period, integrate, prefix, search_period
 from .phase import PhasePoint
@@ -82,6 +86,74 @@ RECIPES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _spec(system_id: str, params: SystemParams):
+    """One built spec per recipe system, so its traced programs are kept."""
+    return build(system_id, params)
+
+
+@contextlib.contextmanager
+def _beside(fn):
+    """Run ``fn()`` in a forked child while the body runs.
+
+    Yields a function that returns ``fn()``'s value or raises its
+    exception.  Forks only where a second CPU may take the child and no
+    other thread is alive (one holding a lock at the fork would leave the
+    child stuck on it); otherwise, or when the fork fails, ``fn`` runs in
+    place before the body.  The child is reaped when the body exits, and
+    killed first if it is still running.
+    """
+    pid = None
+    if hasattr(os, "fork") and trace._cpus() >= 2 and threading.active_count() == 1:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid == 0:
+        try:
+            try:
+                out = (True, fn())
+            except BaseException as exc:    # raised again in the parent
+                out = (False, exc)
+            try:
+                data = pickle.dumps(out)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(out[1]))))
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            # Neither flush inherited stdio buffers nor run atexit handlers.
+            os._exit(0)
+    if pid is None:
+        value = fn()
+        yield lambda: value
+        return
+    os.close(w)
+    reader = os.fdopen(r, "rb")
+
+    def result():
+        data = reader.read()
+        if not data:
+            raise RuntimeError("the forked child ended without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        reader.close()
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
                detect: bool = True) -> dict:
     """Reproduce one reference figure: CSV, SVG projections, meta JSON.
@@ -93,11 +165,15 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
     run's last step.  When the search tolerance equals ``tol`` the same
     run, made to the longest of the search and plotted horizons, also
     serves the search; otherwise :func:`~axisym.dynamics.detect_period`
-    makes its own run first.  Returns the meta dictionary (period report
-    included when closure detection is requested).
+    makes its own run.  With more than one plotted horizon (figures 1
+    and 4) the plots do not depend on the search, which then runs in a
+    forked child beside the plotting run where ``os.fork`` and at least
+    2 CPUs are available, with the same report.  Returns the meta
+    dictionary (period report included when closure detection is
+    requested).
     """
     recipe = RECIPES[figure_id]
-    spec = build(recipe.system_id, recipe.params)
+    spec = _spec(recipe.system_id, recipe.params)
     ic = PhasePoint.from_state(recipe.ic)
     aio.ensure_dir(outdir)
 
@@ -113,19 +189,24 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
     }
 
     report = run = None
+    t_ends = list(recipe.horizons)
     detect_tol = max(tol, 1e-12 if recipe.detect_horizon <= 50 else 1e-10)
+    search = functools.partial(detect_period, spec, ic, recipe.detect_horizon,
+                               tol_return=recipe.tol_return, tol=detect_tol)
     if detect and detect_tol == tol:
-        run = integrate(spec, ic, max(recipe.detect_horizon, *recipe.horizons), tol=tol)
+        run = integrate(spec, ic, max(recipe.detect_horizon, *t_ends), tol=tol)
         report = search_period(prefix(spec, run, recipe.detect_horizon),
                                recipe.tol_return)
+    elif detect and len(t_ends) > 1:
+        with _beside(search) as searched:
+            run = integrate(spec, ic, max(t_ends), tol=tol)
+            report = searched()
     elif detect:
-        report = detect_period(spec, ic, recipe.detect_horizon,
-                               tol_return=recipe.tol_return, tol=detect_tol)
+        report = search()
     if report is not None:
         meta["period_report"] = report.as_dict()
 
     # Plot the measured period when the expected value is approximate.
-    t_ends = list(recipe.horizons)
     if report is not None and report.closed and len(t_ends) == 1:
         t_ends = [report.period]
     if run is None:

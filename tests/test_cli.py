@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +272,38 @@ def test_figure_emits_csv_svg_meta(tmp_path, capsys):
 
 def test_figure_bad_id_is_config_error():
     assert main(["figure", "7"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-15", "nan"])
+def test_figure_bad_tol_is_config_error_and_writes_nothing(tmp_path, tol):
+    out = tmp_path / "fig"
+    assert main(["figure", "6", "--tol", tol, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+FIGURE_AFTER_BUFFERED_OUTPUT = """
+import atexit, runpy, sys
+
+print("printed before the call")        # still in the buffer of a pipe
+atexit.register(print, "printed at exit")
+sys.argv = ["axisym", "figure", "4", "--json", "--out", sys.argv[1]]
+runpy.run_module("axisym.cli", run_name="__main__")
+"""
+
+
+def test_figure_output_is_whole_after_buffered_text_and_atexit(tmp_path):
+    # Figure 4 may search in a forked child: the child must neither flush
+    # the text the parent has buffered nor run the parent's atexit handlers.
+    src = str(Path(dynamics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "fig4"
+    proc = subprocess.run([sys.executable, "-c", FIGURE_AFTER_BUFFERED_OUTPUT, str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count("printed before the call") == 1
+    assert lines.count("printed at exit") == 1
+    assert lines[0] == "printed before the call" and lines[-1] == "printed at exit"
+    meta = json.loads("\n".join(lines[1:-1]))
+    assert meta["figure"] == 4 and meta["period_report"]["closed"] is False
+    assert (out / "figure4_meta.json").exists()

@@ -680,11 +680,20 @@ def test_prefix_of_an_aborted_run_equals_a_run_to_its_horizon(horizon):
 def test_six_figures_integrate_once_per_tolerance(monkeypatch, tmp_path):
     # One run for each figure whose search runs at the plotting tolerance,
     # two (the 200-unit search at 1e-10, the plots at 1e-12) for figures
-    # 1 and 4: no plotted horizon is integrated again.
-    calls = _recorded(monkeypatch, "solve_ivp")
+    # 1 and 4: no plotted horizon is integrated again.  Their searches
+    # may run in forked children, so every call is logged to a file.
+    log = tmp_path / "solve_ivp.log"
+    solve_ivp = dynamics.solve_ivp
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", logged)
     for fid in sorted(RECIPES):
         run_figure(fid, str(tmp_path / f"fig{fid}"))
-    assert len(calls) == 8
+    assert len(log.read_text().split()) == 8
 
 
 def test_detect_period_exact_closure(reference_ic):
