@@ -13,12 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import autodiff as ad
 from .phase import (
     CovectorField,
-    DomainError,
     Observable,
     TwoForm,
     hamiltonian_observable,
@@ -47,10 +44,15 @@ class SystemParams:
     m: Optional[int] = None
 
     def __post_init__(self):
+        for key, val in vars(self).items():
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"parameter {key} must be finite, not {val!r}")
         if (self.n is None) != (self.m is None):
             raise ValueError("resonance indices n, m must be given together")
         if self.n is not None:
             n, m = int(self.n), int(self.m)
+            if n != self.n or m != self.m:
+                raise ValueError("resonance indices n, m must be integers")
             if n < 1 or m < 1:
                 raise ValueError("resonance indices must be >= 1")
             g = math.gcd(n, m)
@@ -125,17 +127,38 @@ class SystemSpec:
         )
 
 
-def _axial_fields(gauge_factor, W_sw, b_fn):
-    """Assemble W(x,y,z), CovectorField, and TwoForm for an axial system."""
+def _axial_spec(system_id, params, g, W_sw, b_fn, integrals, **fields) -> SystemSpec:
+    """The system with gauge A = g(s, w) (-y, x, 0), potential W(s, w), field b_fn.
+
+    It claims rank 1 + the number of listed ``integrals`` (H and each of
+    them); ``fields`` are the other :class:`SystemSpec` fields.
+    """
 
     def W(x, y, z):
         return W_sw(x * x + y * y, z)
 
     def A_fn(x, y, z):
-        f = gauge_factor(x * x + y * y, z)
+        f = g(x * x + y * y, z)
         return (-y * f, x * f, 0.0 * z)
 
-    return W, CovectorField(A_fn), TwoForm(b_fn)
+    A = CovectorField(A_fn)
+    return SystemSpec(
+        system_id=system_id, params=params, W=W, A=A, B=TwoForm(b_fn),
+        hamiltonian=hamiltonian_observable(A, W), integrals=integrals,
+        claimed_rank=1 + len(integrals), gauge_factor=g, potential_sw=W_sw,
+        **fields)
+
+
+def _constant_field(bz):
+    """Gauge factor and field of the constant field bz dx^dy."""
+
+    def g(s, w):
+        return bz / 2.0 + 0.0 * s + 0.0 * w
+
+    def b_fn(x, y, z):
+        return (0.0 * x, 0.0 * y, bz + 0.0 * z)
+
+    return g, b_fn
 
 
 def _covariant(state, gauge_factor):
@@ -149,6 +172,49 @@ def _angular(state, gauge_factor):
     x, y, z = state[0], state[1], state[2]
     ax, ay, az = _covariant(state, gauge_factor)
     return (y * az - z * ay, z * ax - x * az, x * ay - y * ax)
+
+
+def _x2(g) -> Observable:
+    """The axial integral X2 = Lz^A - r^2 g, the canonical Lz."""
+
+    def x2(state):
+        x, y, z = state[0], state[1], state[2]
+        lz = _angular(state, g)[2]
+        s = x * x + y * y
+        return lz - s * g(s, z)
+
+    return Observable(x2, "X2", 1)
+
+
+def _spherical_x1(g, bz, term) -> Observable:
+    """X1 = |L^A|^2 - bz R^2 Lz^A + term(s, z) + bz^2/4 s R^2."""
+
+    def x1(state):
+        x, y, z = state[0], state[1], state[2]
+        lx, ly, lz = _angular(state, g)
+        s = x * x + y * y
+        R2 = s + z * z
+        return (lx * lx + ly * ly + lz * lz - bz * R2 * lz
+                + term(s, z) + bz * bz / 4.0 * s * R2)
+
+    return Observable(x1, "X1", 2)
+
+
+def _y4(first, second, order: int):
+    """Y4 = Re (f1 / c1)^k1 (f2 / c2)^k2 for (f, k) = ``first``, ``second``.
+
+    Each complex factor f is scaled by c = |f| at :data:`REFERENCE_STATE`,
+    fixed once.  Returns Y4 and c1^k1 c2^k2, its ``meta["y4_scale"]``.
+    """
+    (f1, k1), (f2, k2) = first, second
+    ref = list(REFERENCE_STATE)
+    c1 = abs(complex(ad.value(f1(ref))))
+    c2 = abs(complex(ad.value(f2(ref))))
+
+    def y4(state):
+        return ad.real((f1(state) / c1) ** k1 * (f2(state) / c2) ** k2)
+
+    return Observable(y4, "Y4", order), c1 ** k1 * c2 ** k2
 
 
 def _require(cond, msg):
@@ -167,49 +233,19 @@ def build_linear_min(params: SystemParams) -> SystemSpec:
     """
     _require(params.bz != 0.0, "linear_min requires a nonzero bz")
     u1, bz = params.u1, params.bz
-
-    def g(s, w):
-        return bz / 2.0 + 0.0 * s + 0.0 * w
+    g, b_fn = _constant_field(bz)
 
     def W_sw(s, w):
         return u1 / s - bz * bz * s / 8.0
 
-    def b_fn(x, y, z):
-        return (0.0 * x, 0.0 * y, bz + 0.0 * z)
-
-    W, A, B = _axial_fields(g, W_sw, b_fn)
-
-    def x1(state):
-        x, y, z = state[0], state[1], state[2]
-        lx, ly, lz = _angular(state, g)
-        s = x * x + y * y
-        R2 = s + z * z
-        return (lx * lx + ly * ly + lz * lz - bz * R2 * lz
-                + 2.0 * u1 * z * z / s + bz * bz / 4.0 * s * R2)
-
-    def x2(state):
-        x, y = state[0], state[1]
-        lz = _angular(state, g)[2]
-        return lz - bz / 2.0 * (x * x + y * y)
-
     def y3(state):
         return _covariant(state, g)[2]
 
-    return SystemSpec(
-        system_id="linear_min",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 1),
-        ),
-        claimed_rank=4,
-        gauge_factor=g,
-        potential_sw=W_sw,
-        singular_in=frozenset({"r"}) if u1 != 0.0 else frozenset(),
-    )
+    return _axial_spec(
+        "linear_min", params, g, W_sw, b_fn,
+        (_spherical_x1(g, bz, lambda s, z: 2.0 * u1 * z * z / s),
+         _x2(g), Observable(y3, "Y3", 1)),
+        singular_in=frozenset({"r"}) if u1 != 0.0 else frozenset())
 
 
 def build_linear_max(params: SystemParams) -> SystemSpec:
@@ -219,30 +255,10 @@ def build_linear_max(params: SystemParams) -> SystemSpec:
     """
     _require(params.bz != 0.0, "linear_max requires a nonzero bz")
     u1, bz = params.u1, params.bz
-
-    def g(s, w):
-        return bz / 2.0 + 0.0 * s + 0.0 * w
+    g, b_fn = _constant_field(bz)
 
     def W_sw(s, w):
         return u1 / (w * w) + bz * bz * w * w / 8.0
-
-    def b_fn(x, y, z):
-        return (0.0 * x, 0.0 * y, bz + 0.0 * z)
-
-    W, A, B = _axial_fields(g, W_sw, b_fn)
-
-    def x1(state):
-        x, y, z = state[0], state[1], state[2]
-        lx, ly, lz = _angular(state, g)
-        s = x * x + y * y
-        R2 = s + z * z
-        return (lx * lx + ly * ly + lz * lz - bz * R2 * lz
-                + 2.0 * u1 * s / (z * z) + bz * bz / 4.0 * s * R2)
-
-    def x2(state):
-        x, y = state[0], state[1]
-        lz = _angular(state, g)[2]
-        return lz - bz / 2.0 * (x * x + y * y)
 
     def y3(state):
         return _covariant(state, g)[0] + bz * state[1]
@@ -250,22 +266,11 @@ def build_linear_max(params: SystemParams) -> SystemSpec:
     def y4(state):
         return _covariant(state, g)[1] - bz * state[0]
 
-    return SystemSpec(
-        system_id="linear_max",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 1),
-            Observable(y4, "Y4", 1),
-        ),
-        claimed_rank=5,
-        gauge_factor=g,
-        potential_sw=W_sw,
-        singular_in=frozenset({"z"}) if u1 != 0.0 else frozenset(),
-    )
+    return _axial_spec(
+        "linear_max", params, g, W_sw, b_fn,
+        (_spherical_x1(g, bz, lambda s, z: 2.0 * u1 * s / (z * z)),
+         _x2(g), Observable(y3, "Y3", 1), Observable(y4, "Y4", 1)),
+        singular_in=frozenset({"z"}) if u1 != 0.0 else frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +310,6 @@ def build_op_min(params: SystemParams) -> SystemSpec:
                 bp * y / z3 - bs * y * z,
                 bz + bp / (z * z) + bs * (s + R2))
 
-    W, A, B = _axial_fields(g, W_sw, b_fn)
-
     def x1(state):
         x, y, z = state[0], state[1], state[2]
         lx, ly, lz = _angular(state, g)
@@ -320,12 +323,6 @@ def build_op_min(params: SystemParams) -> SystemSpec:
                 + bz * bs / 2.0 * s * R2 * R2
                 - bp * bp / (4.0 * w2 * w2) * s * R2
                 + bs * bs / 4.0 * s * R2 * R2 * R2)
-
-    def x2(state):
-        x, y, z = state[0], state[1], state[2]
-        lz = _angular(state, g)[2]
-        s = x * x + y * y
-        return lz - s * g(s, z)
 
     def y3(state):
         x, y, z = state[0], state[1], state[2]
@@ -342,23 +339,12 @@ def build_op_min(params: SystemParams) -> SystemSpec:
                 - bp * bs / (2.0 * w2) * R2 * R2
                 - bs * bs / 2.0 * w2 * s * R2)
 
-    return SystemSpec(
-        system_id="op_min",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 2),
-        ),
-        claimed_rank=4,
-        gauge_factor=g,
-        potential_sw=W_sw,
+    return _axial_spec(
+        "op_min", params, g, W_sw, b_fn,
+        (Observable(x1, "X1", 2), _x2(g), Observable(y3, "Y3", 2)),
         singular_in=frozenset({"r", "z"}),
         closure=op_closure_polynomial(params),
-        involutions=(("X1", "X2"), ("X2", "Y3")),
-    )
+        involutions=(("X1", "X2"), ("X2", "Y3")))
 
 
 def op_closure_polynomial(params: SystemParams):
@@ -434,25 +420,9 @@ def build_cp_raw(params: SystemParams) -> SystemSpec:
              "cp system requires a nonzero magnetic field")
     g, W_sw, b_fn = _cp_fields(params.u1, params.u2, params.u3,
                                params.bz, params.bq, params.bl)
-    W, A, B = _axial_fields(g, W_sw, b_fn)
-
-    def x2(state):
-        x, y, z = state[0], state[1], state[2]
-        lz = _angular(state, g)[2]
-        s = x * x + y * y
-        return lz - s * g(s, z)
-
-    return SystemSpec(
-        system_id="cp_raw",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(Observable(x2, "X2", 1),),
-        claimed_rank=2,
-        gauge_factor=g,
-        potential_sw=W_sw,
-        singular_in=frozenset({"r"}) if params.u2 != 0.0 else frozenset(),
-    )
+    return _axial_spec(
+        "cp_raw", params, g, W_sw, b_fn, (_x2(g),),
+        singular_in=frozenset({"r"}) if params.u2 != 0.0 else frozenset())
 
 
 def build_cp_general(params: SystemParams) -> SystemSpec:
@@ -489,7 +459,6 @@ def _build_cp_min(params: SystemParams, branch: str, z_shift: float) -> SystemSp
     u1, u2, u3 = params.u1, params.u2, params.u3
     bz, bq = params.bz, params.bq
     g, W_sw, b_fn = _cp_fields(u1, u2, u3, bz, bq, 0.0)
-    W, A, B = _axial_fields(g, W_sw, b_fn)
 
     def x1(state):
         x, y, z = state[0], state[1], state[2]
@@ -504,12 +473,6 @@ def _build_cp_min(params: SystemParams, branch: str, z_shift: float) -> SystemSp
                 - bq * bq / 16.0 * z * s * (3.0 * s + 4.0 * w2) * (s + 4.0 * w2)
                 + u1 / 2.0 * s - 2.0 * u2 * z / s + 2.0 * u3 * z * s)
 
-    def x2(state):
-        x, y, z = state[0], state[1], state[2]
-        lz = _angular(state, g)[2]
-        s = x * x + y * y
-        return lz - s * g(s, z)
-
     def y3(state):
         x, y, z = state[0], state[1], state[2]
         lz = _angular(state, g)[2]
@@ -520,24 +483,13 @@ def _build_cp_min(params: SystemParams, branch: str, z_shift: float) -> SystemSp
                 - (bz * bq + bq * bq / 2.0 * (s + 4.0 * w2)) * w2 * s
                 + 2.0 * u1 * z + 8.0 * u3 * w2)
 
-    return SystemSpec(
-        system_id="cp_min",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 2),
-        ),
-        claimed_rank=4,
-        gauge_factor=g,
-        potential_sw=W_sw,
+    return _axial_spec(
+        "cp_min", params, g, W_sw, b_fn,
+        (Observable(x1, "X1", 2), _x2(g), Observable(y3, "Y3", 2)),
         singular_in=frozenset({"r"}) if u2 != 0.0 else frozenset(),
         closure=cp_closure_polynomial(params),
         involutions=(("X1", "X2"), ("X2", "Y3")),
-        meta={"branch": branch, "z_shift": z_shift},
-    )
+        meta={"branch": branch, "z_shift": z_shift})
 
 
 def _build_cp_bl(params: SystemParams, z_shift: float) -> SystemSpec:
@@ -553,8 +505,6 @@ def _build_cp_bl(params: SystemParams, z_shift: float) -> SystemSpec:
     def b_fn(x, y, z):
         return (bl * x, bl * y, -2.0 * bl * z)
 
-    W, A, B = _axial_fields(g, W_sw, b_fn)
-
     def x1(state):
         x, y, z = state[0], state[1], state[2]
         lx, ly, lz = _angular(state, g)
@@ -566,11 +516,6 @@ def _build_cp_bl(params: SystemParams, z_shift: float) -> SystemSpec:
                 + u1 / 2.0 * s - 2.0 * u2 * z / s + 2.0 * u3 * z * s
                 - bl * bl / 2.0 * z * s * (s + 2.0 * w2))
 
-    def x2(state):
-        x, y, z = state[0], state[1], state[2]
-        lz = _angular(state, g)[2]
-        return lz + bl * z * (x * x + y * y)
-
     def y3(state):
         x, y, z = state[0], state[1], state[2]
         lz = _angular(state, g)[2]
@@ -580,23 +525,12 @@ def _build_cp_bl(params: SystemParams, z_shift: float) -> SystemSpec:
         return (pz * pz - 2.0 * bl * z * lz + 2.0 * u1 * z
                 + 8.0 * u3 * w2 - 2.0 * bl * bl * w2 * s)
 
-    return SystemSpec(
-        system_id="cp_min",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 2),
-        ),
-        claimed_rank=4,
-        gauge_factor=g,
-        potential_sw=W_sw,
+    return _axial_spec(
+        "cp_min", params, g, W_sw, b_fn,
+        (Observable(x1, "X1", 2), _x2(g), Observable(y3, "Y3", 2)),
         singular_in=frozenset({"r"}) if u2 != 0.0 else frozenset(),
         involutions=(("X1", "X2"), ("X2", "Y3")),
-        meta={"branch": "bl", "z_shift": z_shift},
-    )
+        meta={"branch": "bl", "z_shift": z_shift})
 
 
 def cp_closure_polynomial(params: SystemParams):
@@ -633,12 +567,6 @@ def cp_closure_polynomial(params: SystemParams):
 # Maximally superintegrable families (resonant constant-field systems)
 # ---------------------------------------------------------------------------
 
-def _scaled_complex_power(factor_fn, scale, exponent):
-    def fn(state):
-        return (factor_fn(state) / scale) ** exponent
-    return fn
-
-
 def build_max5(params: SystemParams) -> SystemSpec:
     """Isochronous maximal system linked to the caged oscillator.
 
@@ -651,31 +579,11 @@ def build_max5(params: SystemParams) -> SystemSpec:
     _require(params.n is not None, "max5 requires resonance indices n, m")
     u2, bz = params.u2, params.bz
     n, m = params.n, params.m
-
-    def g(s, w):
-        return bz / 2.0 + 0.0 * s + 0.0 * w
+    g, b_fn = _constant_field(bz)
 
     def W_sw(s, w):
         return (u2 / (w * w) - bz * bz / 8.0 * s
                 + n * n * bz * bz / (32.0 * m * m) * (s + w * w))
-
-    def b_fn(x, y, z):
-        return (0.0 * x, 0.0 * y, bz + 0.0 * z)
-
-    W, A, B = _axial_fields(g, W_sw, b_fn)
-
-    def x1(state):
-        x, y, z = state[0], state[1], state[2]
-        lx, ly, lz = _angular(state, g)
-        s = x * x + y * y
-        R2 = s + z * z
-        return (lx * lx + ly * ly + lz * lz - bz * R2 * lz
-                + 2.0 * u2 / (z * z) * s + bz * bz / 4.0 * s * R2)
-
-    def x2(state):
-        x, y = state[0], state[1]
-        lz = _angular(state, g)[2]
-        return lz - bz / 2.0 * (x * x + y * y)
 
     def y3(state):
         z = state[2]
@@ -700,32 +608,13 @@ def build_max5(params: SystemParams) -> SystemSpec:
                 + 16.0 * (pax + 1.0j * pay) ** 2
                 + n * n * bz * bz * (x + 1.0j * y) ** 2 / (m * m))
 
-    ref = list(REFERENCE_STATE)
-    scale_ax = abs(complex(ad.value(axial_factor(ref))))
-    scale_pl = abs(complex(ad.value(planar_factor(ref))))
-    ax_pow = _scaled_complex_power(axial_factor, scale_ax, 2 * m)
-    pl_pow = _scaled_complex_power(planar_factor, scale_pl, n)
-
-    def y4(state):
-        return ad.real(ax_pow(state) * pl_pow(state))
-
-    return SystemSpec(
-        system_id="max5",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 2),
-            Observable(y4, "Y4", 2 * (n + 2 * m)),
-        ),
-        claimed_rank=5,
-        gauge_factor=g,
-        potential_sw=W_sw,
+    y4, y4_scale = _y4((axial_factor, 2 * m), (planar_factor, n), 2 * (n + 2 * m))
+    return _axial_spec(
+        "max5", params, g, W_sw, b_fn,
+        (_spherical_x1(g, bz, lambda s, z: 2.0 * u2 / (z * z) * s),
+         _x2(g), Observable(y3, "Y3", 2), y4),
         singular_in=frozenset({"z"}) if u2 != 0.0 else frozenset(),
-        meta={"y4_scale": scale_ax ** (2 * m) * scale_pl ** n},
-    )
+        meta={"y4_scale": y4_scale})
 
 
 def build_max6(params: SystemParams) -> SystemSpec:
@@ -738,18 +627,11 @@ def build_max6(params: SystemParams) -> SystemSpec:
     _require(params.n is not None, "max6 requires resonance indices n, m")
     bz = params.bz
     n, m = params.n, params.m
-
-    def g(s, w):
-        return bz / 2.0 + 0.0 * s + 0.0 * w
+    g, b_fn = _constant_field(bz)
 
     def W_sw(s, w):
         return (bz * bz / 8.0 * (n * n / (m * m) - 1.0) * s
                 + n * n * bz * bz / (2.0 * m * m) * w * w)
-
-    def b_fn(x, y, z):
-        return (0.0 * x, 0.0 * y, bz + 0.0 * z)
-
-    W, A, B = _axial_fields(g, W_sw, b_fn)
 
     def x1(state):
         x, y, z = state[0], state[1], state[2]
@@ -758,11 +640,6 @@ def build_max6(params: SystemParams) -> SystemSpec:
         s = x * x + y * y
         return (lx * pay - ly * pax + bz * z * lz
                 + bz * bz / 4.0 * (n * n / (m * m) - 1.0) * z * s)
-
-    def x2(state):
-        x, y = state[0], state[1]
-        lz = _angular(state, g)[2]
-        return lz - bz / 2.0 * (x * x + y * y)
 
     def y3(state):
         z = state[2]
@@ -781,31 +658,11 @@ def build_max6(params: SystemParams) -> SystemSpec:
         pz = _covariant(state, g)[2]
         return m * pz + 1.0j * n * bz * z
 
-    ref = list(REFERENCE_STATE)
-    scale_pl = abs(complex(ad.value(planar_factor(ref))))
-    scale_ax = abs(complex(ad.value(axial_factor(ref))))
-    pl_pow = _scaled_complex_power(planar_factor, scale_pl, n)
-    ax_pow = _scaled_complex_power(axial_factor, scale_ax, m)
-
-    def y4(state):
-        return ad.real(pl_pow(state) * ax_pow(state))
-
-    return SystemSpec(
-        system_id="max6",
-        params=params,
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(x1, "X1", 2),
-            Observable(x2, "X2", 1),
-            Observable(y3, "Y3", 2),
-            Observable(y4, "Y4", 2 * n + m),
-        ),
-        claimed_rank=5,
-        gauge_factor=g,
-        potential_sw=W_sw,
-        meta={"y4_scale": scale_pl ** n * scale_ax ** m},
-    )
+    y4, y4_scale = _y4((planar_factor, n), (axial_factor, m), 2 * n + m)
+    return _axial_spec(
+        "max6", params, g, W_sw, b_fn,
+        (Observable(x1, "X1", 2), _x2(g), Observable(y3, "Y3", 2), y4),
+        meta={"y4_scale": y4_scale})
 
 
 def y4_explicit_max5(params: SystemParams) -> Observable:
@@ -813,7 +670,7 @@ def y4_explicit_max5(params: SystemParams) -> Observable:
     _require(params.n == 1 and params.m == 1,
              "explicit polynomial form only exists for n = m = 1")
     u2, bz = params.u2, params.bz
-    g = lambda s, w: bz / 2.0 + 0.0 * s
+    g = _constant_field(bz)[0]
 
     def fn(state):
         x, y, z = state[0], state[1], state[2]
@@ -858,7 +715,7 @@ def y4_explicit_max6(params: SystemParams) -> Observable:
     _require(params.n == 1 and params.m == 1,
              "explicit polynomial form only exists for n = m = 1")
     bz = params.bz
-    g = lambda s, w: bz / 2.0 + 0.0 * s
+    g = _constant_field(bz)[0]
 
     def fn(state):
         x, y, z = state[0], state[1], state[2]

@@ -31,27 +31,16 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 
 _FAMILY_INFO = {
-    "family_circular_parabolic": {
+    f"family_{kind}": {
         "rank": 3,
-        "parameters": ["beta1", "beta2", "rho1", "rho2 (callables)"],
+        "parameters": ["beta1", "beta2", "rho1", "rho2 (callables)", *extra],
         "integrals": "X1, X2 (quadratic)",
-        "description": "parabolic-rotational integrable family; "
+        "description": f"{name} integrable family; "
                        "built from Python callables, not CLI-constructible",
-    },
-    "family_oblate_spheroidal": {
-        "rank": 3,
-        "parameters": ["beta1", "beta2", "rho1", "rho2 (callables)", "a"],
-        "integrals": "X1, X2 (quadratic)",
-        "description": "oblate spheroidal integrable family; "
-                       "built from Python callables, not CLI-constructible",
-    },
-    "family_prolate_spheroidal": {
-        "rank": 3,
-        "parameters": ["beta1", "beta2", "rho1", "rho2 (callables)", "a"],
-        "integrals": "X1, X2 (quadratic)",
-        "description": "prolate spheroidal integrable family; "
-                       "built from Python callables, not CLI-constructible",
-    },
+    }
+    for kind, name, extra in (("circular_parabolic", "parabolic-rotational", ()),
+                              ("oblate_spheroidal", "oblate spheroidal", ("a",)),
+                              ("prolate_spheroidal", "prolate spheroidal", ("a",)))
 }
 
 
@@ -74,14 +63,10 @@ def _parse_params(text: str) -> SystemParams:
                 num = float(val)
             except ValueError:
                 raise ConfigError(f"parameter {key}: {val!r} is not a number")
-            if key in ("n", "m"):
-                if num != int(num):
-                    raise ConfigError(f"parameter {key} must be an integer")
-                num = int(num)
             kv[key] = num
     try:
         return SystemParams(**kv)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -145,7 +130,10 @@ def _apply_mutation(system_id: str, params: SystemParams, mutate: str) -> System
         step = float(delta)
     except ValueError:
         raise ConfigError(f"--mutate: {delta!r} is not a number")
-    return dataclasses.replace(params, **{key: getattr(params, key) + step})
+    try:
+        return dataclasses.replace(params, **{key: getattr(params, key) + step})
+    except ValueError as exc:
+        raise ConfigError(f"--mutate: {exc}")
 
 
 def cmd_verify(args) -> int:

@@ -543,7 +543,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:    # NaN too: a NaN RHS gives a NaN step
                 status, reason = -1, "step_size"
                 break
             t_new = min(t + h_abs, t_bound)

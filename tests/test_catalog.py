@@ -167,6 +167,15 @@ def test_params_validation_and_reduction():
         SystemParams(n=0, m=1)
     d = SystemParams(u1=1.0, bz=2.0, n=1, m=1).as_dict()
     assert d == {"u1": 1.0, "bz": 2.0, "n": 1, "m": 1}
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"bz": nan}, {"bz": inf}, {"u1": -inf}, {"a": nan}, {"n": inf, "m": 1}):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**bad)
+    for n, m in ((3.5, 2), (3, 2.5)):
+        with pytest.raises(ValueError, match="integers"):
+            SystemParams(bz=1.0, n=n, m=m)
+    p = SystemParams(bz=1.0, n=6.0, m=4.0)
+    assert (p.n, p.m) == (3, 2) and type(p.n) is int
 
 
 def test_builder_preconditions():

@@ -94,6 +94,17 @@ def test_verify_config_errors(capsys):
     for samples in ("0", "-3"):
         assert main(["verify", "op_min", "--params", OP_PARAMS,
                      "--samples", samples]) == EXIT_CONFIG
+    # Parameters SystemParams rejects are configuration errors, not
+    # failed checks (exit 1).
+    for params in ("u2=1.5,bz=2,n=0,m=1", "u2=1.5,bz=2,n=2",
+                   "u2=1.5,bz=2,n=2.5,m=1", "u2=1.5,bz=2,n=nan,m=1"):
+        assert main(["verify", "max5", "--params", params]) == EXIT_CONFIG
+    for params in ("u1=1,bz=nan", "u1=1,bz=inf", "u1=nan,bz=2"):
+        assert main(["verify", "linear_min", "--params", params]) == EXIT_CONFIG
+    # n = 3.5 is no system: the control must not run n = 3 and pass.
+    assert main(["verify", "max5", "--params", "u2=1.5,bz=2,n=3,m=2",
+                 "--mutate", "n=+0.5"]) == EXIT_CONFIG
+    assert "must be integers" in capsys.readouterr().err
 
 
 def test_verify_mutate_rejects_parameters_the_system_lacks(capsys):
@@ -109,6 +120,15 @@ def test_verify_mutate_rejects_parameters_the_system_lacks(capsys):
 def test_argparse_failures_map_to_config_error():
     assert main([]) == EXIT_CONFIG
     assert main(["figure", "seven"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("params", ["u1=1,bz=nan", "u1=1,bz=inf", "u1=nan,bz=2"])
+def test_simulate_non_finite_parameters_are_config_errors(params, capsys):
+    # They used to run without end.
+    assert main(["simulate", "linear_min", "--params", params,
+                 "--t-end", "1"]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
 
 
 def test_simulate_writes_csv_and_meta(tmp_path, capsys):

@@ -262,6 +262,23 @@ def test_solve_ivp_matches_scipy_dop853_on_a_guard_stop(dense):
     assert ours.reason == "plane_guard"
 
 
+def test_solve_ivp_ends_on_a_nan_step():
+    # A RHS that is NaN at the start gives a NaN first step, which
+    # compares False to the step floor; the run must still end there.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        assert len(calls) < 1000, "the step-size loop did not end"
+        return (np.nan,) * 6
+
+    sol = dynamics.solve_ivp(rhs, (0.0, 1.0), (1.0,) * 6, 1e-10, 1e-10,
+                             dense_output=True)
+    assert (sol.status, sol.reason) == (-1, "step_size")
+    assert sol.steps == 0
+
+
+
 def test_dense_run_of_several_blocks_matches_scipy():
     # The figure-1 orbit at 1e-12 takes about 3.8k steps to t = 50, so
     # its interpolant rows are computed in several blocks.
