@@ -222,8 +222,8 @@ def _state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
     def fn(_, y):
         return _dual_state(kind, c, params, y[0])
 
-    program = trace.cached_program(_PROGRAMS.setdefault(c, {}), params, fn,
-                                   f"closed form {kind}", inputs=1) or fn
+    program, _ = trace.cached_program(_PROGRAMS.setdefault(c, {}), params, fn,
+                                      f"closed form {kind}", inputs=1)
     if isinstance(t, np.ndarray) and t.ndim > 0:
         return [np.broadcast_to(v, t.shape) for v in program(0.0, (t.astype(float),))]
     return program(0.0, (float(t),))
@@ -276,7 +276,7 @@ def resonance_check(params: SystemParams, kind: str = OP_MIN) -> Optional[Resona
     if kind in (OP_MIN, "max5"):
         q2 = 1.0 - 8.0 * params.u3 / params.bz ** 2  # (n / 2m)^2
     elif kind in (CP_MIN, "max6"):
-        q2 = params.u3 * 8.0 / params.bz ** 2        # (n / m)^2... see below
+        q2 = params.u3 * 8.0 / params.bz ** 2        # (n / m)^2
     else:
         raise ValueError(f"unknown resonance kind {kind!r}")
     if q2 <= 0.0:

@@ -405,7 +405,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0, tuple(v + h0 * d for v, d in zip(y0, f0)))
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    # h0 is 0 where the RHS overflows; numpy's division gives inf.
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -766,9 +767,11 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
               max_steps: Optional[int] = None) -> Trajectory:
     """Integrate Hamilton's equations from one initial condition.
 
-    Aborts cleanly (``aborted=True``, output truncated at the stop) if
-    the state reaches the guard region of a singular term, passes the
-    escape bound, lets H drift from its initial value by more than
+    Raises DomainError for a start in a guard region or with a component
+    at or beyond ``ESCAPE_BOUND`` (or NaN).  Aborts cleanly
+    (``aborted=True``, output truncated at the stop) if the state
+    reaches the guard region of a singular term, passes the escape
+    bound, lets H drift from its initial value by more than
     ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps``
     accepted steps; ``meta`` names the reason and records RHS calls,
     accepted and rejected steps, the size of the last accepted step, the
@@ -784,6 +787,9 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     y0 = ic.state if isinstance(ic, PhasePoint) else np.asarray(ic, dtype=float)
     y0 = tuple(y0.tolist())
     _check_guard(spec, y0)
+    if not all(abs(v) < ESCAPE_BOUND for v in y0):
+        # The escape event stops a run only where it crosses the bound.
+        raise DomainError(f"initial state at or beyond the escape bound ({ESCAPE_BOUND:g})")
 
     rhs = _make_scalar_rhs(spec)
 

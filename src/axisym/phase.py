@@ -155,23 +155,23 @@ class Observable:
         """Value at a point or state; EvaluationError if it is not finite.
 
         On one state of six floats (numpy float64 scalars included) the
-        field's traced value runs (:func:`axisym.trace.traced_value`,
-        equal to ``fn`` bit for bit), else ``fn`` itself.  A PhasePoint
-        or a float64 array of one state is read as Python floats
-        (``ndarray.tolist``), on which the traced code runs fastest.
+        program of :func:`axisym.trace.traced_value` runs, else ``fn``.
+        A PhasePoint or float64 array is read as Python floats for traced
+        code (fastest), as float64 scalars for ``fn`` on duals (Y4's
+        complex power differs in the last bits between the two).
         """
         state = point_or_state
         if isinstance(state, PhasePoint):
             state = state.state
+        program, backend = self._value_program
         if isinstance(state, np.ndarray) and state.dtype == np.float64 and state.ndim == 1:
-            program = self._value_program
-            state = list(state) if program is None else state.tolist()
+            on_floats = True
+            state = list(state) if backend == "dual" else state.tolist()
         else:
             state = list(state)
             on_floats = all(isinstance(c, float) for c in state)
-            program = self._value_program if on_floats else None
         try:
-            val = self.fn(state) if program is None else program(0.0, state)
+            val = program(0.0, state) if on_floats else self.fn(state)
         except (ZeroDivisionError, OverflowError) as exc:
             raise EvaluationError(f"{self.label or 'observable'}: {exc}") from exc
         val = ad.value(val)

@@ -38,7 +38,8 @@ numpy rows take the power as the field itself does.  A field that
 branches on a value, takes a power other than an ``int`` one, calls a
 ufunc outside :data:`FUNCTIONS` or uses a complex constant raises
 TypeError while being traced (as does ``abs`` of a dual over a traced
-value, which branches on its sign); it stays on dual numbers.  Nested
+value, which branches on its sign); :func:`cached_program` then hands
+back the field itself on dual numbers, run by the same callers.  Nested
 derivatives trace as well when the duals are built on the recording
 scalars, as the determining equations' program builds them: each dual
 layer's arithmetic becomes lines of the one program.  A state handed to
@@ -317,23 +318,31 @@ def _dispatch(on_floats, on_rows):
     return program
 
 
-def cached_program(cache, key, fn, tag: str, inputs=6):
-    """``straight_line(fn, tag, free=True)``, traced on first use.
+def cached_program(cache, key, fn, tag: str, inputs=6) -> tuple:
+    """(program, backend) for ``fn(t, y)``, traced on first use.
 
-    The program is kept in ``cache[key]`` (a dict, or a weak-keyed one
-    for keys that are functions); a ``fn`` that cannot be traced is
-    cached as None, which callers take as "use dual numbers".
+    ``straight_line(fn, tag, free=True)`` with ``"generated"``, kept in
+    ``cache[key]`` (a dict, or a weak-keyed one for keys that are
+    functions); for a ``fn`` that cannot be traced, ``fn`` itself on dual
+    numbers with ``"dual"``, returning the one value of a 1-tuple as
+    generated code does.  Only that verdict, None, is cached: ``fn``
+    closes over ``key`` and would keep a weak key alive.
     """
     try:
-        return cache[key]
+        program = cache[key]
     except KeyError:
-        pass
-    try:
-        program = straight_line(fn, tag, free=True, inputs=inputs)
-    except TypeError:
-        program = None
-    cache[key] = program
-    return program
+        try:
+            program = straight_line(fn, tag, free=True, inputs=inputs)
+        except TypeError:
+            program = None
+        cache[key] = program
+    if program is not None:
+        return program, "generated"
+
+    def on_duals(t, y):
+        out = fn(t, y)
+        return out[0] if len(out) == 1 else out
+    return on_duals, "dual"
 
 
 def evaluate_rows(fn, t, y, out=None) -> np.ndarray:
@@ -440,37 +449,31 @@ _GRADIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _VALUES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def traced_gradient(fn):
-    """Generated ``gradient6(fn, .)``, traced on first use and cached.
-
-    Returns None for a field that cannot be traced.
-    """
+def traced_gradient(fn) -> tuple:
+    """(``gradient6(fn, .)`` as a program, backend), by :func:`cached_program`."""
     from .phase import gradient6   # phase imports this module
 
     return cached_program(_GRADIENTS, fn, lambda t, y: tuple(gradient6(fn, list(y))),
                           f"grad {name_of(fn)}")
 
 
-def traced_value(fn):
-    """Generated ``fn`` on one state, traced on first use and cached.
-
-    Returns None for a field that cannot be traced.
-    """
+def traced_value(fn) -> tuple:
+    """(``fn`` on one state as a program, backend), by :func:`cached_program`."""
     return cached_program(_VALUES, fn, lambda t, y: (fn(list(y)),), f"value {name_of(fn)}")
 
 
 def gradient(fn, state) -> list:
-    """``gradient6(fn, state)``, by the traced gradient where there is one.
+    """``gradient6(fn, state)``, by the program of :func:`traced_gradient`.
 
     ``state`` holds six floats or six arrays of one shape; the arrays
-    run ``BLOCK`` columns at a time.  A state holding duals, or a field
-    that cannot be traced, goes to :func:`gradient6`.
+    run ``BLOCK`` columns at a time.  A state holding duals goes to
+    :func:`gradient6`.
     """
     from .phase import gradient6
 
-    grad = None if any(isinstance(c, Dual) for c in state) else traced_gradient(fn)
-    if grad is None:
+    if any(isinstance(c, Dual) for c in state):
         return gradient6(fn, state)
+    grad, _ = traced_gradient(fn)
     if all(np.ndim(c) == 0 for c in state):
         return list(grad(0.0, tuple(state)))
     return evaluate_blocks(grad, state, 6)

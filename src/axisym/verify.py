@@ -9,11 +9,11 @@ X2 and Y3 from a single tape, and one per closure polynomial evaluates
 it on those values, both in long double; one per (ansatz, B, W) gives
 every residual row of the determining equations, its nested (hyper-dual)
 spatial and momentum derivatives traced with it.  Ranks use each
-observable's traced 6-gradient.  Forward-mode duals remain for fields
-that cannot be traced, and each report names which one ran.  Brackets
-are normalized by the product of the two gradient norms at the
-evaluation point so that high-order integrals with large magnitudes
-compare on the same scale.
+observable's traced 6-gradient.  Checks on fields that cannot be traced
+run on duals (:func:`axisym.trace.cached_program`), and each report
+names which one ran.  Brackets are normalized by the product of the two
+gradient norms at the evaluation point so that high-order integrals
+with large magnitudes compare on the same scale.
 
 The determining-equation tiers run on any integral at most quadratic in
 the momenta, with its coefficients (f, s, m0) read from the integral
@@ -57,7 +57,7 @@ def _as_state_list(s):
 
 def _gradient_backend(*observables) -> str:
     """"generated" if every observable's gradient is traced code, else "dual"."""
-    traced = all(trace.traced_gradient(_fn_of(o)) is not None for o in observables)
+    traced = all(trace.traced_gradient(_fn_of(o))[1] == "generated" for o in observables)
     return "generated" if traced else "dual"
 
 
@@ -91,22 +91,14 @@ def _bracket_program(f: Callable, g: Callable):
 
 def _bracket_check(f, g, states: np.ndarray) -> tuple:
     """(bracket_residuals(f, g, states), the gradient path that ran)."""
-    program = _bracket_program(_fn_of(f), _fn_of(g))
-    state = [states[i] for i in range(6)]
-    if program is None:
-        gf = trace.gradient(_fn_of(f), state)
-        gg = trace.gradient(_fn_of(g), state)
-        br = np.asarray(ad.value(_bracket(gf, gg)), dtype=float)
-        nf = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gf))
-        ng = np.sqrt(sum(np.asarray(ad.value(c)) ** 2 for c in gg))
-        return np.abs(br) / np.maximum(nf * ng, 1e-300), "dual"
+    program, backend = _bracket_program(_fn_of(f), _fn_of(g))
 
     def residual(t, y):
         br, nf2, ng2 = program(t, y)
         br = np.asarray(br, dtype=float)
         return (np.abs(br) / np.maximum(np.sqrt(nf2) * np.sqrt(ng2), 1e-300),)
 
-    return trace.evaluate_blocks(residual, state, 1)[0], "generated"
+    return trace.evaluate_blocks(residual, [states[i] for i in range(6)], 1)[0], backend
 
 
 def bracket_residuals(f, g, states: np.ndarray) -> np.ndarray:
@@ -329,9 +321,7 @@ def _determining_rows(ansatz: QuadraticAnsatz, B, W: Callable, grid) -> list:
     """Every tier's residual rows on ``grid``, each of one value per position."""
     q = np.asarray(grid, dtype=float)
     pt = (q[:, 0], q[:, 1], q[:, 2])
-    program = _determining_program(ansatz, B, W)
-    if program is None:
-        return [np.broadcast_to(r, q.shape[:1]) for r in _tier_rows(ansatz, B, W, pt)]
+    program, _ = _determining_program(ansatz, B, W)
     return trace.evaluate_blocks(program, pt, sum(_TIERS.values()))
 
 
@@ -344,9 +334,8 @@ def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
     linear coefficients against the field, the first/zeroth tiers the
     scalar part against the potential.  The tiers are one function of
     position (:func:`_tier_rows`), traced once per (ansatz, B, W) and
-    run on blocks of the grid; where a field cannot be traced the same
-    function runs on the grid as arrays of dual numbers, with the same
-    values.
+    run on blocks of the grid, on arrays of dual numbers where a field
+    cannot be traced, with the same values.
     """
     rows = iter(_determining_rows(ansatz, B, W, grid))
     return {tier: max(float(np.max(np.abs(next(rows)))) for _ in range(n))
@@ -391,7 +380,7 @@ def _closure_program(spec: SystemSpec):
     """({X1,Y3}^2, H, X1, X2, Y3) from one tape, cached in ``spec.meta``.
 
     The four values share their lines with the primal parts of the two
-    gradients.  None if a field cannot be traced.
+    gradients.
     """
     x1, y3 = spec.integral("X1").fn, spec.integral("Y3").fn
     H, x2 = spec.hamiltonian.fn, spec.integral("X2").fn
@@ -413,28 +402,20 @@ def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
 
     Extended precision: the polynomial cancels across terms orders of
     magnitude above the result, which float64 alone cannot resolve at
-    the closure tolerance.  The traced programs run on blocks cast to
-    long double one at a time.
+    the closure tolerance.  The two programs run on blocks cast to long
+    double one at a time.
     """
-    program = _closure_program(spec)
-    if program is None:
-        states = np.asarray(states, dtype=np.longdouble)
-        state = [states[i] for i in range(6)]
-        x1, x2, y3 = (spec.integral(k) for k in ("X1", "X2", "Y3"))
-        br = np.asarray(ad.value(poisson(x1, y3, state)))
-        values = [np.asarray(ad.value(o.fn(state))) for o in (spec.hamiltonian, x1, x2, y3)]
-        return br ** 2, np.asarray(poly(*values)), "dual"
-
-    poly_program = trace.cached_program(_POLYNOMIALS, poly, lambda t, v: (poly(*v),),
-                                        f"poly {trace.name_of(poly)}", inputs=4)
+    program, backend = _closure_program(spec)
+    poly_program, _ = trace.cached_program(_POLYNOMIALS, poly, lambda t, v: (poly(*v),),
+                                           f"poly {trace.name_of(poly)}", inputs=4)
 
     def sides(t, y):
         lhs, *values = program(t, y)
-        return lhs, poly(*values) if poly_program is None else poly_program(t, values)
+        return lhs, poly_program(t, values)
 
     states = np.asarray(states)
     lhs, rhs = trace.evaluate_blocks(sides, [states[i] for i in range(6)], 2, np.longdouble)
-    return lhs, rhs, "generated"
+    return lhs, rhs, backend
 
 
 def closure_residual(spec: SystemSpec, states: np.ndarray,

@@ -170,6 +170,15 @@ def test_simulate_singular_start_exits_3(tmp_path, capsys):
     assert code == EXIT_SINGULAR
 
 
+@pytest.mark.parametrize("pz", ["2e4", "1e160"])
+def test_simulate_start_beyond_the_escape_bound_exits_3(tmp_path, capsys, pz):
+    code = main(["simulate", "linear_min", "--params", "u1=1,bz=2",
+                 "--ic", f"1,1,1,{pz},1,1", "--t-end", "1", "--out", str(tmp_path)])
+    assert code == EXIT_SINGULAR
+    assert "escape bound" in capsys.readouterr().err
+    assert not (tmp_path / "linear_min_trajectory.csv").exists()
+
+
 def test_simulate_singular_abort_mid_run_exits_3(tmp_path):
     # weak axis barrier: the inward launch crosses the guard radius
     code = main(["simulate", "linear_min", "--params", "u1=1e-4,bz=2",

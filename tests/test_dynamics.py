@@ -1,6 +1,7 @@
 """Equations of motion, integration accuracy, and period detection."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -493,6 +494,22 @@ def test_guard_rejects_singular_start():
         integrate(spec, [GUARD_RADIUS / 2, 0.0, 1.0, 0.0, 0.0, 0.0], 1.0)
     with pytest.raises(DomainError):
         eom_rhs(spec, [1.0, 0.0, GUARD_RADIUS / 2, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("big", [dynamics.ESCAPE_BOUND, 2e4, 1e160, float("nan")])
+def test_start_at_or_beyond_the_escape_bound_is_rejected(big):
+    # The escape event fires only on a crossing, so such a start would
+    # run to its horizon, or (1e160) overflow the first step's estimate.
+    spec = build("linear_min", SystemParams(u1=1.0, bz=2.0))
+    with pytest.raises(DomainError, match="escape bound"):
+        integrate(spec, [1.0, 1.0, 1.0, big, 1.0, 1.0], 1.0)
+
+
+def test_initial_step_of_an_overflowing_rhs():
+    # d1 = inf gives h0 = 0, where scipy's select_initial_step takes
+    # d2 = inf from numpy's division.
+    y0, f0 = (1.0,) * 6, (math.inf,) * 6
+    assert dynamics._initial_step(lambda t, y: f0, 0.0, y0, f0, 1.0, 1e-10, 1e-10) == 0.0
 
 
 def test_guard_aborts_on_approach():

@@ -1,11 +1,13 @@
 """Traced programs: bit-equal to dual numbers and direct values, blocked, lazy."""
 
 import dataclasses
+import gc
 import inspect
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,7 @@ def test_traced_gradient_equals_dual_gradient(key, dtype):
     spec = _spec(key)
     states = sample_safe_states(make_rng(41), 200).astype(dtype)
     for obs in spec.observables():
-        traced = trace.traced_gradient(obs.fn) is not None
+        traced = trace.traced_gradient(obs.fn)[1] == "generated"
         assert traced == ((key, obs.label) not in UNTRACEABLE), (key, obs.label)
         got = _assert_same_gradient(obs.fn, list(states))
         if traced:
@@ -112,7 +114,7 @@ def test_bracket_residuals_equal_dual_reference():
         pairs = [(g, spec.hamiltonian) for g in spec.integrals]
         pairs += [(spec.integral(a), spec.integral(b)) for a, b in spec.involutions]
         for f, g in pairs:
-            traced = verify._bracket_program(f.fn, g.fn) is not None
+            traced = verify._bracket_program(f.fn, g.fn)[1] == "generated"
             assert traced == ((key, f.label) not in UNTRACEABLE), (key, f.label)
             assert np.array_equal(bracket_residuals(f, g, states),
                                   _dual_bracket_residuals(f, g, states)), (key, f.label, g.label)
@@ -179,7 +181,7 @@ def test_untraceable_checks_fall_back_to_duals_with_the_same_results():
     assert np.array_equal(traced.lhs, fallback.lhs)
     assert np.array_equal(traced.rhs, fallback.rhs)
     x1 = spec.integral("X1")
-    assert verify._bracket_program(x1.fn, slow.hamiltonian.fn) is None
+    assert verify._bracket_program(x1.fn, slow.hamiltonian.fn)[1] == "dual"
     assert np.array_equal(bracket_residuals(x1, spec.hamiltonian, states),
                           bracket_residuals(x1, slow.hamiltonian, states))
     # Reports name the path that ran, though X1's and Y3's gradients are traced.
@@ -196,7 +198,7 @@ def test_math_function_checks_run_generated_code_equal_to_duals():
     assert backend == "generated"
     assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
     x1 = spec.integral("X1")
-    assert verify._bracket_program(x1.fn, spec.hamiltonian.fn) is not None
+    assert verify._bracket_program(x1.fn, spec.hamiltonian.fn)[1] == "generated"
     assert np.array_equal(bracket_residuals(x1, spec.hamiltonian, states),
                           _dual_bracket_residuals(x1, spec.hamiltonian, states))
     backend = {r.check: r.gradient for r in verify_system(spec, samples=50, rank_points=5)}
@@ -321,7 +323,7 @@ def test_eval_runs_traced_value_equal_to_fn(key):
     spec = _spec(key)
     rows = sample_safe_states(make_rng(47), 200)
     for obs in spec.observables():
-        traced = trace.traced_value(obs.fn) is not None
+        traced = trace.traced_value(obs.fn)[1] == "generated"
         assert traced == ((key, obs.label) not in UNTRACEABLE), (key, obs.label)
         for column in rows.T:
             for state in (column, PhasePoint.from_state(column), column.tolist(),
@@ -333,7 +335,7 @@ def test_eval_runs_traced_value_equal_to_fn(key):
 
 def test_eval_on_the_axis_raises_evaluation_error():
     x1 = _spec("op_min").integral("X1")
-    assert trace.traced_value(x1.fn) is not None
+    assert trace.traced_value(x1.fn)[1] == "generated"
     on_axis = [0.0, 0.0, 1.0, 0.1, 0.2, 0.3]
     with pytest.raises(EvaluationError):
         x1.eval(on_axis)
@@ -348,9 +350,9 @@ def test_untraceable_fields_keep_the_dual_path():
     branching = _with_branching_h(_spec("family_oblate"))
     fields.append(("family_oblate", branching.hamiltonian))
     for key, obs in fields:
-        assert trace.traced_value(obs.fn) is None
-        assert trace.traced_gradient(obs.fn) is None
-        assert verify._bracket_program(obs.fn, _spec(key).integrals[-1].fn) is None
+        assert trace.traced_value(obs.fn)[1] == "dual"
+        assert trace.traced_gradient(obs.fn)[1] == "dual"
+        assert verify._bracket_program(obs.fn, _spec(key).integrals[-1].fn)[1] == "dual"
     states = sample_safe_states(make_rng(50), 20)
     for column in states.T:
         assert branching.hamiltonian.eval(column) == _spec("family_oblate").hamiltonian.eval(column)
@@ -361,9 +363,9 @@ def test_abs_of_a_dual_falls_back_to_duals():
     # value does not have: tracing raises TypeError, not AttributeError.
     pz = Observable(lambda s: abs(s[0]) * 0.0 + s[5], "Pz", 1)
     z = Observable(lambda s: s[2], "z", 0)
-    assert trace.traced_gradient(pz.fn) is None
+    assert trace.traced_gradient(pz.fn)[1] == "dual"
     assert trace.cached_program({}, "abs", lambda t, y: (abs(ad.Dual(y[0], 1.0)).im,),
-                                "abs") is None
+                                "abs")[1] == "dual"
     state = sample_safe_states(make_rng(51), 1)[:, 0].tolist()
     gf, gg = gradient6(pz.fn, state), gradient6(z.fn, state)
     want = sum(gf[i] * gg[i + 3] - gf[i + 3] * gg[i] for i in range(3))
@@ -415,6 +417,25 @@ def test_building_specs_traces_nothing(monkeypatch):
     assert not any("_closure" in spec.meta for spec in specs)
 
 
+def test_caches_do_not_keep_an_untraceable_spec_alive():
+    # Only the verdict is cached for an untraceable field, never the dual
+    # program, which closes over the field that keys the cache.
+    spec = _with_branching_h(build("op_min", PARAMS["op_min"]))
+    verify_system(spec, samples=20, rank_points=3, seed=1)
+    spec.hamiltonian.eval(sample_safe_states(make_rng(53), 1)[:, 0])
+    fns = [obs.fn for obs in spec.observables()]
+
+    def cached(fn):
+        return (fn in trace._GRADIENTS, fn in trace._VALUES,
+                any(fn in inner for inner in verify._BRACKETS.values()))
+
+    assert cached(spec.hamiltonian.fn) == (True, True, True)
+    refs = [weakref.ref(fn) for fn in fns]
+    del spec, fns
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
 @pytest.fixture
 def thread_starts(monkeypatch):
     """Threads started while the test runs."""
@@ -448,6 +469,30 @@ def test_two_threads_give_the_serial_closure_sides(monkeypatch, thread_starts, n
     assert not any(t.is_alive() for t in thread_starts)
     for got, want in zip(threaded[:2], serial[:2], strict=True):
         assert got.dtype == np.longdouble and np.array_equal(got, want)
+
+
+def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, thread_starts):
+    # A branching H puts the whole closure program on duals, which runs
+    # on the same long-double blocks, on two threads, as traced code.
+    spec = _with_branching_h(_spec("op_min"))
+    states = sample_safe_states(make_rng(46), trace.BLOCK + 1)
+    _on_cpus(monkeypatch, 2)
+    lhs, rhs, backend = verify._closure_sides(spec, states, spec.closure)
+    assert backend == "dual" and len(thread_starts) == 1
+    want_lhs, want_rhs = _closure_reference(spec, states, spec.closure)
+    assert lhs.dtype == rhs.dtype == np.longdouble
+    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+
+
+@pytest.mark.parametrize("key", ["max5", "max6"])
+def test_untraceable_gradient_on_two_threads_equals_gradient6(monkeypatch, thread_starts, key):
+    y4 = _spec(key).integral("Y4")
+    states = sample_safe_states(make_rng(48), trace.BLOCK + 1).astype(np.longdouble)
+    _on_cpus(monkeypatch, 2)
+    assert trace.traced_gradient(y4.fn)[1] == "dual"
+    got = _assert_same_gradient(y4.fn, list(states))
+    assert len(thread_starts) == 1
+    assert all(g.dtype == np.longdouble for g in got)
 
 
 def _columns(n):

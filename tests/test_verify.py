@@ -138,7 +138,7 @@ def _dual_tiers(ansatz, B, W, grid):
 
 def _assert_traced_equals_duals(ansatz, B, W, grid):
     """Traced tiers, checked row by row against the dual path."""
-    assert verify._determining_program(ansatz, B, W) is not None
+    assert verify._determining_program(ansatz, B, W)[1] == "generated"
     rows = verify._determining_rows(ansatz, B, W, grid)
     for got, want in zip(rows, _dual_rows(ansatz, B, W, grid), strict=True):
         assert np.array_equal(got, want)
@@ -216,10 +216,16 @@ def test_untraceable_ansatz_runs_the_tiers_on_duals():
     good = y3_quadratic_ansatz(spec)
     grid = safe_grid(3)
     branching = dataclasses.replace(good, s1=lambda x, y, z: good.s1(x, y, z) + value_branch(x))
-    assert verify._determining_program(branching, spec.B, spec.W) is None
+    assert verify._determining_program(branching, spec.B, spec.W)[1] == "dual"
     tiers = determining_residuals(branching, spec.B, spec.W, grid)
     assert tiers == _dual_tiers(branching, spec.B, spec.W, grid)
     assert tiers == determining_residuals(good, spec.B, spec.W, grid)
+    # Over more than one block the dual program runs block by block.
+    grid = safe_grid(17)
+    assert len(grid) > trace.BLOCK
+    rows = verify._determining_rows(branching, spec.B, spec.W, grid)
+    for got, want in zip(rows, _dual_rows(branching, spec.B, spec.W, grid), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_repeated_y3_tiers_are_traced_once(monkeypatch):
@@ -250,8 +256,8 @@ def test_a_replaced_spec_reads_its_own_ansatz():
     assert y3_quadratic_ansatz(dataclasses.replace(spec)) is not old
     replaced = dataclasses.replace(spec, integrals=bad.integrals)
     ansatz = y3_quadratic_ansatz(replaced)
-    program = verify._determining_program(ansatz, spec.B, spec.W)
-    assert program is not verify._determining_program(old, spec.B, spec.W)
+    program, _ = verify._determining_program(ansatz, spec.B, spec.W)
+    assert program is not verify._determining_program(old, spec.B, spec.W)[0]
     tiers = _assert_traced_equals_duals(ansatz, spec.B, spec.W, grid)
     assert tiers["first"] > 1e-3
 
