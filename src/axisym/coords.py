@@ -91,12 +91,6 @@ def chart_to_cartesian(kind, values, a=None):
     raise ValueError(kind)
 
 
-def to_cartesian(c: CurvilinearCoords):
-    """Cartesian position of a validated chart point."""
-    x, y, z = chart_to_cartesian(c.kind, c.values, c.a)
-    return (float(x), float(y), float(z))
-
-
 def cartesian_to_chart(kind, x, y, z, a=None):
     """Inverse transform; generic over floats, arrays, and duals.
 

@@ -10,14 +10,9 @@ horizon.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,68 +87,6 @@ def _spec(system_id: str, params: SystemParams):
     return build(system_id, params)
 
 
-@contextlib.contextmanager
-def _beside(fn):
-    """Run ``fn()`` in a forked child while the body runs.
-
-    Yields a function that returns ``fn()``'s value or raises its
-    exception.  Forks only where a second CPU may take the child and no
-    other thread is alive (one holding a lock at the fork would leave the
-    child stuck on it); otherwise, or when the fork fails, ``fn`` runs in
-    place before the body.  The child is reaped when the body exits, and
-    killed first if it is still running.
-    """
-    pid = None
-    if hasattr(os, "fork") and trace._cpus() >= 2 and threading.active_count() == 1:
-        sys.stdout.flush()
-        sys.stderr.flush()
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-    if pid == 0:
-        try:
-            try:
-                out = (True, fn())
-            except BaseException as exc:    # raised again in the parent
-                out = (False, exc)
-            try:
-                data = pickle.dumps(out)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((False, RuntimeError(repr(out[1]))))
-            with os.fdopen(w, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            # Neither flush inherited stdio buffers nor run atexit handlers.
-            os._exit(0)
-    if pid is None:
-        value = fn()
-        yield lambda: value
-        return
-    os.close(w)
-    reader = os.fdopen(r, "rb")
-
-    def result():
-        data = reader.read()
-        if not data:
-            raise RuntimeError("the forked child ended without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield result
-    finally:
-        reader.close()
-        if os.waitpid(pid, os.WNOHANG)[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
                detect: bool = True) -> dict:
     """Reproduce one reference figure: CSV, SVG projections, meta JSON.
@@ -198,7 +131,7 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
         report = search_period(prefix(spec, run, recipe.detect_horizon),
                                recipe.tol_return)
     elif detect and len(t_ends) > 1:
-        with _beside(search) as searched:
+        with trace.beside(search) as searched:
             run = integrate(spec, ic, max(t_ends), tol=tol)
             report = searched()
     elif detect:

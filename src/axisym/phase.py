@@ -103,11 +103,6 @@ def sample_safe_states(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def sample_safe_points(rng: np.random.Generator, n: int) -> list[PhasePoint]:
-    states = sample_safe_states(rng, n)
-    return [PhasePoint.from_state(states[:, i]) for i in range(n)]
-
-
 def _tangent_like(result, ref):
     t = ad.tangent(result)
     if isinstance(t, float) and t == 0.0 and isinstance(ref, np.ndarray):

@@ -61,29 +61,50 @@ columns because wider long-double blocks fall out of the cache: op_min
 X1's gradient on 100k long-double states took 108-147 ms with 4096
 columns and 142-170 ms with 8192-16384.
 
-Two threads.  A long-double call of more than one block runs on two
-threads when the process may run on at least two CPUs
-(``os.sched_getaffinity``, else ``os.cpu_count``): half blocks of
-``BLOCK // 2`` columns alternate between the calling thread and one
-worker started for the call, which keeps off the caller's CPU, takes
-the caller's numpy error state and writes its own columns of the
-outputs.  numpy releases the GIL inside its long-double loops.  Each
-column runs the same code as on one thread, so the values are the same.
-On a 2-CPU Xeon VM, op_min's closure program on 100k long-double states
-took 0.28-0.39 s on one thread and 0.14-0.24 s on two; left to the
-scheduler, the worker shared the caller's CPU for whole calls and gained
-nothing.  Half blocks hold about the memory of one thread's blocks: with
-full blocks on each thread the ``verify`` benchmark peaked at 62.7 MB of
-RSS, against 60.3-60.4 MB.  Float64 blocks stay on one thread (op_min
-X1's gradient at 100k took 26-32 ms on one thread and 51-58 ms on two),
-as do single blocks and one-CPU processes.
+Two processes.  A call of at least ``SPLIT_BLOCKS`` blocks, in either
+dtype, runs on two processes where :func:`beside` may fork: the process
+may use a second CPU (``os.sched_getaffinity``, else ``os.cpu_count``)
+and runs no other thread.  The outputs are views of one anonymous shared
+mapping; a forked child fills the odd blocks while the caller fills the
+even ones, and an exception raised in the child's half is raised again
+in the caller.  The child starts from the caller's memory, numpy's error
+state included, and each column runs the same code as in one process,
+so the values are the same; where no fork is made the blocks run in
+place.  A fork has a fixed cost: fork, exit and reap took 2.2 ms in a
+57 MB ``verify`` process, and memory first written just after it is
+copied (40 long-double rows of 4096 columns, allocated and filled, took
+2.0 times as long).  So only large calls gain.  Milliseconds per call of
+op_min's X1 bracket (float64) and closure sides (long double) on a 2-CPU
+Xeon VM, medians of 5 runs of 7 calls, serial | split from 2 blocks:
+
+    =======  ============  ==========
+    columns  float64       long double
+    =======  ============  ==========
+       8192   4.2 |  7.5    29 |  22
+      16384   5.6 | 10.2    47 |  40
+      32768  12.2 | 13.7    98 |  74
+     100000  32.8 | 27.4   274 | 177
+    =======  ============  ==========
+
+Float64 gains only past 8 blocks (at 32768 columns, 11.2-15.1 ms serial
+and 12.3-15.1 split), long double from 2.  ``SPLIT_BLOCKS`` = 8 serves
+both, so long-double calls of 2-7 blocks give up their gain; no caller
+makes them at the CLI's default of 1000 samples or in the ``verify``
+benchmark, whose large calls have 25 blocks.  Threads do not serve
+float64, whose loops hold the GIL (op_min X1's gradient at 100k: 26-32
+ms on one thread, 51-58 ms on two).  The child's peak RSS over a
+``verify`` pass was 41 MB, the caller's 57 MB.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
+import pickle
+import sys
+import threading
 import types
 import weakref
 
@@ -93,6 +114,8 @@ from .autodiff import Dual
 
 # Columns per call of a traced gradient on arrays.
 BLOCK = 4096
+# Blocks from which a call of evaluate_blocks runs on two processes.
+SPLIT_BLOCKS = 8
 
 # Ufunc an autodiff helper calls on a non-float leaf -> the math function
 # it calls on Python floats and ints.  A traced line calls the ufunc by
@@ -371,51 +394,36 @@ def evaluate_blocks(fn, rows, n_out: int, dtype=None) -> list:
     states, 2 of 10 benchmark runs peaked at 93 MB of RSS in place of
     84 MB.
 
-    Long-double outputs of more than one block run on two threads when
-    the process may use two CPUs (see the module's "Two threads"); the
-    values are those of one thread.
+    A call of at least ``SPLIT_BLOCKS`` blocks runs on two processes
+    (see the module's "Two processes"), with the values of one.
     """
     rows = np.broadcast_arrays(*rows)
     flat = [np.ravel(r) for r in rows]
     size = flat[0].size
     out_dtype = np.result_type(*flat, 0.0) if dtype is None else np.dtype(dtype)
-    out = [np.empty(size, out_dtype) for _ in range(n_out)]
+    starts = range(0, size, BLOCK)
 
-    def run(starts, width):
+    def run(starts):
         for lo in starts:
-            block = [r[lo:lo + width] for r in flat]
+            block = [r[lo:lo + BLOCK] for r in flat]
             if dtype is not None:
                 block = [b.astype(dtype) for b in block]
-            values = fn(0.0, tuple(block))
-            for o, v in zip(out, values, strict=True):
-                o[lo:lo + width] = v
+            for o, v in zip(out, fn(0.0, tuple(block)), strict=True):
+                o[lo:lo + BLOCK] = v
 
-    if out_dtype == np.longdouble and size > BLOCK and _cpus() >= 2:
-        # numpy releases the GIL in its long-double loops; float64 blocks
-        # are too short for a second thread to pay.
-        from concurrent.futures import ThreadPoolExecutor
-
-        starts = range(0, size, BLOCK // 2)
-        errors = np.geterr()
-        elsewhere = _other_cpus()
-
-        def worker():
-            # Left to the scheduler, the worker often shares the caller's
-            # CPU for the whole call while another stays idle.
-            if elsewhere:
-                try:
-                    os.sched_setaffinity(0, elsewhere)
-                except OSError:
-                    pass
-            with np.errstate(**errors):
-                run(starts[1::2], BLOCK // 2)
-
-        with ThreadPoolExecutor(1) as pool:
-            done = pool.submit(worker)
-            run(starts[::2], BLOCK // 2)
-            done.result()
+    if len(starts) < SPLIT_BLOCKS:
+        out = [np.empty(size, out_dtype) for _ in range(n_out)]
+        run(starts)
     else:
-        run(range(0, size, BLOCK), BLOCK)
+        # One shared mapping, so the child's columns reach the caller.
+        import mmap
+
+        width = size * out_dtype.itemsize
+        shared = mmap.mmap(-1, n_out * width)
+        out = [np.frombuffer(shared, out_dtype, size, i * width) for i in range(n_out)]
+        with beside(lambda: run(starts[1::2])) as child:
+            run(starts[::2])
+            child()
     return [o.reshape(rows[0].shape) for o in out]
 
 
@@ -427,17 +435,68 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _other_cpus() -> set:
-    """The CPUs of the calling thread but the one it runs on now.
+@contextlib.contextmanager
+def beside(fn):
+    """Run ``fn()`` in a forked child while the body runs.
 
-    Empty where that CPU cannot be read (outside Linux).
+    Yields a function that returns ``fn()``'s value or raises its
+    exception.  Forks only where a second CPU may take the child and no
+    other thread is alive (one holding a lock at the fork would leave the
+    child stuck on it); otherwise, or when the fork fails, ``fn`` runs in
+    place before the body.  The child is reaped when the body exits, and
+    killed first if it is still running.
     """
+    pid = None
+    if hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid == 0:
+        try:
+            try:
+                out = (True, fn())
+            except BaseException as exc:    # raised again in the parent
+                out = (False, exc)
+            try:
+                data = pickle.dumps(out)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(out[1]))))
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            # Neither flush inherited stdio buffers nor run atexit handlers.
+            os._exit(0)
+    if pid is None:
+        value = fn()
+        yield lambda: value
+        return
+    os.close(w)
+    reader = os.fdopen(r, "rb")
+
+    def result():
+        data = reader.read()
+        if not data:
+            raise RuntimeError("the forked child ended without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
     try:
-        with open("/proc/thread-self/stat") as f:
-            here = int(f.read().rsplit(")", 1)[1].split()[36])    # field 39
-        return os.sched_getaffinity(0) - {here}
-    except (OSError, AttributeError, ValueError, IndexError):
-        return set()
+        yield result
+    finally:
+        reader.close()
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def name_of(fn) -> str:

@@ -1,6 +1,7 @@
 """Shared fixtures: reference parameter sets and sampling helpers."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -67,3 +68,30 @@ def value_branch(v):
 @pytest.fixture
 def reference_ic():
     return REFERENCE_IC.copy()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process" + (f" (pid {pid})" if pid else ""))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Children forked while the test runs (as seen by the parent)."""
+    started = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started

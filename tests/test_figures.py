@@ -17,35 +17,12 @@ def cheap_figure4(monkeypatch):
     recipe = dataclasses.replace(figures.RECIPES[4], detect_horizon=60.0,
                                  horizons=(3.0, 8.0))
     monkeypatch.setitem(figures.RECIPES, 4, recipe)
-    # Never pin the child: no process's affinity changes here.
-    monkeypatch.setattr(trace, "_other_cpus", set)
     return recipe
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Children forked while the test runs (as seen by the parent)."""
-    started = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            started.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return started
 
 
 def _on_cpus(monkeypatch, n):
     # The count the process reads, not its affinity, which stays as it is.
     monkeypatch.setattr(trace, "_cpus", lambda: n)
-
-
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _without_paths(meta):
@@ -60,7 +37,6 @@ def test_forked_search_gives_the_serial_files(monkeypatch, tmp_path, cheap_figur
         _on_cpus(monkeypatch, n)
         metas[n] = figures.run_figure(4, str(tmp_path / f"cpus{n}"))
     assert len(forks) == 1
-    _no_children_left()
     assert _without_paths(metas[1]) == _without_paths(metas[2])
     assert metas[2]["period_report"]["closed"] is False
     serial = sorted(os.listdir(tmp_path / "cpus1"))
@@ -82,7 +58,6 @@ def test_the_childs_exception_reaches_the_caller(monkeypatch, tmp_path, cheap_fi
     with pytest.raises(ValueError, match="no search in the child"):
         figures.run_figure(4, str(tmp_path))
     assert len(forks) == 1
-    _no_children_left()
 
 
 def test_an_exception_that_cannot_be_pickled_arrives_as_its_repr(monkeypatch, forks):
@@ -95,10 +70,9 @@ def test_an_exception_that_cannot_be_pickled_arrives_as_its_repr(monkeypatch, fo
         raise Local("local class")
 
     with pytest.raises(RuntimeError, match="Local.*local class"):
-        with figures._beside(fail) as result:
+        with trace.beside(fail) as result:
             result()
     assert len(forks) == 1
-    _no_children_left()
 
 
 def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, tmp_path,
@@ -120,7 +94,6 @@ def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, tmp_path,
     assert len(forks) == 1
     with pytest.raises(ProcessLookupError):
         os.kill(forks[0], 0)
-    _no_children_left()
 
 
 def test_another_live_thread_keeps_the_search_in_place(monkeypatch, tmp_path,
@@ -152,6 +125,6 @@ def test_a_failed_fork_runs_the_search_in_place(monkeypatch):
         calls.append(os.getpid())
         return "value"
 
-    with figures._beside(search) as result:
+    with trace.beside(search) as result:
         assert calls == [os.getpid()]       # ran in place, before the body
     assert result() == "value"

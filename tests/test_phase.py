@@ -15,7 +15,6 @@ from axisym.phase import (
     gradient6,
     hamiltonian_observable,
     make_rng,
-    sample_safe_points,
     sample_safe_states,
     SAFE_PMAX,
     SAFE_QMAX,
@@ -46,7 +45,7 @@ def test_sampling_stays_in_safe_box():
     q = np.abs(states[:3])
     assert np.all(q >= SAFE_QMIN) and np.all(q <= SAFE_QMAX)
     assert np.all(np.abs(states[3:]) <= SAFE_PMAX)
-    pts = sample_safe_points(rng, 3)
+    pts = [PhasePoint.from_state(s) for s in sample_safe_states(rng, 3).T]
     assert len(pts) == 3 and isinstance(pts[0], PhasePoint)
 
 

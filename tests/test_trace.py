@@ -436,106 +436,128 @@ def test_caches_do_not_keep_an_untraceable_spec_alive():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """Threads started while the test runs."""
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
-
-
 def _on_cpus(monkeypatch, n):
     # The count the process reads, not its affinity, which stays as it is.
     monkeypatch.setattr(trace, "_cpus", lambda: n)
 
 
+SPLIT = trace.SPLIT_BLOCKS * trace.BLOCK
+
+
 @pytest.mark.parametrize("n", [trace.BLOCK - 1, trace.BLOCK, trace.BLOCK + 1,
-                               2 * trace.BLOCK + 3, 100_000])
-def test_two_threads_give_the_serial_closure_sides(monkeypatch, thread_starts, n):
+                               2 * trace.BLOCK + 3, SPLIT - trace.BLOCK,
+                               SPLIT - trace.BLOCK + 1, SPLIT - 1, SPLIT + 1, 100_000])
+def test_two_threads_give_the_serial_closure_sides(monkeypatch, forks, n):
+    # Two processes: a call of SPLIT_BLOCKS blocks or more forks once.
     spec = _spec("op_min")
     states = sample_safe_states(make_rng(46), n)
     _on_cpus(monkeypatch, 1)
     serial = verify._closure_sides(spec, states, spec.closure)
-    assert thread_starts == []
+    assert forks == []
     _on_cpus(monkeypatch, 2)
-    threaded = verify._closure_sides(spec, states, spec.closure)
-    assert len(thread_starts) == (n > trace.BLOCK)
-    assert not any(t.is_alive() for t in thread_starts)
-    for got, want in zip(threaded[:2], serial[:2], strict=True):
+    split = verify._closure_sides(spec, states, spec.closure)
+    assert len(forks) == (n > SPLIT - trace.BLOCK)
+    for got, want in zip(split[:2], serial[:2], strict=True):
         assert got.dtype == np.longdouble and np.array_equal(got, want)
 
 
-def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, thread_starts):
+def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, forks):
     # A branching H puts the whole closure program on duals, which runs
-    # on the same long-double blocks, on two threads, as traced code.
+    # on the same long-double blocks, on two processes, as traced code.
     spec = _with_branching_h(_spec("op_min"))
-    states = sample_safe_states(make_rng(46), trace.BLOCK + 1)
+    states = sample_safe_states(make_rng(46), SPLIT + 1)
     _on_cpus(monkeypatch, 2)
     lhs, rhs, backend = verify._closure_sides(spec, states, spec.closure)
-    assert backend == "dual" and len(thread_starts) == 1
+    assert backend == "dual" and len(forks) == 1
     want_lhs, want_rhs = _closure_reference(spec, states, spec.closure)
     assert lhs.dtype == rhs.dtype == np.longdouble
     assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
 
 
 @pytest.mark.parametrize("key", ["max5", "max6"])
-def test_untraceable_gradient_on_two_threads_equals_gradient6(monkeypatch, thread_starts, key):
+def test_untraceable_gradient_on_two_threads_equals_gradient6(monkeypatch, forks, key):
     y4 = _spec(key).integral("Y4")
-    states = sample_safe_states(make_rng(48), trace.BLOCK + 1).astype(np.longdouble)
+    states = sample_safe_states(make_rng(48), SPLIT + 1).astype(np.longdouble)
     _on_cpus(monkeypatch, 2)
     assert trace.traced_gradient(y4.fn)[1] == "dual"
     got = _assert_same_gradient(y4.fn, list(states))
-    assert len(thread_starts) == 1
+    assert len(forks) == 1
     assert all(g.dtype == np.longdouble for g in got)
 
 
-def _columns(n):
-    # One long-double row whose entries are their column numbers.
-    return [np.arange(n, dtype=np.longdouble)]
+def _columns(n, dtype=np.longdouble):
+    # One row whose entries are their column numbers.
+    return [np.arange(n, dtype=dtype)]
 
 
-def test_an_error_in_the_workers_half_reaches_the_caller(monkeypatch):
+def test_an_error_in_the_workers_half_reaches_the_caller(monkeypatch, forks):
     _on_cpus(monkeypatch, 2)
-    half = trace.BLOCK // 2
-    threads = []
 
     def fn(t, y):
-        if y[0][0] == half:       # the first half block of the worker
-            threads.append(threading.current_thread())
-            raise ArithmeticError("worker")
+        if y[0][0] == trace.BLOCK:       # the first block of the child
+            raise ArithmeticError(f"raised in {os.getpid()}")
         return (y[0],)
 
-    with pytest.raises(ArithmeticError, match="worker"):
-        trace.evaluate_blocks(fn, _columns(2 * trace.BLOCK + 3), 1)
-    assert threads and threads[0] is not threading.main_thread()
+    with pytest.raises(ArithmeticError) as raised:
+        trace.evaluate_blocks(fn, _columns(SPLIT), 1)
+    assert len(forks) == 1 and str(raised.value) == f"raised in {forks[0]}"
 
 
-def test_the_worker_keeps_the_callers_error_state(monkeypatch):
+def test_the_worker_keeps_the_callers_error_state(monkeypatch, forks):
     _on_cpus(monkeypatch, 2)
-    y = [np.ones(2 * trace.BLOCK, np.longdouble)]
-    y[0][trace.BLOCK // 2 + 1] = 0.0         # in the worker's half block
 
     def reciprocal(t, y):
         return (1.0 / y[0],)
 
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        trace.evaluate_blocks(reciprocal, y, 1)
-    with np.errstate(divide="ignore"):
-        (got,) = trace.evaluate_blocks(reciprocal, y, 1)
-    assert np.isinf(got[trace.BLOCK // 2 + 1]) and got.dtype == np.longdouble
+    for dtype in (np.float64, np.longdouble):
+        y = [np.ones(SPLIT, dtype)]
+        y[0][trace.BLOCK + 1] = 0.0         # in the child's first block
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            trace.evaluate_blocks(reciprocal, y, 1)
+        with np.errstate(divide="ignore"):
+            (got,) = trace.evaluate_blocks(reciprocal, y, 1)
+        assert np.isinf(got[trace.BLOCK + 1]) and got.dtype == dtype
+    assert len(forks) == 4
 
 
-def test_one_cpu_runs_long_double_blocks_serially(monkeypatch, thread_starts):
+def test_one_cpu_runs_long_double_blocks_serially(monkeypatch, forks):
     _on_cpus(monkeypatch, 1)
-    (got,) = trace.evaluate_blocks(lambda t, y: (y[0] * 2,), _columns(2 * trace.BLOCK + 3), 1)
-    assert np.array_equal(got, 2 * _columns(2 * trace.BLOCK + 3)[0])
-    assert thread_starts == []
+    (got,) = trace.evaluate_blocks(lambda t, y: (y[0] * 2,), _columns(SPLIT + 3), 1)
+    assert np.array_equal(got, 2 * _columns(SPLIT + 3)[0])
+    assert forks == []
+
+
+@pytest.mark.parametrize("obstacle", ["live thread", "failed fork"])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_blocks_run_in_place_beside_a_thread_or_after_a_failed_fork(monkeypatch, forks,
+                                                                  obstacle, dtype):
+    _on_cpus(monkeypatch, 2)
+    refused, pids = [], []
+
+    def no_fork():
+        refused.append(True)
+        raise OSError("fork refused")
+
+    def double(t, y):
+        pids.append(os.getpid())
+        return (y[0] * 2,)
+
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if obstacle == "failed fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        other.start()
+    try:
+        (got,) = trace.evaluate_blocks(double, _columns(SPLIT + 3, dtype), 1)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+    assert refused == ([True] if obstacle == "failed fork" else [])
+    assert pids == [os.getpid()] * (trace.SPLIT_BLOCKS + 1)
+    assert np.array_equal(got, 2 * _columns(SPLIT + 3, dtype)[0]) and got.dtype == dtype
 
 
 def test_cpu_count_reads_the_affinity_else_the_cpu_count(monkeypatch):
@@ -548,38 +570,28 @@ def test_cpu_count_reads_the_affinity_else_the_cpu_count(monkeypatch):
     assert trace._cpus() == 1
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or trace._cpus() < 2,
-                    reason="needs two CPUs and per-thread affinity")
-def test_the_worker_leaves_the_callers_cpu():
-    allowed = os.sched_getaffinity(0)
-    seen = []
-
-    def fn(t, y):
-        if threading.current_thread() is not threading.main_thread():
-            seen.append(os.sched_getaffinity(0))
-        return (y[0],)
-
-    trace.evaluate_blocks(fn, _columns(2 * trace.BLOCK), 1)
-    assert seen and all(len(s) == len(allowed) - 1 and s < allowed for s in seen)
-    assert os.sched_getaffinity(0) == allowed
-
-
-def test_float64_blocks_start_no_thread(monkeypatch, thread_starts):
-    _on_cpus(monkeypatch, 2)
+def test_float64_at_100k_forks_once_and_equals_serial(monkeypatch, forks):
     spec = _spec("op_min")
     states = sample_safe_states(make_rng(47), 100_000)
-    grad = trace.gradient(spec.integral("X1").fn, list(states))
-    assert all(g.dtype == np.float64 for g in grad)
+    x1 = spec.integral("X1")
+    values = {}
+    for n in (1, 2):
+        _on_cpus(monkeypatch, n)
+        values[n] = [*trace.gradient(x1.fn, list(states)),
+                     bracket_residuals(x1, spec.hamiltonian, states)]
+    assert len(forks) == 2
+    for got, want in zip(values[2], values[1], strict=True):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
     (got,) = trace.evaluate_blocks(lambda t, y: (y[0],), [states[0]], 1)
-    assert np.array_equal(got, states[0])
-    assert thread_starts == []
+    assert np.array_equal(got, states[0]) and len(forks) == 3
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # The pool is imported by the first threaded call, not by
-    # ``import axisym``, whose time every CLI call pays.
+    # ``import axisym``, whose time every CLI call pays, loads neither the
+    # shared mapping of a split call nor a thread pool.
     src = str(Path(trace.__file__).parents[1])
     code = ("import sys, axisym; "
-            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'")
+            "loaded = {'mmap', 'concurrent.futures'} & sys.modules.keys(); "
+            "assert not loaded, loaded")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
