@@ -641,6 +641,11 @@ class PeriodReport:
     period: Optional[float]
     return_distance: float
     refinement_iterations: int = 0
+    # The searched run's stop reason, RHS calls and accepted steps from
+    # its ``meta``; None when there was no run.
+    reason: Optional[str] = None
+    nfev: Optional[int] = None
+    steps: Optional[int] = None
 
     def as_dict(self) -> dict:
         return {
@@ -648,6 +653,9 @@ class PeriodReport:
             "period": self.period,
             "return_distance": self.return_distance,
             "refinement_iterations": self.refinement_iterations,
+            "reason": self.reason,
+            "nfev": self.nfev,
+            "steps": self.steps,
         }
 
 
@@ -714,9 +722,9 @@ def _output_nodes(t_end: float, dt_hint: Optional[float]) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
 
 
-def _sample_dense(spec: SystemSpec, dense: DenseOutput, t_end: float,
-                  t_final: float, dt_out: Optional[float] = None):
-    """Nodes, states and traces of a dense run over [0, t_end].
+def _sample_dense(dense: DenseOutput, t_end: float, t_final: float,
+                  dt_out: Optional[float] = None):
+    """Nodes and states of a dense run over [0, t_end].
 
     The output nodes of ``t_end`` are cut at the run's stop ``t_final``,
     which becomes the last node when the run stopped before ``t_end``.
@@ -726,8 +734,7 @@ def _sample_dense(spec: SystemSpec, dense: DenseOutput, t_end: float,
     nodes = nodes[nodes <= t_stop]
     if nodes.size == 0 or nodes[-1] < t_stop:
         nodes = np.append(nodes, t_stop)
-    states = dense(nodes).T
-    return nodes, states, _trace_all(spec, states)
+    return nodes, dense(nodes).T
 
 
 def prefix(spec: SystemSpec, traj: Trajectory, t_end: float) -> Trajectory:
@@ -753,13 +760,13 @@ def prefix(spec: SystemSpec, traj: Trajectory, t_end: float) -> Trajectory:
     if traj.dense is None:
         raise ValueError("a prefix needs a run with dense output")
     t_final = traj.meta["t_final"]
-    nodes, states, traces = _sample_dense(spec, traj.dense, t_end, t_final)
+    nodes, states = _sample_dense(traj.dense, t_end, t_final)
     aborted = traj.aborted and t_final < t_end
     meta = {**traj.meta, "t_end": t_end, "t_final": min(t_end, t_final)}
     if not aborted:
         meta["reason"] = "completed"
-    return Trajectory(times=nodes, states=states, traces=traces, meta=meta,
-                      dense=traj.dense, aborted=aborted)
+    return Trajectory(times=nodes, states=states, traces=_trace_all(spec, states),
+                      meta=meta, dense=traj.dense, aborted=aborted)
 
 
 def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
@@ -779,6 +786,13 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     numbers) and the wall time of the call (``wall_s``).  Traces of H and
     all integrals are evaluated at the output nodes.
     """
+    return _integrate(spec, ic, t_end, tol, dt_out, dense, max_steps, traced=True)
+
+
+def _integrate(spec: SystemSpec, ic, t_end: float, tol: float,
+               dt_out: Optional[float], dense: bool, max_steps: Optional[int],
+               traced: bool) -> Trajectory:
+    """:func:`integrate`, with no traces (an empty ``traces``) unless ``traced``."""
     start = time.perf_counter()
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -804,10 +818,10 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         raise RuntimeError(f"integration failed: {sol.message}")
     t_final = sol.t_final
     if dense:
-        nodes, states, traces = _sample_dense(spec, sol.sol, t_end, t_final, dt_out)
+        nodes, states = _sample_dense(sol.sol, t_end, t_final, dt_out)
     else:
         nodes, states = sol.t, sol.y.T
-        traces = _trace_all(spec, states)
+    traces = _trace_all(spec, states) if traced else {}
     meta = {
         "system_id": spec.system_id,
         "params": spec.params.as_dict(),
@@ -874,7 +888,13 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
             continue
         completed += 1
         for lbl in traj.traces:
-            drifts[lbl] = max(drifts.get(lbl, 0.0), traj.drift(lbl))
+            drift = traj.drift(lbl)
+            if not math.isfinite(drift):
+                # max() would keep the earlier value over a NaN.
+                raise RuntimeError(
+                    f"the {lbl} trace of a completed run is not finite "
+                    f"(drift {drift})")
+            drifts[lbl] = max(drifts.get(lbl, 0.0), drift)
     drifts["attempts"] = attempts
     return drifts
 
@@ -1003,14 +1023,17 @@ def detect_period(spec: SystemSpec, ic, horizon: float,
                   tol_return: float = 1e-4, tol: float = 1e-12) -> PeriodReport:
     """Integrate an orbit to ``horizon`` and search it for a full return.
 
-    One :func:`integrate` at ``tol`` followed by :func:`search_period`;
-    a start in a singular region or a failed integration gives an open
-    report with an infinite return distance.
+    One dense run at ``tol``, as :func:`integrate` makes it but without
+    the traces of H and the integrals, which the search never reads,
+    followed by :func:`search_period`; a start in a singular region or a
+    failed integration gives an open report with an infinite return
+    distance and no run fields.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     try:
-        traj = integrate(spec, ic, horizon, tol=tol)
+        traj = _integrate(spec, ic, horizon, tol, dt_out=None, dense=True,
+                          max_steps=None, traced=False)
     except (DomainError, RuntimeError):
         return PeriodReport(closed=False, period=None,
                             return_distance=float("inf"))
@@ -1026,11 +1049,13 @@ def search_period(traj: Trajectory, tol_return: float = 1e-4) -> PeriodReport:
     when the orbit shows no radial period; the first candidate below
     ``tol_return`` is polished to a local minimum of the return
     distance.  An aborted or non-finite run is open, with an infinite
-    return distance.
+    return distance.  The report records the run's ``reason``, ``nfev``
+    and ``steps`` from ``traj.meta``.
     """
+    run = {k: traj.meta.get(k) for k in ("reason", "nfev", "steps")}
     if traj.aborted or not np.all(np.isfinite(traj.states)):
         return PeriodReport(closed=False, period=None,
-                            return_distance=float("inf"))
+                            return_distance=float("inf"), **run)
     y0 = traj.states[0]
     diameter = float(np.linalg.norm(
         np.max(traj.states, axis=0) - np.min(traj.states, axis=0)))
@@ -1045,7 +1070,8 @@ def search_period(traj: Trajectory, tol_return: float = 1e-4) -> PeriodReport:
     mask = ts > t_min
     if not np.any(mask):
         return PeriodReport(closed=False, period=None,
-                            return_distance=float(np.min(dist[1:])) if dist.size > 1 else float("inf"))
+                            return_distance=float(np.min(dist[1:])) if dist.size > 1 else float("inf"),
+                            **run)
 
     def d_of(t):
         return float(np.linalg.norm(dense(t) - y0)) / scale
@@ -1060,10 +1086,10 @@ def search_period(traj: Trajectory, tol_return: float = 1e-4) -> PeriodReport:
     for i in cand:
         if dist[i] > refine_cut:
             continue
-        x, d_ref, nfev = _fminbound(d_of, ts[max(i - 1, 0)],
-                                    ts[min(i + 1, ts.size - 1)], xatol=1e-12)
+        x, d_ref, evals = _fminbound(d_of, ts[max(i - 1, 0)],
+                                     ts[min(i + 1, ts.size - 1)], xatol=1e-12)
         best_d = min(best_d, d_ref)
         if d_ref < tol_return:
             return PeriodReport(closed=True, period=x, return_distance=d_ref,
-                                refinement_iterations=nfev)
-    return PeriodReport(closed=False, period=None, return_distance=best_d)
+                                refinement_iterations=evals, **run)
+    return PeriodReport(closed=False, period=None, return_distance=best_d, **run)

@@ -100,8 +100,12 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
     serves the search; otherwise :func:`~axisym.dynamics.detect_period`
     makes its own run.  With more than one plotted horizon (figures 1
     and 4) the plots do not depend on the search, which then runs in a
-    forked child beside the plotting run where ``os.fork`` and at least
-    2 CPUs are available, with the same report.  Returns the meta
+    forked child where ``os.fork`` and at least 2 CPUs are available:
+    the parent makes the plotting run and writes every CSV and SVG
+    beside it, then waits for the report and, only if the orbit closes,
+    writes the SVGs again with the closure annotation.  The files and
+    the report are those of a serial run, but a search that raises
+    leaves the CSV and SVG files without a meta JSON.  Returns the meta
     dictionary (period report included when closure detection is
     requested).
     """
@@ -121,7 +125,30 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
         "files": [],
     }
 
-    report = run = None
+    def write_svgs(base, traj, report):
+        annotation = None
+        if report is not None and report.closed:
+            annotation = f"closes near t = {report.period:.6g}"
+        return svg.write_projections(
+            base, traj.states[:, :3],
+            title=f"reference trajectory {figure_id}", annotation=annotation)
+
+    def write_plots(run, t_ends, report):
+        """Each horizon's CSV and SVGs; returns the (base path, prefix) pairs."""
+        plots = []
+        for horizon, t_end in zip(recipe.horizons, t_ends):
+            traj = prefix(spec, run, t_end)
+            base = os.path.join(outdir, f"figure{figure_id}_t{horizon:g}".replace(".", "p"))
+            labels = aio.write_trajectory_csv(base + ".csv", traj.times, traj.states,
+                                              traj.traces)
+            meta["files"].append({"csv": base + ".csv",
+                                  "svg": write_svgs(base, traj, report),
+                                  "columns": ["t", "x", "y", "z", "px", "py", "pz", *labels],
+                                  "t_end": t_end})
+            plots.append((base, traj))
+        return plots
+
+    report = run = plots = None
     t_ends = list(recipe.horizons)
     detect_tol = max(tol, 1e-12 if recipe.detect_horizon <= 50 else 1e-10)
     search = functools.partial(detect_period, spec, ic, recipe.detect_horizon,
@@ -131,34 +158,26 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
         report = search_period(prefix(spec, run, recipe.detect_horizon),
                                recipe.tol_return)
     elif detect and len(t_ends) > 1:
+        # Only the SVG annotation reads the report: write every file while
+        # the search runs, and annotate the SVGs afterwards if it closes.
         with trace.beside(search) as searched:
-            run = integrate(spec, ic, max(t_ends), tol=tol)
+            plots = write_plots(integrate(spec, ic, max(t_ends), tol=tol), t_ends, None)
             report = searched()
+        if report.closed:
+            for base, traj in plots:
+                write_svgs(base, traj, report)
     elif detect:
         report = search()
     if report is not None:
         meta["period_report"] = report.as_dict()
 
-    # Plot the measured period when the expected value is approximate.
-    if report is not None and report.closed and len(t_ends) == 1:
-        t_ends = [report.period]
-    if run is None:
-        run = integrate(spec, ic, max(t_ends), tol=tol)
-    for horizon, t_end in zip(recipe.horizons, t_ends):
-        traj = prefix(spec, run, t_end)
-        tag = f"figure{figure_id}_t{horizon:g}".replace(".", "p")
-        csv_path = os.path.join(outdir, f"{tag}.csv")
-        labels = aio.write_trajectory_csv(csv_path, traj.times, traj.states,
-                                          traj.traces)
-        annotation = None
-        if report is not None and report.closed:
-            annotation = f"closes near t = {report.period:.6g}"
-        svg_paths = svg.write_projections(
-            os.path.join(outdir, tag), traj.states[:, :3],
-            title=f"reference trajectory {figure_id}", annotation=annotation)
-        meta["files"].append({"csv": csv_path, "svg": svg_paths,
-                              "columns": ["t", "x", "y", "z", "px", "py", "pz", *labels],
-                              "t_end": t_end})
+    if plots is None:
+        # Plot the measured period when the expected value is approximate.
+        if report is not None and report.closed and len(t_ends) == 1:
+            t_ends = [report.period]
+        if run is None:
+            run = integrate(spec, ic, max(t_ends), tol=tol)
+        write_plots(run, t_ends, report)
 
     aio.write_meta(os.path.join(outdir, f"figure{figure_id}_meta.json"), meta)
     return meta

@@ -739,6 +739,28 @@ def test_detect_period_exact_closure(reference_ic):
     assert rep.return_distance < 1e-4
 
 
+def test_detect_period_evaluates_no_observable(monkeypatch, reference_ic):
+    spec = build("max5", PARAMS["max5"])
+    calls = _recorded(monkeypatch, "_trace_all")
+    rep = detect_period(spec, reference_ic, 30.0, tol=1e-12)
+    assert rep.closed
+    assert calls == []
+    # The report records the work of the run it searched.
+    meta = integrate(spec, reference_ic, 30.0, tol=1e-12).meta
+    assert len(calls) == 1
+    assert (rep.reason, rep.nfev, rep.steps) == ("completed", meta["nfev"], meta["steps"])
+    assert {k: rep.as_dict()[k] for k in ("reason", "nfev", "steps")} == {
+        "reason": "completed", "nfev": meta["nfev"], "steps": meta["steps"]}
+
+
+def test_detect_period_from_a_singular_start_reports_no_run():
+    spec = build("op_min", PARAMS["op_min"])
+    rep = detect_period(spec, [GUARD_RADIUS / 2, 0.0, 1.0, 0.0, 0.0, 0.0], 10.0)
+    assert not rep.closed and rep.return_distance == math.inf
+    assert (rep.reason, rep.nfev, rep.steps) == (None, None, None)
+    assert rep.as_dict()["nfev"] is None
+
+
 def test_detect_period_open_orbit(reference_ic):
     spec = build("op_min", PARAMS["op_min"])
     rep = detect_period(spec, PhasePoint.from_state(reference_ic), 40.0,
@@ -765,6 +787,29 @@ def test_conservation_suite_smoke():
     assert attempts >= 3
     assert set(drifts) == {"H", "X1", "X2", "Y3", "Y4"}
     assert all(v < 1e-7 for v in drifts.values())
+
+
+@pytest.mark.parametrize("bad_draw", [1, 3], ids=["first_draw", "later_draw"])
+def test_conservation_suite_raises_on_a_nan_trace(monkeypatch, bad_draw):
+    # max(0.0, nan) is 0.0: a NaN drift must not count as conserving.
+    spec = build("max6", PARAMS["max6"])
+    inner = dynamics.integrate
+    completed = []
+
+    def nan_trace(*args, **kwargs):
+        traj = inner(*args, **kwargs)
+        if not traj.aborted:
+            completed.append(traj)
+            if len(completed) == bad_draw:
+                x1 = traj.traces["X1"].copy()
+                x1[x1.size // 2] = np.nan
+                traj = dataclasses.replace(traj, traces={**traj.traces, "X1": x1})
+        return traj
+
+    monkeypatch.setattr(dynamics, "integrate", nan_trace)
+    with pytest.raises(RuntimeError, match="X1 trace of a completed run is not finite"):
+        conservation_suite(spec, n_ic=4, t_end=10.0, tol=1e-11, seed=5)
+    assert len(completed) == bad_draw
 
 
 RUN_WITHOUT_SCIPY = """

@@ -1,6 +1,7 @@
-"""Reference figures: the period search forked beside the plotting run."""
+"""Reference figures: the period search forked beside the plotting run and writes."""
 
 import dataclasses
+import math
 import os
 import threading
 import time
@@ -8,6 +9,8 @@ import time
 import pytest
 
 from axisym import figures, trace
+from axisym import io as aio
+from axisym.dynamics import PeriodReport
 
 
 @pytest.fixture
@@ -31,14 +34,28 @@ def _without_paths(meta):
     return {**meta, "files": files}
 
 
-def test_forked_search_gives_the_serial_files(monkeypatch, tmp_path, cheap_figure4, forks):
+def _closed_search(*args, **kwargs):
+    # A stand-in search whose orbit closes: every SVG carries the annotation.
+    return PeriodReport(closed=True, period=1.25, return_distance=0.0,
+                        reason="completed", nfev=1, steps=1)
+
+
+@pytest.mark.parametrize("closes", [False, True], ids=["open", "closed_stand_in"])
+def test_forked_search_gives_the_serial_files(monkeypatch, tmp_path, cheap_figure4, forks,
+                                              closes):
+    if closes:
+        monkeypatch.setattr(figures, "detect_period", _closed_search)
     metas = {}
     for n in (1, 2):
         _on_cpus(monkeypatch, n)
         metas[n] = figures.run_figure(4, str(tmp_path / f"cpus{n}"))
     assert len(forks) == 1
     assert _without_paths(metas[1]) == _without_paths(metas[2])
-    assert metas[2]["period_report"]["closed"] is False
+    report = metas[2]["period_report"]
+    assert report["closed"] is closes
+    # Both paths report the same search work, compared with the metas above.
+    assert report["reason"] == "completed"
+    assert report["nfev"] > 0 and report["steps"] > 0
     serial = sorted(os.listdir(tmp_path / "cpus1"))
     assert serial == sorted(os.listdir(tmp_path / "cpus2"))
     assert len(serial) == 2 * 5 + 1
@@ -46,6 +63,32 @@ def test_forked_search_gives_the_serial_files(monkeypatch, tmp_path, cheap_figur
     for name in (n for n in serial if not n.endswith("_meta.json")):
         assert ((tmp_path / "cpus1" / name).read_bytes()
                 == (tmp_path / "cpus2" / name).read_bytes())
+    svgs = [n for n in serial if n.endswith(".svg")]
+    assert [("closes near t = 1.25" in (tmp_path / "cpus2" / n).read_text())
+            for n in svgs] == [closes] * 8
+
+
+def test_the_plots_are_written_beside_the_search(monkeypatch, tmp_path, cheap_figure4, forks):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform: the search runs in place first")
+    if threading.active_count() != 1:
+        pytest.skip("another thread is alive: the search runs in place first")
+    _on_cpus(monkeypatch, 2)
+    csv = tmp_path / "figure4_t3.csv"
+
+    def waiting_search(*args, **kwargs):
+        # In the child: wait a bounded time for the parent's first CSV.
+        deadline = time.monotonic() + 30
+        while not csv.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return PeriodReport(closed=False, period=None, return_distance=math.inf,
+                            reason="csv seen" if csv.exists() else "no csv")
+
+    monkeypatch.setattr(figures, "detect_period", waiting_search)
+    meta = figures.run_figure(4, str(tmp_path))
+    if not forks:
+        pytest.skip("the fork failed: the search ran in place first")
+    assert meta["period_report"]["reason"] == "csv seen"
 
 
 def test_the_childs_exception_reaches_the_caller(monkeypatch, tmp_path, cheap_figure4, forks):
@@ -75,20 +118,24 @@ def test_an_exception_that_cannot_be_pickled_arrives_as_its_repr(monkeypatch, fo
     assert len(forks) == 1
 
 
+@pytest.mark.parametrize("module, name", [(figures, "integrate"),
+                                          (aio, "write_trajectory_csv")],
+                         ids=["plotting_run", "csv_write"])
 def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, tmp_path,
-                                                         cheap_figure4, forks):
+                                                         cheap_figure4, forks,
+                                                         module, name):
     _on_cpus(monkeypatch, 2)
 
     def endless_search(*args, **kwargs):
         time.sleep(600)
 
-    def failing_integrate(*args, **kwargs):
-        raise RuntimeError("plotting run failed")
+    def failing(*args, **kwargs):
+        raise RuntimeError("the parent failed")
 
     monkeypatch.setattr(figures, "detect_period", endless_search)
-    monkeypatch.setattr(figures, "integrate", failing_integrate)
+    monkeypatch.setattr(module, name, failing)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="plotting run failed"):
+    with pytest.raises(RuntimeError, match="the parent failed"):
         figures.run_figure(4, str(tmp_path))
     assert time.perf_counter() - t0 < 60
     assert len(forks) == 1
