@@ -94,12 +94,9 @@ class SystemSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # Keys with a leading underscore hold programs traced from this
-        # spec's fields (its RHS, H, closure).  A spec built from another
-        # one (``dataclasses.replace``) gets its own dict without them,
-        # so neither runs the other's programs.
-        object.__setattr__(self, "meta", {k: v for k, v in self.meta.items()
-                                          if not k.startswith("_")})
+        # A spec built from another one (``dataclasses.replace``) gets its
+        # own copy of ``meta``.
+        object.__setattr__(self, "meta", dict(self.meta))
 
     def integral(self, label: str) -> Observable:
         for obs in self.integrals:

@@ -91,6 +91,14 @@ def _build_system(system_id: str, params: SystemParams):
         raise ConfigError(f"{system_id}: {exc}")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: the key of the Philox sampler, a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {seed}")
+    return seed
+
+
 def _check_tol(tol: float) -> None:
     if not (1e-14 <= tol <= 1e-6):    # NaN fails too
         raise ConfigError("--tol must lie in [1e-14, 1e-6]")
@@ -258,7 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
     vp.add_argument("system")
     vp.add_argument("--params", default="", help="comma-separated key=value list")
     vp.add_argument("--samples", type=int, default=1000)
-    vp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    vp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     vp.add_argument("--mutate", help="negative control: perturb one parameter, e.g. u1=+0.001")
     vp.add_argument("--out", help="directory for report JSON")
     vp.add_argument("--json", action="store_true")
@@ -270,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ic", help="x,y,z,px,py,pz")
     sp.add_argument("--t-end", type=float, default=50.0, dest="t_end")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--detect-period", action="store_true", dest="detect_period")

@@ -14,7 +14,6 @@ which gives its values bit for bit on a time or an array of times.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -206,15 +205,11 @@ def _dual_state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> t
             r * ct, r * st, z, rdot * ct - c.Lz / r * st, rdot * st + c.Lz / r * ct, zdot)
 
 
-# Constants -> {params: generated _dual_state}, kept while the constants live.
-_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
     """:func:`_dual_state` by its traced program, at a scalar or an array t.
 
-    One program per constants and params, traced on first use: floats
-    for a scalar ``t``, arrays of its shape for an ndarray of times.
+    One program per constants and params object, kept while both live:
+    floats for a scalar ``t``, arrays of its shape for an ndarray of times.
     """
     if c.kind != kind:
         raise ValueError("constants were built for a different branch")
@@ -222,8 +217,7 @@ def _state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
     def fn(_, y):
         return _dual_state(kind, c, params, y[0])
 
-    program, _ = trace.cached_program(_PROGRAMS.setdefault(c, {}), params, fn,
-                                      f"closed form {kind}", inputs=1)
+    program, _ = trace.cached_program((c, params), fn, f"closed form {kind}", inputs=1)
     if isinstance(t, np.ndarray) and t.ndim > 0:
         return [np.broadcast_to(v, t.shape) for v in program(0.0, (t.astype(float),))]
     return program(0.0, (float(t),))

@@ -46,7 +46,7 @@ import numpy as np
 from .autodiff import Dual, tangent, value
 from .catalog import SystemSpec
 from .phase import DomainError, PhasePoint, gradient6
-from .trace import evaluate_rows, straight_line
+from .trace import cached_program, evaluate_rows
 
 GUARD_RADIUS = 0.05
 ESCAPE_BOUND = 1e4
@@ -69,7 +69,7 @@ def eom_rhs(spec: SystemSpec, state) -> np.ndarray:
     """Time derivative (dq/dt, dp/dt) of a state under the spec's H.
 
     Accepts a PhasePoint, a 6-sequence, or a (6, k) array of states, and
-    runs the RHS ``integrate`` uses (cached in ``spec.meta``): on six
+    runs the RHS ``integrate`` uses (:func:`_make_scalar_rhs`): on six
     floats for one state, giving a (6,) array, and on the rows of a
     block.  Raises DomainError inside the guard region of a singular
     system.
@@ -108,40 +108,27 @@ def _make_scalar_rhs(spec: SystemSpec):
     6-gradient of H otherwise.  Code without math functions (every
     catalog config) is the compiled function itself; code with them
     (the chart families) runs ``math`` on floats and numpy on rows, as
-    the dual RHS does.  The result is cached in ``spec.meta``, with the
-    backend under ``"_rhs_backend"``, so distinct instances never share
-    a function.  A field that cannot be traced (one that branches on a
-    value) keeps :func:`_make_dual_rhs` itself.
+    the dual RHS does.  A field that cannot be traced (one that branches
+    on a value) runs :func:`_make_dual_rhs` itself.
     """
-    cached = spec.meta.get("_scalar_rhs")
-    if cached is None:
-        cached, backend = _make_dual_rhs(spec), "dual"
-        try:
-            cached, backend = straight_line(cached, f"rhs {spec.system_id}"), "generated"
-        except TypeError:
-            pass   # a field branches on a value: keep duals
-        spec.meta["_scalar_rhs"] = cached
-        spec.meta["_rhs_backend"] = backend
-    return cached
+    return _rhs_program(spec)[0]
+
+
+def _rhs_program(spec: SystemSpec) -> tuple:
+    """(RHS, backend) of :func:`_make_scalar_rhs`; per-step code, no deletes."""
+    return cached_program((spec,), _make_dual_rhs(spec), f"rhs {spec.system_id}", free=False)
 
 
 def _make_scalar_h(spec: SystemSpec):
     """``H(t, y)`` on a state of six floats, for the per-step drift stop.
 
     Traced into straight-line code like the RHS (equal to
-    ``spec.hamiltonian.fn`` bit for bit) and cached in ``spec.meta``;
-    a Hamiltonian that cannot be traced is called as it is.
+    ``spec.hamiltonian.fn`` bit for bit) and cached per spec; a
+    Hamiltonian that cannot be traced is called as it is.
     """
-    cached = spec.meta.get("_scalar_h")
-    if cached is None:
-        H = spec.hamiltonian.fn
-        try:
-            cached = straight_line(lambda t, y: (H(y),), f"rhs H {spec.system_id}")
-        except TypeError:
-            def cached(t, y):
-                return H(y)
-        spec.meta["_scalar_h"] = cached
-    return cached
+    H = spec.hamiltonian.fn
+    return cached_program((spec,), lambda t, y: (H(y),), f"rhs H {spec.system_id}",
+                          free=False)[0]
 
 
 def _make_dual_rhs(spec: SystemSpec):
@@ -805,7 +792,7 @@ def _integrate(spec: SystemSpec, ic, t_end: float, tol: float,
         # The escape event stops a run only where it crosses the bound.
         raise DomainError(f"initial state at or beyond the escape bound ({ESCAPE_BOUND:g})")
 
-    rhs = _make_scalar_rhs(spec)
+    rhs, backend = _rhs_program(spec)
 
     events = [*_guard_events(spec), _drift_event(spec, y0, tol)]
     # Dense output costs three extra stages per step; skip it when the
@@ -833,7 +820,7 @@ def _integrate(spec: SystemSpec, ic, t_end: float, tol: float,
         "steps": sol.steps,
         "rejected_steps": sol.rejected_steps,
         "last_step": sol.last_step,
-        "rhs_backend": spec.meta["_rhs_backend"],
+        "rhs_backend": backend,
     }
     meta["wall_s"] = time.perf_counter() - start
     return Trajectory(times=nodes, states=states, traces=traces, meta=meta,
@@ -853,12 +840,14 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
     only if, at its last step size, the run could not have reached
     ``t_end`` within the step budget; H drifting on a run that could have
     completed is a failure of conservation and raises RuntimeError.
-    Returns label -> max drift, plus an ``"attempts"`` entry counting
-    total draws.
+    With neither ``rng`` nor ``seed`` the draws come from ``make_rng()``
+    (``DEFAULT_SEED``), as in ``verify_system``.  Returns label -> max
+    drift, plus an ``"attempts"`` entry counting total draws.
     """
     from .phase import make_rng, sample_safe_states
 
-    rng = rng if rng is not None else make_rng(seed)
+    if rng is None:
+        rng = make_rng() if seed is None else make_rng(seed)
     drifts: dict = {}
     completed = 0
     attempts = 0

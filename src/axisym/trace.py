@@ -45,6 +45,16 @@ scalars, as the determining equations' program builds them: each dual
 layer's arithmetic becomes lines of the one program.  A state handed to
 :func:`gradient` that already holds duals stays on dual numbers.
 
+One cache.  Every traced program is kept in one dict (:func:`cached`)
+under its compile tag and the identity of each object it is traced from
+(an observable's function, a bracket's two functions, a closure
+polynomial, a spec for its RHS, H and closure, an (ansatz, B, W),
+closed-form constants with their params).  It holds generated code, None
+where a field cannot be traced, and verify's quadratic ansatz per (spec,
+observable), none of which refers to its keys.  A weak reference per key
+drops an entry when the first of its keys dies, so a spec built by
+``dataclasses.replace`` runs its own programs.
+
 Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
 (:func:`evaluate_blocks`) into preallocated rows, and its code deletes
 each value after its last use.  Both bound the memory of a call, which
@@ -341,24 +351,45 @@ def _dispatch(on_floats, on_rows):
     return program
 
 
-def cached_program(cache, key, fn, tag: str, inputs=6) -> tuple:
+# (tag, id of each key) -> (value, weak references to the keys).
+_CACHE: dict = {}
+
+
+def cached(tag: str, keys: tuple, make):
+    """``make()``, made once per ``tag`` and identity of each of ``keys``.
+
+    The value is kept until one of ``keys`` dies; it must not refer to
+    them, or they would never die.  Keys are held by weak reference and
+    compared by identity, so any object that takes a weak reference can
+    be one, an unhashable one included.
+    """
+    entry = (tag, *map(id, keys))
+    found = _CACHE.get(entry)
+    if found is None:
+        def drop(_):
+            _CACHE.pop(entry, None)
+        found = _CACHE[entry] = (make(), [weakref.ref(k, drop) for k in keys])
+    return found[0]
+
+
+def cached_program(keys: tuple, fn, tag: str, inputs=6, free=True) -> tuple:
     """(program, backend) for ``fn(t, y)``, traced on first use.
 
-    ``straight_line(fn, tag, free=True)`` with ``"generated"``, kept in
-    ``cache[key]`` (a dict, or a weak-keyed one for keys that are
-    functions); for a ``fn`` that cannot be traced, ``fn`` itself on dual
+    ``straight_line(fn, tag, free, inputs)`` with ``"generated"``, kept by
+    :func:`cached` under ``tag`` and ``keys``, the objects ``fn`` is
+    traced from; for a ``fn`` that cannot be traced, ``fn`` itself on dual
     numbers with ``"dual"``, returning the one value of a 1-tuple as
     generated code does.  Only that verdict, None, is cached: ``fn``
-    closes over ``key`` and would keep a weak key alive.
+    closes over its keys.  This is the one place that decides between
+    traced code and duals.
     """
-    try:
-        program = cache[key]
-    except KeyError:
+    def traced():
         try:
-            program = straight_line(fn, tag, free=True, inputs=inputs)
+            return straight_line(fn, tag, free, inputs)
         except TypeError:
-            program = None
-        cache[key] = program
+            return None
+
+    program = cached(tag, keys, traced)
     if program is not None:
         return program, "generated"
 
@@ -503,22 +534,17 @@ def name_of(fn) -> str:
     return getattr(fn, "__qualname__", "fn")
 
 
-# Observable function -> its generated gradient / value, or None if untraceable.
-_GRADIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_VALUES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def traced_gradient(fn) -> tuple:
     """(``gradient6(fn, .)`` as a program, backend), by :func:`cached_program`."""
     from .phase import gradient6   # phase imports this module
 
-    return cached_program(_GRADIENTS, fn, lambda t, y: tuple(gradient6(fn, list(y))),
+    return cached_program((fn,), lambda t, y: tuple(gradient6(fn, list(y))),
                           f"grad {name_of(fn)}")
 
 
 def traced_value(fn) -> tuple:
     """(``fn`` on one state as a program, backend), by :func:`cached_program`."""
-    return cached_program(_VALUES, fn, lambda t, y: (fn(list(y)),), f"value {name_of(fn)}")
+    return cached_program((fn,), lambda t, y: (fn(list(y)),), f"value {name_of(fn)}")
 
 
 def gradient(fn, state) -> list:

@@ -23,7 +23,6 @@ involution claims a sweep checks are data on the :class:`SystemSpec`.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -75,18 +74,14 @@ def poisson(f, g, state):
                     trace.gradient(_fn_of(g), state))
 
 
-# f -> g -> generated ({f,g}, |grad f|^2, |grad g|^2), or None if untraceable.
-_BRACKETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _bracket_program(f: Callable, g: Callable):
     """One traced program for {f, g} and both squared gradient norms."""
     def outputs(t, y):
         gf, gg = gradient6(f, list(y)), gradient6(g, list(y))
         return _bracket(gf, gg), sum(c ** 2 for c in gf), sum(c ** 2 for c in gg)
 
-    return trace.cached_program(_BRACKETS.setdefault(f, weakref.WeakKeyDictionary()), g,
-                                outputs, f"bracket {trace.name_of(f)} {trace.name_of(g)}")
+    return trace.cached_program((f, g), outputs,
+                                f"bracket {trace.name_of(f)} {trace.name_of(g)}")
 
 
 def _bracket_check(f, g, states: np.ndarray) -> tuple:
@@ -203,21 +198,19 @@ def quadratic_ansatz(spec: SystemSpec, obs: Observable) -> QuadraticAnsatz:
     (hyper-dual numbers for the second derivatives).  Position and the
     unseeded momenta are lifted into every momentum layer, so a dual
     in q from an outer spatial derivative stays innermost and never
-    mixes with the momentum seeds.  The ansatz is kept in ``spec.meta``
-    per observable, so a repeated call returns the same object and its
-    determining program (:func:`determining_residuals`) is traced once.
+    mixes with the momentum seeds.  The ansatz is kept per (spec, obs)
+    in the program cache (:func:`axisym.trace.cached`), so a repeated
+    call returns the same object and its determining program
+    (:func:`determining_residuals`) is traced once.
     """
     if not 0 <= obs.momentum_order <= 2:
         raise ValueError(f"{obs.label} is not at most quadratic in momenta")
-    known = spec.meta.setdefault("_ansatz", {})
-    if obs not in known:
-        known[obs] = _read_ansatz(spec.A.fn, obs.fn)
-    return known[obs]
+    return trace.cached("ansatz", (spec, obs), lambda: _read_ansatz(spec.A.fn, obs.fn))
 
 
 def _read_ansatz(A: Callable, fn: Callable) -> QuadraticAnsatz:
-    # The coefficients hold A and fn, not the spec, so the ansatz kept in
-    # ``spec.meta`` makes no reference cycle.
+    # The coefficients hold A and fn, not the spec or the observable that
+    # key the ansatz in the cache.
     def coefficient(scale, *seeds):
         def c(x, y, z):
             ax, ay, az = A(x, y, z)
@@ -305,15 +298,9 @@ def _tier_rows(ansatz: QuadraticAnsatz, B, W: Callable, pt) -> tuple:
     return (*third, *second, *first, *zeroth)
 
 
-# ansatz -> B -> W -> generated _tier_rows, or None if untraceable.
-_DETERMINING: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _determining_program(ansatz: QuadraticAnsatz, B, W: Callable):
     """``_tier_rows`` traced on three recording positions, cached."""
-    cache = _DETERMINING.setdefault(ansatz, weakref.WeakKeyDictionary()).setdefault(
-        B, weakref.WeakKeyDictionary())
-    return trace.cached_program(cache, W, lambda t, q: _tier_rows(ansatz, B, W, q),
+    return trace.cached_program((ansatz, B, W), lambda t, q: _tier_rows(ansatz, B, W, q),
                                 f"determining {trace.name_of(W)}", inputs=3)
 
 
@@ -377,7 +364,7 @@ class ClosureReport:
 
 
 def _closure_program(spec: SystemSpec):
-    """({X1,Y3}^2, H, X1, X2, Y3) from one tape, cached in ``spec.meta``.
+    """({X1,Y3}^2, H, X1, X2, Y3) from one tape, cached per spec.
 
     The four values share their lines with the primal parts of the two
     gradients.
@@ -390,11 +377,7 @@ def _closure_program(spec: SystemSpec):
         br = _bracket(gradient6(x1, y), gradient6(y3, y))
         return br ** 2, H(y), x1(y), x2(y), y3(y)
 
-    return trace.cached_program(spec.meta, "_closure", outputs, f"closure {spec.system_id}")
-
-
-# Closure polynomial -> its generated code, or None if untraceable.
-_POLYNOMIALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    return trace.cached_program((spec,), outputs, f"closure {spec.system_id}")
 
 
 def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
@@ -406,7 +389,7 @@ def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
     double one at a time.
     """
     program, backend = _closure_program(spec)
-    poly_program, _ = trace.cached_program(_POLYNOMIALS, poly, lambda t, v: (poly(*v),),
+    poly_program, _ = trace.cached_program((poly,), lambda t, v: (poly(*v),),
                                            f"poly {trace.name_of(poly)}", inputs=4)
 
     def sides(t, y):

@@ -94,6 +94,9 @@ def test_verify_config_errors(capsys):
     for samples in ("0", "-3"):
         assert main(["verify", "op_min", "--params", OP_PARAMS,
                      "--samples", samples]) == EXIT_CONFIG
+    # A negative seed is no Philox key.
+    assert main(["verify", "linear_min", "--params", "u1=1,bz=2", "--seed", "-1"]) == EXIT_CONFIG
+    assert main(["simulate", "linear_min", "--params", "u1=1,bz=2", "--seed", "-1"]) == EXIT_CONFIG
     # Parameters SystemParams rejects are configuration errors, not
     # failed checks (exit 1).
     for params in ("u2=1.5,bz=2,n=0,m=1", "u2=1.5,bz=2,n=2",

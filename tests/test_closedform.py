@@ -1,8 +1,6 @@
 """Closed-form trajectories, resonance detection, and the rotating frame."""
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -129,24 +127,6 @@ def test_scalar_states_equal_the_dual_evaluation(kind):
         pos, vel = closed_state(kind, c, params, t)
         assert np.array_equal([*pos, *vel], want[:6]), (kind, t)
         assert np.array_equal(cartesian_state(kind, c, params, t), want[6:]), (kind, t)
-
-
-def test_state_programs_do_not_outlive_their_constants():
-    params = PARAMS["op_min"]
-    gc.collect()
-    before = len(closedform._PROGRAMS)
-    alive = weakref.WeakSet()
-    for k in range(1000):
-        c = constants(OP_MIN, params, 0.5 + 1e-4 * k, 0.3, 0.4, -0.2, 0.2, Lz=1.0)
-        cartesian_state(OP_MIN, c, params, 0.1 * k)
-        (program,) = closedform._PROGRAMS[c].values()
-        alive.add(program)
-        del program
-        # The programs of the constants dropped so far are gone.
-        assert len(alive) == 1 and len(closedform._PROGRAMS) == before + 1
-    del c
-    gc.collect()
-    assert len(alive) == 0 and len(closedform._PROGRAMS) == before
 
 
 def test_degenerate_constant_amplitudes_give_circular_orbit():

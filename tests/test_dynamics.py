@@ -36,6 +36,7 @@ from axisym.dynamics import (
     _output_nodes,
 )
 from axisym.phase import (
+    DEFAULT_SEED,
     CovectorField,
     DomainError,
     Observable,
@@ -151,8 +152,8 @@ def test_scalar_rhs_keeps_duals_for_untraceable_fields():
 
     spec = _branching_well()
     rhs = _make_scalar_rhs(spec)
-    assert spec.meta["_rhs_backend"] == "dual"
     state = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
+    assert integrate(spec, state, 0.1).meta["rhs_backend"] == "dual"
     grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
     expected = np.r_[grad[3:], [-grad[0], -grad[1], -grad[2]]]
     assert np.allclose(rhs(0.0, state), expected, rtol=1e-12, atol=1e-12)
@@ -175,7 +176,8 @@ def test_math_function_fields_run_generated_code_equal_to_duals():
     calls = []
     spec = _gaussian_well(calls)
     rhs, H = _make_scalar_rhs(spec), _make_scalar_h(spec)
-    assert spec.meta["_rhs_backend"] == "generated"
+    y0 = (0.5, -0.7, 1.0, 1.0, 2.0, -1.0)
+    assert integrate(spec, y0, 0.1).meta["rhs_backend"] == "generated"
     traced = len(calls)
     states = sample_safe_states(make_rng(35), 50)
     ys = [tuple(state.tolist()) for state in states.T]
@@ -313,7 +315,7 @@ def test_block_rows_equal_rows_computed_one_step_at_a_time(monkeypatch, key, ref
     # op_min and cp_min_bq take about 1.5k steps to t = 20: several blocks.
     spec = build(SYSTEM_OF[key], PARAMS[key])
     rhs = _make_scalar_rhs(spec)
-    assert spec.meta["_rhs_backend"] == "generated"
+    assert integrate(spec, reference_ic, 0.1).meta["rhs_backend"] == "generated"
 
     def run():
         return dynamics.solve_ivp(rhs, (0.0, 20.0), reference_ic, 1e-12, 1e-12,
@@ -601,12 +603,11 @@ def test_drift_stop_does_not_pass_a_hamiltonian_that_is_not_conserved():
     # Negative control: integrate op_min but monitor the H of a perturbed
     # op_min.  The first draw that H drifts on stops at an ordinary step
     # size, which is no runaway, so the suite raises instead of
-    # discarding it.  ``meta`` is fresh so that no cached function of the
-    # original spec is reused.
+    # discarding it.
     spec = build("op_min", PARAMS["op_min"])
     bad = build("op_min", dataclasses.replace(PARAMS["op_min"],
                                               u1=PARAMS["op_min"].u1 + 1e-3))
-    mixed = dataclasses.replace(spec, hamiltonian=bad.hamiltonian, meta={})
+    mixed = dataclasses.replace(spec, hamiltonian=bad.hamiltonian)
     with pytest.raises(RuntimeError, match="not running away"):
         conservation_suite(mixed, n_ic=1, t_end=50.0, tol=1e-12, seed=5)
 
@@ -623,8 +624,7 @@ def test_drift_stop_does_not_discard_draws_that_break_h_in_part_of_phase_space()
     def broken(s):
         return H(s) + 1e-3 * np.maximum(s[2], 0.0) ** 2
 
-    mixed = dataclasses.replace(
-        spec, hamiltonian=Observable(broken, "H", 2), meta={})
+    mixed = dataclasses.replace(spec, hamiltonian=Observable(broken, "H", 2))
     drifts = conservation_suite(mixed, n_ic=1, t_end=50.0, tol=1e-12, seed=7)
     assert drifts["attempts"] == 1 and drifts["H"] < 1e-10
     rng = make_rng(7)
@@ -787,6 +787,15 @@ def test_conservation_suite_smoke():
     assert attempts >= 3
     assert set(drifts) == {"H", "X1", "X2", "Y3", "Y4"}
     assert all(v < 1e-7 for v in drifts.values())
+
+
+def test_unseeded_conservation_suite_is_reproducible():
+    # With neither seed nor rng the draws come from DEFAULT_SEED, not
+    # from OS entropy.
+    spec = build("linear_min", PARAMS["linear_min"])
+    first, second = (conservation_suite(spec, n_ic=1, t_end=1.0, tol=1e-10) for _ in range(2))
+    assert first == second
+    assert first == conservation_suite(spec, n_ic=1, t_end=1.0, tol=1e-10, seed=DEFAULT_SEED)
 
 
 @pytest.mark.parametrize("bad_draw", [1, 3], ids=["first_draw", "later_draw"])

@@ -16,7 +16,8 @@ import pytest
 from axisym import autodiff as ad
 from axisym import trace, verify
 from axisym.catalog import build, op_closure_polynomial
-from axisym.dynamics import _make_scalar_h, _make_scalar_rhs
+from axisym.closedform import OP_MIN, cartesian_state, constants
+from axisym.dynamics import _make_scalar_h, _make_scalar_rhs, integrate
 from axisym.families import build_family
 from axisym.phase import (
     EvaluationError,
@@ -364,8 +365,9 @@ def test_abs_of_a_dual_falls_back_to_duals():
     pz = Observable(lambda s: abs(s[0]) * 0.0 + s[5], "Pz", 1)
     z = Observable(lambda s: s[2], "z", 0)
     assert trace.traced_gradient(pz.fn)[1] == "dual"
-    assert trace.cached_program({}, "abs", lambda t, y: (abs(ad.Dual(y[0], 1.0)).im,),
-                                "abs")[1] == "dual"
+    def abs_tangent(t, y):
+        return (abs(ad.Dual(y[0], 1.0)).im,)
+    assert trace.cached_program((abs_tangent,), abs_tangent, "abs")[1] == "dual"
     state = sample_safe_states(make_rng(51), 1)[:, 0].tolist()
     gf, gg = gradient6(pz.fn, state), gradient6(z.fn, state)
     want = sum(gf[i] * gg[i + 3] - gf[i + 3] * gg[i] for i in range(3))
@@ -410,30 +412,101 @@ def test_building_specs_traces_nothing(monkeypatch):
     monkeypatch.setattr(trace._Tape, "__init__", counting_init)
     specs = [_spec(key) for key in [*PARAMS, *FAMILY_ARGS]]
     assert tapes == []
-    fns = [obs.fn for spec in specs for obs in spec.observables()]
-    caches = (trace._GRADIENTS, trace._VALUES, verify._BRACKETS)
-    assert not any(fn in cache for fn in fns for cache in caches)
-    assert not any(spec.closure in verify._POLYNOMIALS for spec in specs if spec.closure)
-    assert not any("_closure" in spec.meta for spec in specs)
+    built = {id(o) for spec in specs
+             for o in (spec, spec.closure, *(obs.fn for obs in spec.observables()))}
+    assert not any(built & set(entry[1:]) for entry in trace._CACHE)
 
 
-def test_caches_do_not_keep_an_untraceable_spec_alive():
-    # Only the verdict is cached for an untraceable field, never the dual
-    # program, which closes over the field that keys the cache.
-    spec = _with_branching_h(build("op_min", PARAMS["op_min"]))
+def _observable_entries():
+    fn = Observable(lambda s: s[0] * s[4] - s[1] * s[3], "Lz", 1).fn
+    trace.gradient(fn, [0.5, 0.6, 0.7, 0.1, 0.2, 0.3])
+    trace.traced_value(fn)
+    return fn, (), {"grad", "value"}
+
+
+def _bracket_entries():
+    # Dropping one function of the pair drops the pair's program.
+    f, g = (lambda s: s[0] * s[3]), (lambda s: s[1] * s[4])
+    verify.poisson(f, g, [0.5, 0.6, 0.7, 0.1, 0.2, 0.3])
+    bracket_residuals(f, g, sample_safe_states(make_rng(53), 3))
+    return f, (g,), {"bracket"}
+
+
+def _polynomial_entries():
+    spec = _spec("op_min")
+    poly = _mutated(spec)
+    closure_residual(spec, sample_safe_states(make_rng(53), 3), poly=poly)
+    return poly, (spec,), {"poly"}
+
+
+def _ansatz_entries():
+    # An ansatz not built by the cache: only its determining program is kept.
+    spec = _spec("op_min")
+    ansatz = dataclasses.replace(verify.y3_quadratic_ansatz(spec))
+    verify.determining_residuals(ansatz, spec.B, spec.W, verify.safe_grid(2))
+    return ansatz, (spec,), {"determining"}
+
+
+def _constants_entries():
+    params = PARAMS["op_min"]
+    c = constants(OP_MIN, params, 0.5, 0.3, 0.4, -0.2, 0.2, Lz=1.0)
+    cartesian_state(OP_MIN, c, params, 0.1)
+    return c, (params,), {"closed form"}
+
+
+def _spec_entries(spec=None):
+    # The spec's RHS, H and closure; its ansatz, and with the ansatz its
+    # determining program; its observables' values and gradients.
+    spec = spec or _spec("op_min")
+    integrate(spec, sample_safe_states(make_rng(53), 1)[:, 0], 0.1)
     verify_system(spec, samples=20, rank_points=3, seed=1)
+    ansatz = verify.y3_quadratic_ansatz(spec)
+    verify.determining_residuals(ansatz, spec.B, spec.W, verify.safe_grid(2))
     spec.hamiltonian.eval(sample_safe_states(make_rng(53), 1)[:, 0])
-    fns = [obs.fn for obs in spec.observables()]
+    return spec, (), {"rhs op_min", "rhs H op_min", "closure op_min", "ansatz", "determining",
+                      "grad", "value", "bracket"}
 
-    def cached(fn):
-        return (fn in trace._GRADIENTS, fn in trace._VALUES,
-                any(fn in inner for inner in verify._BRACKETS.values()))
 
-    assert cached(spec.hamiltonian.fn) == (True, True, True)
-    refs = [weakref.ref(fn) for fn in fns]
-    del spec, fns
+def _untraceable_spec_entries():
+    # Only the verdict is cached for an untraceable field, never the dual
+    # program, which closes over the objects that key it.
+    return _spec_entries(_with_branching_h(_spec("op_min")))
+
+
+@pytest.mark.parametrize("make", [_observable_entries, _bracket_entries, _polynomial_entries,
+                                  _ansatz_entries, _constants_entries, _spec_entries,
+                                  _untraceable_spec_entries],
+                         ids=["observable", "bracket", "polynomial", "ansatz", "constants",
+                              "spec", "untraceable_spec"])
+def test_an_entry_dies_with_its_key(make):
+    # ``make`` uses fresh objects and returns the one to drop, the others
+    # it keeps alive, and the tags of the entries that must die with it.
     gc.collect()
-    assert [ref() for ref in refs] == [None] * len(refs)
+    before = set(trace._CACHE)
+    key, kept, tags = make()
+    doomed = {entry for entry in set(trace._CACHE) - before if entry[0].startswith(tuple(tags))}
+    for tag in tags:
+        assert any(entry[0].startswith(tag) for entry in doomed), tag
+    ref = weakref.ref(key)
+    del key
+    gc.collect()
+    assert ref() is None
+    assert not doomed & set(trace._CACHE)
+    del kept    # held until here, so that only ``key`` died
+
+
+def test_spec_meta_holds_data_only():
+    specs = [_spec("op_min"), _spec("cp_min_bq")]
+    for spec in specs:
+        integrate(spec, sample_safe_states(make_rng(54), 1)[:, 0], 1.0)
+        verify_system(spec, samples=20, rank_points=3, seed=1)
+        verify.determining_residuals(verify.y3_quadratic_ansatz(spec), spec.B, spec.W,
+                                     verify.safe_grid(2))
+    c = constants(OP_MIN, specs[0].params, 0.5, 0.3, 0.4, -0.2, 0.2, Lz=1.0)
+    cartesian_state(OP_MIN, c, specs[0].params, 0.1)
+    for spec in specs:
+        assert spec.closure is not None
+        assert not any(callable(v) or k.startswith("_") for k, v in spec.meta.items())
 
 
 def _on_cpus(monkeypatch, n):

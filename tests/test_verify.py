@@ -229,7 +229,7 @@ def test_untraceable_ansatz_runs_the_tiers_on_duals():
 
 
 def test_repeated_y3_tiers_are_traced_once(monkeypatch):
-    # The ansatz is kept on the spec, so each call finds its program.
+    # The ansatz is cached per (spec, Y3), so each call finds its program.
     traced = []
     straight_line = trace.straight_line
 
