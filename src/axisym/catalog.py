@@ -22,8 +22,8 @@ from .phase import (
 )
 
 #: Reference phase-space point for one-time scale fixing of the
-#: high-order integrals (matches the trajectory initial point used in
-#: all bundled simulations).
+#: high-order integrals, and the initial point of every bundled figure
+#: and of ``axisym simulate`` without ``--ic``.
 REFERENCE_STATE = (1.0, -1.0, 1.0, 1.0, 0.0, 0.0)
 
 
@@ -85,8 +85,8 @@ class SystemSpec:
     hamiltonian: Observable
     integrals: tuple                 # ordered Observables (X1, X2, Y3[, Y4])
     claimed_rank: int
-    gauge_factor: Optional[Callable] = None    # g(s, w) for axial gauge
-    potential_sw: Optional[Callable] = None    # W(s, w)
+    gauge_factor: Callable                     # g(s, w) of A = g (-y, x, 0)
+    potential_sw: Callable                     # W(s, w)
     singular_in: frozenset = frozenset()       # subset of {"r", "z"}
     serializable: bool = True
     closure: Optional[Callable] = None         # poly(H, X1, X2, Y3) = {X1, Y3}^2

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import io as aio
 from .autodiff import value
-from .catalog import BUILDERS, SYSTEM_INFO, SystemParams, build
-from .dynamics import STEP_BUDGET, integrate, search_period
-from .figures import RECIPES, REFERENCE_IC, run_figure
+from .catalog import BUILDERS, REFERENCE_STATE, SYSTEM_INFO, SystemParams, build
+from .dynamics import STEP_BUDGET, TOL_MAX, TOL_MIN, integrate, search_period
+from .figures import RECIPES, run_figure
 from .phase import DEFAULT_SEED, DomainError, PhasePoint, make_rng
 from .verify import is_integral, verify_system
 
@@ -100,8 +100,8 @@ def _seed(text: str) -> int:
 
 
 def _check_tol(tol: float) -> None:
-    if not (1e-14 <= tol <= 1e-6):    # NaN fails too
-        raise ConfigError("--tol must lie in [1e-14, 1e-6]")
+    if not (TOL_MIN <= tol <= TOL_MAX):    # NaN fails too
+        raise ConfigError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
 
 
 def cmd_list(args) -> int:
@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     params = _parse_params(args.params)
     spec = _build_system(args.system, params)
-    ic = _parse_ic(args.ic) if args.ic else np.asarray(REFERENCE_IC)
+    ic = _parse_ic(args.ic) if args.ic else np.asarray(REFERENCE_STATE)
     if args.momenta == "kinetic":
         # Convert kinetic momenta to canonical ones in the spec gauge.
         a = np.asarray([float(value(c)) for c in spec.A(ic[:3])])

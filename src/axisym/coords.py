@@ -99,25 +99,31 @@ def cartesian_to_chart(kind, x, y, z, a=None):
     """
     s = x * x + y * y
     phi = ad.atan2(y, x)
+    xi, eta = axial_to_chart(kind, s, z, a)
+    return xi, eta, phi
+
+
+def axial_to_chart(kind, s, z, a=None):
+    """(xi, eta) of the rotational chart ``kind`` at s = x^2 + y^2 and z.
+
+    The meridian coordinates depend on (s, z) alone; generic over
+    floats, arrays, and duals.
+    """
     if kind == CIRCULAR_PARABOLIC:
         R = ad.sqrt(s + z * z)
-        return ad.sqrt(R + z), ad.sqrt(R - z), phi
+        return ad.sqrt(R + z), ad.sqrt(R - z)
     if kind == OBLATE:
         rho2 = s / (a * a)
         zeta2 = (z * z) / (a * a)
         t = rho2 + zeta2 - 1.0
         u = 0.5 * (t + ad.sqrt(t * t + 4.0 * zeta2))  # sinh(xi)^2
-        xi = ad.asinh(ad.sqrt(u))
-        eta = ad.acos(z / (a * ad.sqrt(u)))
-        return xi, eta, phi
+        return ad.asinh(ad.sqrt(u)), ad.acos(z / (a * ad.sqrt(u)))
     if kind == PROLATE:
         rho2 = s / (a * a)
         zeta2 = (z * z) / (a * a)
         t = rho2 + zeta2 - 1.0
         u = 0.5 * (t + ad.sqrt(t * t + 4.0 * rho2))  # sinh(xi)^2
-        xi = ad.asinh(ad.sqrt(u))
-        eta = ad.acos(z / (a * ad.sqrt(u + 1.0)))
-        return xi, eta, phi
+        return ad.asinh(ad.sqrt(u)), ad.acos(z / (a * ad.sqrt(u + 1.0)))
     raise ValueError(f"no inverse implemented for chart {kind!r}")
 
 

@@ -1,12 +1,11 @@
 """Equations of motion, adaptive integration, and period detection.
 
-Hamilton's equations are generated from a SystemSpec either through a
-closed-form right-hand side (available whenever the system carries its
-axial-gauge data g(s, z) and W(s, z), with A = g * (-y, x, 0)) or, as a
-fallback, through exact forward-mode gradients of the Hamiltonian.
-Either is traced once per spec into straight-line Python
-(:mod:`axisym.trace`; forward-mode derivatives by source
-transformation), so each call does plain float arithmetic, and
+Hamilton's equations are generated from a SystemSpec's axial-gauge
+data g(s, z) and W(s, z), with A = g * (-y, x, 0), which every spec
+carries (catalog systems, oscillator images and chart families alike).
+The closed-form right-hand side is traced once per spec into
+straight-line Python (:mod:`axisym.trace`; forward-mode derivatives by
+source transformation), so each call does plain float arithmetic, and
 :func:`eom_rhs` runs the same function on (6, k) blocks.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner), an adaptive
@@ -45,7 +44,7 @@ import numpy as np
 
 from .autodiff import Dual, tangent, value
 from .catalog import SystemSpec
-from .phase import DomainError, PhasePoint, gradient6
+from .phase import DomainError, PhasePoint
 from .trace import cached_program, evaluate_rows
 
 GUARD_RADIUS = 0.05
@@ -102,14 +101,13 @@ def _check_guard(spec: SystemSpec, y):
 def _make_scalar_rhs(spec: SystemSpec):
     """Right-hand side ``integrate`` hands to the solver and ``eom_rhs`` uses.
 
-    The dual-number RHS of :func:`_make_dual_rhs` is traced once into
-    straight-line code (exact derivatives, no per-call objects): the
-    closed form for a spec with axial-gauge data g and W, the exact
-    6-gradient of H otherwise.  Code without math functions (every
-    catalog config) is the compiled function itself; code with them
-    (the chart families) runs ``math`` on floats and numpy on rows, as
-    the dual RHS does.  A field that cannot be traced (one that branches
-    on a value) runs :func:`_make_dual_rhs` itself.
+    The dual-number RHS of :func:`_make_dual_rhs`, the closed form in
+    the spec's g and W, is traced once into straight-line code (exact
+    derivatives, no per-call objects).  Code without math functions
+    (every catalog config) is the compiled function itself; code with
+    them (the chart families) runs ``math`` on floats and numpy on rows,
+    as the dual RHS does.  A field that cannot be traced (one that
+    branches on a value) runs :func:`_make_dual_rhs` itself.
     """
     return _rhs_program(spec)[0]
 
@@ -134,17 +132,14 @@ def _make_scalar_h(spec: SystemSpec):
 def _make_dual_rhs(spec: SystemSpec):
     """Right-hand side via dual numbers, on floats or on (6, k) rows.
 
-    The generated RHS of :func:`_make_scalar_rhs` is traced from this
-    function, and the tests compare the two.  Specs without axial-gauge
-    data take the exact 6-gradient of H, one dual pass per direction.
+    It is the closed form of Hamilton's equations for
+    H = |p + g (-y, x, 0)|^2 / 2 + W(s, z), with one dual pass per
+    argument of g and of W.  The generated RHS of
+    :func:`_make_scalar_rhs` is traced from this function, and the tests
+    compare the two.
     """
     g_fn = spec.gauge_factor
     W_fn = spec.potential_sw
-    if g_fn is None or W_fn is None:
-        def rhs(t, y):
-            grad = gradient6(spec.hamiltonian.fn, list(y))
-            return (grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2])
-        return rhs
 
     def rhs(t, y):
         x, yy, z, px, py, pz = y
@@ -916,7 +911,12 @@ def _radial_period_estimate(times: np.ndarray, states: np.ndarray) -> Optional[f
 
 def radial_frequency(spec: SystemSpec, ic, horizon: float = 40.0,
                      tol: float = 1e-12) -> Optional[float]:
-    """Empirical angular frequency of r^2 oscillation, 2*pi / period."""
+    """Empirical angular frequency of r^2 oscillation, 2*pi / period.
+
+    Public API, although only the tests call it: acceptance criterion 7
+    measures the closed forms' radial frequency nu with it, so moving it
+    into the tests would shorten nothing.
+    """
     traj = integrate(spec, ic, horizon, tol=tol)
     period = _radial_period_estimate(traj.times, traj.states)
     return None if period is None else 2.0 * np.pi / period

@@ -5,7 +5,9 @@ or prolate spheroidal charts and is parametrized by four user-supplied
 scalar functions: beta1(eta) and beta2(xi) shape the magnetic field
 (and feed back into the scalar potential), rho1(eta) and rho2(xi)
 appear in the scalar potential only.  The gauge is fixed so that the
-axial integral X2 is exactly the canonical angular momentum p_phi.
+axial integral X2 is exactly the canonical angular momentum p_phi; it
+is the catalog's axial gauge, so each member is a catalog-style system
+with H derived from its A and W.
 
 All quantities are exposed on Cartesian phase-space states: positions
 and momenta are pulled back through the inverse chart (a point
@@ -20,14 +22,8 @@ from typing import Callable, Optional
 
 from . import autodiff as ad
 from . import coords
-from .catalog import SystemParams, SystemSpec
-from .phase import (
-    CovectorField,
-    DomainError,
-    Observable,
-    TwoForm,
-    exterior_derivative,
-)
+from .catalog import SystemParams, SystemSpec, _axial_spec
+from .phase import DomainError, Observable, exterior_derivative
 
 # Accept both the short kind names and the full chart names.
 _KIND_ALIASES = {
@@ -150,38 +146,6 @@ def _x1_chart(f: IntegrableFamily, G):
     return X1
 
 
-def _hamiltonian_chart(f: IntegrableFamily, G, Wc):
-    """H(xi, eta, p_xi, p_eta, p_phi) in the fixed gauge."""
-    if f.kind == coords.CIRCULAR_PARABOLIC:
-        def H(xi, eta, pxi, peta, pphi):
-            x2, e2 = xi * xi, eta * eta
-            pf = pphi - G(xi, eta)
-            return (0.5 * ((pxi * pxi + peta * peta) / (x2 + e2)
-                           + pf * pf / (x2 * e2))
-                    + Wc(xi, eta))
-    elif f.kind == coords.OBLATE:
-        a2 = f.a * f.a
-
-        def H(xi, eta, pxi, peta, pphi):
-            ch2 = ad.cosh(xi) ** 2
-            sn2 = ad.sin(eta) ** 2
-            pf = pphi - G(xi, eta)
-            return (0.5 * ((pxi * pxi + peta * peta) / (a2 * (ch2 - sn2))
-                           + pf * pf / (a2 * ch2 * sn2))
-                    + Wc(xi, eta))
-    else:  # prolate
-        a2 = f.a * f.a
-
-        def H(xi, eta, pxi, peta, pphi):
-            sh2 = ad.sinh(xi) ** 2
-            sn2 = ad.sin(eta) ** 2
-            pf = pphi - G(xi, eta)
-            return (0.5 * ((pxi * pxi + peta * peta) / (a2 * (sh2 + sn2))
-                           + pf * pf / (a2 * sh2 * sn2))
-                    + Wc(xi, eta))
-    return H
-
-
 def _chart_state(kind, a, state):
     """Chart coordinates and canonical chart momenta of a Cartesian state."""
     x, y, z, px, py, pz = state
@@ -194,39 +158,31 @@ def _chart_state(kind, a, state):
 def build_family(f: IntegrableFamily) -> SystemSpec:
     """Assemble the family member as a system on Cartesian phase space.
 
-    The returned spec carries the chart Hamiltonian and both quadratic
-    integrals, plus the Cartesian vector potential realizing the gauge
-    in which X2 = p_phi and the magnetic field derived from it.
-    Evaluation at chart-singular points (the symmetry axis, the focal
-    set of the spheroidal charts) is undefined and will not return
-    finite values; integration stops at the guard radius of the axis
+    The family is axially symmetric, so it is built like every catalog
+    system (:func:`axisym.catalog._axial_spec`): its chart gauge
+    A = -G dphi is the axial gauge A = g (-y, x, 0) with
+    g(s, w) = -G(xi, eta) / s, its potential is W(s, w) = W(xi, eta),
+    with (xi, eta) from :func:`axisym.coords.axial_to_chart`, and
+    H = |p + A|^2 / 2 + W.  The magnetic field is dA, X1 is written in
+    the chart and X2 = p_phi = x py - y px.  Evaluation at
+    chart-singular points (the symmetry axis, the focal set of the
+    spheroidal charts) is undefined and will not return finite values;
+    integration stops at the guard radius of the axis
     (``singular_in={"r"}``).  Claimed functional rank is 3 (H, X1, X2).
     """
     kind, a = f.kind, f.a
     G = _gauge_chart(f)
     Wc = _potential_chart(f)
-    Hc = _hamiltonian_chart(f, G, Wc)
     X1c = _x1_chart(f, G)
 
-    def W_cart(x, y, z):
-        xi, eta, _ = coords.cartesian_to_chart(kind, x, y, z, a)
-        return Wc(xi, eta)
+    def g(s, w):
+        return -G(*coords.axial_to_chart(kind, s, w, a)) / s
 
-    def A_cart(x, y, z):
-        # A = -G dphi; dphi pulls back to (-y/s, x/s, 0) dx_i.
-        xi, eta, _ = coords.cartesian_to_chart(kind, x, y, z, a)
-        g = G(xi, eta)
-        s = x * x + y * y
-        return (g * y / s, -g * x / s, 0.0 * z)
+    def W_sw(s, w):
+        return Wc(*coords.axial_to_chart(kind, s, w, a))
 
-    A = CovectorField(A_cart, label="A")
-
-    def B_cart(x, y, z):
-        return exterior_derivative(A, (x, y, z))
-
-    def H_fn(state):
-        xi, eta, pxi, peta, pphi = _chart_state(kind, a, state)
-        return Hc(xi, eta, pxi, peta, pphi)
+    def b_fn(x, y, z):    # dA of the spec's own gauge
+        return exterior_derivative(spec.A, (x, y, z))
 
     def X1_fn(state):
         xi, eta, pxi, peta, pphi = _chart_state(kind, a, state)
@@ -237,19 +193,10 @@ def build_family(f: IntegrableFamily) -> SystemSpec:
         return x * py - y * px  # canonical p_phi in this gauge
 
     params = SystemParams(a=a) if a is not None else SystemParams()
-    return SystemSpec(
-        system_id=f"family_{kind}",
-        params=params,
-        W=W_cart,
-        A=A,
-        B=TwoForm(B_cart, label="B"),
-        hamiltonian=Observable(H_fn, label="H", momentum_order=2),
-        integrals=(
-            Observable(X1_fn, label="X1", momentum_order=2),
-            Observable(X2_fn, label="X2", momentum_order=1),
-        ),
-        claimed_rank=3,
-        singular_in=frozenset({"r"}),
-        serializable=False,
-        meta={"kind": kind, "family": True},
-    )
+    spec = _axial_spec(
+        f"family_{kind}", params, g, W_sw, b_fn,
+        (Observable(X1_fn, label="X1", momentum_order=2),
+         Observable(X2_fn, label="X2", momentum_order=1)),
+        singular_in=frozenset({"r"}), serializable=False,
+        meta={"kind": kind, "family": True})
+    return spec

@@ -18,11 +18,9 @@ from typing import Optional
 
 from . import io as aio
 from . import svg, trace
-from .catalog import SystemParams, build
+from .catalog import REFERENCE_STATE, SystemParams, build
 from .dynamics import detect_period, integrate, prefix, search_period
 from .phase import PhasePoint
-
-REFERENCE_IC = (1.0, -1.0, 1.0, 1.0, 0.0, 0.0)
 
 DETECT_HORIZON_OPEN = 200.0
 
@@ -34,7 +32,7 @@ class FigureRecipe:
     figure_id: int
     system_id: str
     params: SystemParams
-    ic: tuple = REFERENCE_IC
+    ic: tuple = REFERENCE_STATE
     horizons: tuple = (50.0,)          # plotted time windows
     expected_period: Optional[float] = None
     period_slack: float = 1e-4         # relative (exact) or absolute (approx)

@@ -17,10 +17,11 @@ from axisym.catalog import (
     y4_explicit_max5,
     y4_explicit_max6,
 )
+from axisym.families import build_family
 from axisym.phase import exterior_derivative, make_rng, sample_safe_states
 from axisym.verify import poisson
 
-from conftest import PARAMS, SYSTEM_OF
+from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family
 
 
 def _all_specs():
@@ -38,9 +39,12 @@ def test_magnetic_field_is_exterior_derivative_of_gauge(key):
         assert np.allclose(dA, B, rtol=1e-10, atol=1e-10), key
 
 
-@pytest.mark.parametrize("key", list(PARAMS))
+@pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
 def test_gauge_factor_generates_vector_potential(key):
-    spec = build(SYSTEM_OF[key], PARAMS[key])
+    if key in FAMILY_ARGS:
+        spec = build_family(chart_family(*FAMILY_ARGS[key]))
+    else:
+        spec = build(SYSTEM_OF[key], PARAMS[key])
     rng = make_rng(2)
     for state in sample_safe_states(rng, 20).T:
         x, y, z = state[:3]

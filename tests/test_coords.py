@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axisym import autodiff as ad
 from axisym import coords
 from axisym.coords import (
     CIRCULAR_PARABOLIC,
     OBLATE,
     PROLATE,
     CurvilinearCoords,
+    axial_to_chart,
     cartesian_to_chart,
     chart_jacobian,
     chart_to_cartesian,
@@ -75,6 +77,19 @@ def test_spheroidal_roundtrips(kind, xi, eta, phi):
     xi2, eta2, _ = cartesian_to_chart(kind, x, y, z, a)
     assert float(xi2) == pytest.approx(xi, rel=1e-8, abs=1e-9)
     assert float(eta2) == pytest.approx(eta, rel=1e-8, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,a", [(CIRCULAR_PARABOLIC, None), (OBLATE, 1.3), (PROLATE, 1.3)])
+def test_axial_chart_and_atan2_give_cartesian_to_chart(kind, a):
+    # (xi, eta) depend on (s, z) alone; with phi = atan2(y, x) they are
+    # the inverse transform bit for bit, on floats and on rows.
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-2.0, 2.0, size=(3, 200))
+    rows[:2] += np.where(rows[:2] < 0.0, -0.1, 0.1)    # off the axis
+    for x, y, z in [*(tuple(map(float, col)) for col in rows.T), tuple(rows)]:
+        xi, eta = axial_to_chart(kind, x * x + y * y, z, a)
+        want = cartesian_to_chart(kind, x, y, z, a)
+        assert np.array_equal(want, (xi, eta, ad.atan2(y, x)))
 
 
 def test_jacobian_matches_finite_differences():

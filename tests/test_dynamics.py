@@ -17,6 +17,7 @@ from axisym import autodiff as ad
 from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
+from axisym.families import build_family
 from axisym.figures import RECIPES, run_figure
 from axisym.dynamics import (
     DRIFT_STOP,
@@ -48,7 +49,7 @@ from axisym.phase import (
 )
 from axisym.trace import evaluate_rows
 
-from conftest import PARAMS, SYSTEM_OF, value_branch
+from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family, value_branch
 
 # The seed of acceptance criterion 1.
 CRITERION_SEED = 20260823
@@ -84,20 +85,24 @@ def test_free_particle_rhs_and_straight_line():
                        atol=1e-10)
 
 
-@pytest.mark.parametrize("key", [*PARAMS, "osc_max5"])
+@pytest.mark.parametrize("key", [*PARAMS, "osc_max5", *FAMILY_ARGS])
 def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
     # The field-free oscillator image has a zero gauge, which the
-    # generated RHS reduces to a constant.
+    # generated RHS reduces to a constant; the chart families' g and W
+    # call math functions.
     if key == "osc_max5":
         spec = oscillator_image("max5", PARAMS["max5"])
+    elif key in FAMILY_ARGS:
+        spec = build_family(chart_family(*FAMILY_ARGS[key]))
     else:
         spec = build(SYSTEM_OF[key], PARAMS[key])
     rng = make_rng(31)
     states = sample_safe_states(rng, 10)
     dual_rhs = _make_dual_rhs(spec)
     fast_rhs = _make_scalar_rhs(spec)
-    # The generated straight-line function, not the dual-number fallback.
-    assert fast_rhs.__code__.co_filename.startswith("<rhs ")
+    # The generated straight-line function, not the dual-number fallback
+    # (behind the float/row dispatch for code that calls math functions).
+    assert dynamics._rhs_program(spec) == (fast_rhs, "generated")
     from axisym.phase import gradient6
     for state in states.T:
         grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
@@ -107,13 +112,18 @@ def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
         assert np.allclose(eom_rhs(spec, state), expected, rtol=1e-11, atol=1e-11)
     # eom_rhs runs the same generated function on the whole block, and
     # on six floats for one state, so each state gives its block column.
-    columns = [fast_rhs(0.0, tuple(state.tolist())) for state in states.T]
+    # The families' code calls math on floats and numpy on rows, which
+    # may differ in the last bit, so their columns agree within rounding.
+    columns = np.array([fast_rhs(0.0, tuple(state.tolist())) for state in states.T]).T
     block = eom_rhs(spec, states)
-    assert np.array_equal(block, np.array(columns).T)
+    if key in FAMILY_ARGS:
+        assert np.allclose(block, columns, rtol=1e-15, atol=1e-15)
+    else:
+        assert np.array_equal(block, columns)
     for k, state in enumerate(states.T):
-        assert np.array_equal(eom_rhs(spec, state), block[:, k])
-        assert np.array_equal(eom_rhs(spec, list(state)), block[:, k])
-        assert np.array_equal(eom_rhs(spec, PhasePoint.from_state(state)), block[:, k])
+        assert np.array_equal(eom_rhs(spec, state), columns[:, k])
+        assert np.array_equal(eom_rhs(spec, list(state)), columns[:, k])
+        assert np.array_equal(eom_rhs(spec, PhasePoint.from_state(state)), columns[:, k])
 
 
 def _well(W_sw) -> SystemSpec:
