@@ -3,10 +3,12 @@
 Hamilton's equations are generated from a SystemSpec's axial-gauge
 data g(s, z) and W(s, z), with A = g * (-y, x, 0), which every spec
 carries (catalog systems, oscillator images and chart families alike).
-The closed-form right-hand side is traced once per spec into
-straight-line Python (:mod:`axisym.trace`; forward-mode derivatives by
-source transformation), so each call does plain float arithmetic, and
-:func:`eom_rhs` runs the same function on (6, k) blocks.
+The closed-form right-hand side is traced once per spec into generated
+Python without branches (:mod:`axisym.trace`; forward-mode derivatives
+by source transformation), in which a value read once is nested into
+the expression that reads it and only values read more often get a
+name, so each call does plain float arithmetic with few local stores,
+and :func:`eom_rhs` runs the same function on (6, k) blocks.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner), an adaptive
 embedded Runge-Kutta pair of order 8(5,3) with dense output, run on a

@@ -2,12 +2,20 @@
 
 A field written against :mod:`axisym.autodiff` is run once on recording
 scalars (``_Var``); every ``+ - * /``, every integer power ``v ** n``
-and every math function becomes one line of a generated Python function
-that repeats the same operations, in the same order, on floats or on
-numpy rows, with no per-operation objects (forward-mode derivatives by
-source transformation; Griewank & Walther, "Evaluating Derivatives",
-2nd ed., SIAM 2008, ch. 3-4).  The integrator's RHS and H are traced
-this way, and so are an observable's value (:func:`traced_value`, run by
+and every math function is recorded as one operation of a generated
+Python function that repeats the same operations, on the same operands,
+on floats or on numpy rows, with no per-operation objects (forward-mode
+derivatives by source transformation; Griewank & Walther, "Evaluating
+Derivatives", 2nd ed., SIAM 2008, ch. 3-4).  A value that one operation
+reads, and that is not an output, is written in parentheses into the
+expression that reads it; a value read twice or more is a line of its
+own, ``v12 = ...``, as is a value at the end of a chain of
+``NEST_DEPTH`` nested ones.  A local variable costs a store and a load
+in CPython, and most values are read once: nested code makes an RHS
+call of the 8 catalog configs 9-23% cheaper, and the 87 programs of a
+first ``verify_system`` over the 11 specs take 187k characters in place
+of 435k.  The integrator's RHS and H are traced this way, and so are
+an observable's value (:func:`traced_value`, run by
 ``Observable.eval``), ``gradient6(fn, .)`` (:func:`gradient`, run in
 place of six dual-number passes) and the closed-form solutions.
 :mod:`axisym.verify` traces whole checks the same way: each bracket with
@@ -16,7 +24,7 @@ it is compared at, and the rows of the determining equations.
 
 Math functions.  The autodiff helpers call a numpy ufunc on any leaf
 that is not a Python float or int (``np.sqrt(v)``); on a ``_Var`` that
-call is recorded as one line, ``sqrt(v)``, for the ufuncs of
+call is recorded as one operation, ``sqrt(v)``, for the ufuncs of
 :data:`FUNCTIONS`.  A program with such a line is compiled once and
 bound twice: to the ``math`` functions, which autodiff calls on floats
 and ints, and to the numpy ufuncs, which it calls on everything else
@@ -29,8 +37,11 @@ function line is the compiled function itself.
 
 Exactness.  Arithmetic with a constant is folded only where the result
 is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``), operands of
-``+`` and ``*`` are swapped only where IEEE arithmetic commutes, and
-identical operations share a line, so on finite inputs the generated
+``+`` and ``*`` are swapped only where IEEE arithmetic commutes,
+identical operations share a line, and nesting keeps each operation
+with its operands in their order (an operation may run later, at its
+reader, which changes no value, though where two operations raise on a
+state another one may raise first), so on finite inputs the generated
 code gives the values of the traced field bit for bit: a traced
 gradient equals ``gradient6`` on the same floats or rows, in float64 and
 in long double.  ``v ** n`` is emitted as ``v ** n``, so floats and
@@ -42,8 +53,9 @@ value, which branches on its sign); :func:`cached_program` then hands
 back the field itself on dual numbers, run by the same callers.  Nested
 derivatives trace as well when the duals are built on the recording
 scalars, as the determining equations' program builds them: each dual
-layer's arithmetic becomes lines of the one program.  A state handed to
-:func:`gradient` that already holds duals stays on dual numbers.
+layer's arithmetic becomes operations of the one program.  A state
+handed to :func:`gradient` that already holds duals stays on dual
+numbers.
 
 One cache.  Every traced program is kept in one dict (:func:`cached`)
 under its compile tag and the identity of each object it is traced from
@@ -57,19 +69,22 @@ drops an entry when the first of its keys dies, so a spec built by
 
 Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
 (:func:`evaluate_blocks`) into preallocated rows, and its code deletes
-each value after its last use.  Both bound the memory of a call, which
-otherwise holds one temporary row per line (op_min's X1 gradient has
-280 lines, run in long double by the closure check).  Two passes of the
-``verify`` benchmark's work, its 100k-state op_min sweep included, peak
-at 62 MB of RSS with the closure and the brackets traced as whole
-programs and the closure's long-double states cast block by block
-(79 MB with only the gradients traced, 89 MB on dual numbers).  With
-gradients alone they peaked at 78 MB with blocks of 1024-16384 columns
-and at 112 MB unblocked; without the deletes at 82 MB with blocks of
-4096, 131 MB with 16384 and 479 MB unblocked.  Blocks stay at 4096
-columns because wider long-double blocks fall out of the cache: op_min
-X1's gradient on 100k long-double states took 108-147 ms with 4096
-columns and 142-170 ms with 8192-16384.
+each named value after its last use; a nested value's row is freed as
+soon as its reader has run.  Both bound the memory of a call, which
+otherwise holds one temporary row per named value (op_min's X1
+gradient, run in long double by the closure check, has 73 named values
+and 27 ``del`` lines; with one line per operation it had 273 and 188).
+The figures below were measured with one line per operation.  Two
+passes of the ``verify`` benchmark's work, its 100k-state op_min sweep
+included, peak at 62 MB of RSS with the closure and the brackets traced
+as whole programs and the closure's long-double states cast block by
+block (79 MB with only the gradients traced, 89 MB on dual numbers).
+With gradients alone they peaked at 78 MB with blocks of 1024-16384
+columns and at 112 MB unblocked; without the deletes at 82 MB with
+blocks of 4096, 131 MB with 16384 and 479 MB unblocked.  Blocks stay
+at 4096 columns because wider long-double blocks fall out of the cache:
+op_min X1's gradient on 100k long-double states took 108-147 ms with
+4096 columns and 142-170 ms with 8192-16384.
 
 Two processes.  A call of at least ``SPLIT_BLOCKS`` blocks, in either
 dtype, runs on two processes where :func:`beside` may fork: the process
@@ -149,12 +164,12 @@ _OPERATORS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.true_divide: "
 class _Var:
     """Recording scalar: each ``+ - * /`` on it, each power ``v ** n``
     with an ``int`` exponent and each ufunc of :data:`FUNCTIONS` applied
-    to it appends one line of code.
+    to it records one operation on the tape.
 
     Arithmetic with plain numbers is folded where the result is exact on
     finite values (``v + 0``, ``v * 1``, ``v * 0``), so fields that do
     not depend on an argument trace to constants.  Identical operations
-    share one line.  Any other use (a branch on its value, another
+    share one value.  Any other use (a branch on its value, another
     power, another ufunc) raises TypeError: such a field is not
     straight-line code.
     """
@@ -243,61 +258,120 @@ def _is_const(v) -> bool:
 
 
 def _operand(v) -> str:
-    if isinstance(v, _Var):
+    if type(v) is _Var:
         return v.name
-    if _is_const(v) and math.isfinite(v):
+    if type(v) is float or type(v) is int:
+        # The common constants, without the ABC checks below.
+        if math.isfinite(v):
+            return repr(v)
+    elif _is_const(v) and math.isfinite(v):
         return repr(int(v) if isinstance(v, numbers.Integral) else float(v))
     raise TypeError(f"cannot trace through operand {v!r}")
+
+
+# Deepest nesting of parentheses in a generated line.  CPython's parser
+# rejects more than 200 nested parentheses, and its compiler recurses
+# once per level, so a long chain of values read once is cut into lines.
+NEST_DEPTH = 40
+# Pattern of each binary operation: its operands fill the ``{}``.
+_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "**": "{} ** {}"}
 
 
 class _Tape:
     """Straight-line program recorded from operations on ``_Var``."""
 
     def __init__(self):
-        self.lines = []           # (name, expression, names it reads)
+        # (name, expression, names it reads, form): the form is the
+        # expression with a ``{}`` in place of each name it reads.
+        self.lines = []
         self.memo = {}            # expression -> name of its line
 
     def emit(self, op, a, b) -> _Var:
         if a is None:
-            return self._line(f"-{_operand(b)}", (b,))
+            text = _operand(b)
+            return self._line(f"-{text}", "-{}", (b,), (text,))
         lhs, rhs = _operand(a), _operand(b)
         if op in ("+", "*") and rhs < lhs:
             # Exact in IEEE arithmetic; lets a*b and b*a share a line.
-            lhs, rhs = rhs, lhs
-        return self._line(f"{lhs} {op} {rhs}", (a, b))
+            a, b, lhs, rhs = b, a, rhs, lhs
+        return self._line(f"{lhs} {op} {rhs}", _BINARY[op], (a, b), (lhs, rhs))
 
     def call(self, fn: str, args) -> _Var:
         """``fn(*args)``, a function of :data:`FUNCTIONS` named as its ufunc."""
-        return self._line(f"{fn}({', '.join(_operand(a) for a in args)})", args)
+        texts = [_operand(a) for a in args]
+        return self._line(f"{fn}({', '.join(texts)})",
+                          f"{fn}({', '.join(['{}'] * len(args))})", args, texts)
 
-    def _line(self, expr, operands) -> _Var:
+    def _line(self, expr, pattern, operands, texts) -> _Var:
+        """The line ``expr``, which is ``pattern`` filled with the ``texts``
+        of ``operands``.  Many operations repeat a line, so the form is
+        made for a new line only, and the caller writes ``expr`` with an
+        f-string, faster than ``str.format``."""
         # The tape holds names, not _Vars, so it is freed with the last
         # _Var rather than by the cycle collector.
         name = self.memo.get(expr)
         if name is None:
             name = self.memo[expr] = f"v{len(self.lines)}"
-            reads = tuple(x.name for x in operands if isinstance(x, _Var))
-            self.lines.append((name, expr, reads))
+            reads = tuple(t for x, t in zip(operands, texts) if type(x) is _Var)
+            if len(reads) < len(texts):         # write the constants in
+                pattern = pattern.format(*["{}" if type(x) is _Var else t
+                                           for x, t in zip(operands, texts)])
+            self.lines.append((name, expr, reads, pattern))
         return _Var(self, name)
 
     def source(self, inputs, outputs, free=False) -> str:
         """Source of ``rhs(t, y)`` returning ``outputs``, dead lines dropped.
 
-        With ``free`` each value is deleted after its last use, so a call
-        on arrays holds only the rows still to be read, not one per line.
+        A value read by exactly one operation, and not an output, is not
+        a line of its own: its expression is written, in parentheses,
+        into the one expression that reads it, down to ``NEST_DEPTH``
+        levels; a longer chain is cut into lines.  That saves a store and
+        a load of a local per value, and on rows frees its temporary as
+        soon as it is read.  Inputs, outputs and values read twice or more
+        keep their names.  Each operation keeps its operands and their
+        order, so the values do not change.  With ``free`` each named
+        value is deleted after the last line that reads it, directly or
+        in a nested expression, so a call on arrays holds only the rows
+        still to be read, not one per value.
         """
         out = [_operand(v) for v in outputs]
-        live = set(out)
-        body = []
-        for name, expr, reads in reversed(self.lines):
-            if name in live:
-                dead = sorted(set(reads) - live)
-                if free and dead:
-                    body.append(f"    del {', '.join(dead)}")
-                live.update(reads)
-                body.append(f"    {name} = {expr}")
+        uses = dict.fromkeys(out, 2)        # an output keeps its name
+        live = []
+        for line in reversed(self.lines):
+            if line[0] in uses:
+                live.append(line)
+                for r in line[2]:
+                    uses[r] = uses.get(r, 0) + 1
+        nested = {}       # name -> (expression, its depth, names it reads)
+        body = []         # (name, expression, names it reads)
+        for name, _, reads, form in reversed(live):
+            args, depth, names = [], 0, []
+            for r in reads:
+                if r in nested:
+                    text, d, inner = nested.pop(r)
+                    args.append(f"({text})")
+                    if d >= depth:
+                        depth = d + 1
+                    names += inner
+                else:
+                    args.append(r)
+                    names.append(r)
+            expr = form.format(*args)
+            if uses[name] == 1 and depth < NEST_DEPTH:
+                nested[name] = (expr, depth, names)
+            else:
+                body.append((name, expr, names))
+        lines = []
+        read_later = set(out)
+        for name, expr, names in reversed(body):
+            if free:
+                dead = sorted(set(names) - read_later)
+                if dead:
+                    lines.append(f"    del {', '.join(dead)}")
+                read_later.update(names)
+            lines.append(f"    {name} = {expr}")
         head = f"    {''.join(v.name + ', ' for v in inputs)}= y"
-        return "\n".join(["def rhs(t, y):", head, *reversed(body),
+        return "\n".join(["def rhs(t, y):", head, *reversed(lines),
                           f"    return ({', '.join(out)})"])
 
 
@@ -305,13 +379,15 @@ def straight_line(fn, tag: str, free=False, inputs=6):
     """Turn a single-state ``fn(t, y)`` on scalars into generated code.
 
     ``fn`` is run once on ``inputs`` recording scalars; the function
-    returned repeats its arithmetic, in the same order, on the floats of
-    a state ``y`` (the solver passes a tuple of six) or on rows of a
-    block, so on finite values its results equal those of ``fn`` bit for
-    bit.  ``fn`` returns a tuple; for a 1-tuple the generated function
-    returns its one value.  The code is compiled under the file name
-    ``<tag>``; ``free`` deletes each value after its last use (see
-    :meth:`_Tape.source`).  Code that calls a math function comes back
+    returned repeats each of its operations, on the same operands in the
+    same order, on the floats of a state ``y`` (the solver passes a tuple
+    of six) or on rows of a block, so on finite values its results equal
+    those of ``fn`` bit for bit.  A value read once is nested into the
+    expression that reads it (see :meth:`_Tape.source`), since a named
+    local costs a store and a load.  ``fn`` returns a tuple; for a
+    1-tuple the generated function returns its one value.  The code is
+    compiled under the file name ``<tag>``; ``free`` deletes each named
+    value after its last use.  Code that calls a math function comes back
     behind :func:`_dispatch`.  Raises TypeError if ``fn`` is not
     straight-line code.
     """

@@ -1,5 +1,6 @@
 """Traced programs: bit-equal to dual numbers and direct values, blocked, lazy."""
 
+import ast
 import dataclasses
 import gc
 import inspect
@@ -317,6 +318,88 @@ def test_tape_emits_integer_powers_only():
     rows = np.linspace(0.5, 2.0, 7)
     assert cube(0.0, (1.5, 4.0)) == 1.5 ** 3 - 4.0 ** -1
     assert np.array_equal(cube(0.0, (rows, rows[::-1])), rows ** 3 - rows[::-1] ** -1)
+
+
+def _paren_depth(line: str) -> int:
+    depth = deepest = 0
+    for c in line:
+        depth += (c == "(") - (c == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_a_deep_chain_of_values_read_once_is_cut_into_lines():
+    # Horner's rule for a polynomial of degree 1000: 2000 operations, each
+    # read once by the next.
+    coefficients = [1.0 + k / 997.0 for k in range(1001)]
+
+    def horner(t, y):
+        p = coefficients[0]
+        for c in coefficients[1:]:
+            p = p * y[0] + c
+        return (p,)
+
+    program, backend = trace.cached_program((horner,), horner, "horner", inputs=1)
+    assert backend == "generated"
+    lines = trace._trace(horner, True, 1).splitlines()
+    assert len([s for s in lines if " = " in s]) <= 2000 // trace.NEST_DEPTH + 2
+    assert max(map(_paren_depth, lines)) <= trace.NEST_DEPTH
+    for x in (-1.1, -0.3, 0.0, 0.5, 0.999):
+        assert repr(program(0.0, (x,))) == repr(horner(0.0, (x,))[0])
+    for dtype in (np.float64, np.longdouble):
+        row = np.linspace(-1.1, 1.1, 301, dtype=dtype)
+        got, want = program(0.0, (row,)), horner(0.0, (row,))[0]
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+
+def _assert_names_freed(source: str):
+    """Each name is assigned before it is read and not read after its
+    ``del``; every local that is not an output is deleted."""
+    (fn,) = ast.parse(source).body
+    assigned, deleted = set(), set()
+
+    def reads(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                yield n.id
+
+    for stmt in fn.body:
+        for name in reads(stmt):
+            if name in trace._ROW_FUNCTIONS and name not in assigned:
+                continue        # a math function
+            assert name in assigned | {"y"} and name not in deleted, (name, ast.unparse(stmt))
+        if isinstance(stmt, ast.Assign):
+            (target,) = stmt.targets
+            names = [target] if isinstance(target, ast.Name) else target.elts
+            assert not {n.id for n in names} & assigned
+            assigned |= {n.id for n in names}
+        elif isinstance(stmt, ast.Delete):
+            names = {n.id for n in stmt.targets}
+            assert names <= assigned and not names & deleted
+            deleted |= names
+    outputs = set(reads(fn.body[-1]))
+    assert isinstance(fn.body[-1], ast.Return)
+    assert assigned - outputs == deleted
+
+
+def test_freeing_programs_delete_every_local_after_its_reads(monkeypatch):
+    sources = {}
+
+    def recording(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(trace, "compile", recording, raising=False)
+    states = sample_safe_states(make_rng(5), 50)
+    closure_residual(build("op_min", PARAMS["op_min"]), states)
+    family = build_family(chart_family(*FAMILY_ARGS["family_prolate"]))
+    bracket_residuals(family.integral("X1"), family.hamiltonian, states)
+    closure = sources["<closure op_min>"]
+    (bracket,) = [s for tag, s in sources.items() if tag.startswith("<bracket")]
+    assert "sqrt(" in bracket
+    for source in (closure, bracket):
+        _assert_names_freed(source)
+        assert "((" in source              # values read once are nested
 
 
 @pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
