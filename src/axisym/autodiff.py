@@ -6,6 +6,12 @@ arrays (vectorized over sample points), complex numbers, and ``Dual``
 values.  Nesting ``Dual`` inside ``Dual`` yields exact second derivatives.
 Finite differences are used only as a test oracle, never in production
 code.
+
+The differentiation rules are written here only: :func:`_unary` builds
+each one-argument function from its ufunc, ``math`` and ``cmath``
+functions and tangent rule, :data:`FUNCTIONS` is the ufunc -> ``math``
+table that :mod:`axisym.trace` binds traced code to, and :func:`seeded`
+seeds one argument at a time for partial derivatives.
 """
 
 from __future__ import annotations
@@ -125,109 +131,51 @@ def _parts(v):
     return v, 0.0
 
 
-def sqrt(v):
-    if isinstance(v, Dual):
-        r = sqrt(v.re)
-        return Dual(r, v.im / (2.0 * r))
-    if isinstance(v, complex):
-        return cmath.sqrt(v)
-    if isinstance(v, (float, int)):
-        return math.sqrt(v)
-    return np.sqrt(v)
+# The leaves on which the functions below call ``math``; on any other
+# leaf (arrays, numpy scalars, traced values) they call the numpy ufunc.
+_MATH_LEAVES = (float, int)
+# Ufunc -> the math function called in its place on those leaves, for
+# every function below (:func:`_unary` adds the one-argument ones).
+FUNCTIONS: dict = {np.arctan2: math.atan2, np.floor: math.floor}
 
 
-def exp(v):
-    if isinstance(v, Dual):
-        e = exp(v.re)
-        return Dual(e, e * v.im)
-    if isinstance(v, complex):
-        return cmath.exp(v)
-    if isinstance(v, (float, int)):
-        return math.exp(v)
-    return np.exp(v)
+def _unary(ufunc, on_floats, on_complex, rule):
+    """``ufunc`` on every leaf and on duals, whose tangent is ``rule(x, f(x), dx)``;
+    ``on_complex``, where given, runs on Python complex numbers."""
+    def f(v):
+        if isinstance(v, Dual):
+            fx = f(v.re)
+            return Dual(fx, rule(v.re, fx, v.im))
+        if on_complex is not None and isinstance(v, complex):
+            return on_complex(v)
+        if isinstance(v, _MATH_LEAVES):
+            return on_floats(v)
+        return ufunc(v)
+
+    f.__name__ = f.__qualname__ = on_floats.__name__
+    FUNCTIONS[ufunc] = on_floats
+    return f
 
 
-def log(v):
-    if isinstance(v, Dual):
-        return Dual(log(v.re), v.im / v.re)
-    if isinstance(v, complex):
-        return cmath.log(v)
-    if isinstance(v, (float, int)):
-        return math.log(v)
-    return np.log(v)
+sqrt = _unary(np.sqrt, math.sqrt, cmath.sqrt, lambda x, fx, dx: dx / (2.0 * fx))
+exp = _unary(np.exp, math.exp, cmath.exp, lambda x, fx, dx: fx * dx)
+log = _unary(np.log, math.log, cmath.log, lambda x, fx, dx: dx / x)
+sin = _unary(np.sin, math.sin, None, lambda x, fx, dx: cos(x) * dx)
+cos = _unary(np.cos, math.cos, None, lambda x, fx, dx: -sin(x) * dx)
 
 
-def sin(v):
-    if isinstance(v, Dual):
-        return Dual(sin(v.re), cos(v.re) * v.im)
-    if isinstance(v, (float, int)):
-        return math.sin(v)
-    return np.sin(v)
+def _tan_rule(x, fx, dx):
+    c = cos(x)
+    return dx / (c * c)
 
 
-def cos(v):
-    if isinstance(v, Dual):
-        return Dual(cos(v.re), -sin(v.re) * v.im)
-    if isinstance(v, (float, int)):
-        return math.cos(v)
-    return np.cos(v)
-
-
-def tan(v):
-    if isinstance(v, Dual):
-        c = cos(v.re)
-        return Dual(tan(v.re), v.im / (c * c))
-    if isinstance(v, (float, int)):
-        return math.tan(v)
-    return np.tan(v)
-
-
-def sinh(v):
-    if isinstance(v, Dual):
-        return Dual(sinh(v.re), cosh(v.re) * v.im)
-    if isinstance(v, (float, int)):
-        return math.sinh(v)
-    return np.sinh(v)
-
-
-def cosh(v):
-    if isinstance(v, Dual):
-        return Dual(cosh(v.re), sinh(v.re) * v.im)
-    if isinstance(v, (float, int)):
-        return math.cosh(v)
-    return np.cosh(v)
-
-
-def atan(v):
-    if isinstance(v, Dual):
-        return Dual(atan(v.re), v.im / (1.0 + v.re * v.re))
-    if isinstance(v, (float, int)):
-        return math.atan(v)
-    return np.arctan(v)
-
-
-def asin(v):
-    if isinstance(v, Dual):
-        return Dual(asin(v.re), v.im / sqrt(1.0 - v.re * v.re))
-    if isinstance(v, (float, int)):
-        return math.asin(v)
-    return np.arcsin(v)
-
-
-def acos(v):
-    if isinstance(v, Dual):
-        return Dual(acos(v.re), -v.im / sqrt(1.0 - v.re * v.re))
-    if isinstance(v, (float, int)):
-        return math.acos(v)
-    return np.arccos(v)
-
-
-def asinh(v):
-    if isinstance(v, Dual):
-        return Dual(asinh(v.re), v.im / sqrt(v.re * v.re + 1.0))
-    if isinstance(v, (float, int)):
-        return math.asinh(v)
-    return np.arcsinh(v)
+tan = _unary(np.tan, math.tan, None, _tan_rule)
+sinh = _unary(np.sinh, math.sinh, None, lambda x, fx, dx: cosh(x) * dx)
+cosh = _unary(np.cosh, math.cosh, None, lambda x, fx, dx: sinh(x) * dx)
+atan = _unary(np.arctan, math.atan, None, lambda x, fx, dx: dx / (1.0 + x * x))
+asin = _unary(np.arcsin, math.asin, None, lambda x, fx, dx: dx / sqrt(1.0 - x * x))
+acos = _unary(np.arccos, math.acos, None, lambda x, fx, dx: -dx / sqrt(1.0 - x * x))
+asinh = _unary(np.arcsinh, math.asinh, None, lambda x, fx, dx: dx / sqrt(x * x + 1.0))
 
 
 def atan2(y, x):
@@ -236,7 +184,7 @@ def atan2(y, x):
         xre, xim = _parts(x)
         denom = xre * xre + yre * yre
         return Dual(atan2(yre, xre), (xre * yim - yre * xim) / denom)
-    if isinstance(y, (float, int)) and isinstance(x, (float, int)):
+    if isinstance(y, _MATH_LEAVES) and isinstance(x, _MATH_LEAVES):
         return math.atan2(y, x)
     return np.arctan2(y, x)
 
@@ -244,7 +192,7 @@ def atan2(y, x):
 def floor(v):
     """Floor of the primal value, treated as a locally constant."""
     v = value(v)
-    if isinstance(v, (float, int)):
+    if isinstance(v, _MATH_LEAVES):
         return math.floor(v)
     return np.floor(v)
 
@@ -253,9 +201,7 @@ def real(v):
     """Real part, recursing through dual layers (complex-step safe)."""
     if isinstance(v, Dual):
         return Dual(real(v.re), real(v.im))
-    if isinstance(v, complex):
-        return v.real
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (complex, np.ndarray)):
         return v.real
     return v
 
@@ -263,9 +209,7 @@ def real(v):
 def imag(v):
     if isinstance(v, Dual):
         return Dual(imag(v.re), imag(v.im))
-    if isinstance(v, complex):
-        return v.imag
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (complex, np.ndarray)):
         return v.imag
     return 0.0 * v
 
@@ -275,8 +219,15 @@ def derivative(f, x):
     return tangent(f(Dual(x, 1.0)))
 
 
+def seeded(args):
+    """Yield, for each i, a new list of ``args`` with a unit dual on
+    argument i; ``args`` itself is not changed."""
+    for i, v in enumerate(args):
+        out = list(args)
+        out[i] = Dual(v, 1.0)
+        yield out
+
+
 def partial(f, args, i):
     """Partial derivative of ``f(*args)`` with respect to argument ``i``."""
-    seeded = list(args)
-    seeded[i] = Dual(seeded[i], 1.0)
-    return tangent(f(*seeded))
+    return tangent(f(*list(seeded(args))[i]))

@@ -14,7 +14,7 @@ which gives its values bit for bit on a time or an array of times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,12 +61,6 @@ def frequency(kind: str, params: SystemParams, Lz: float) -> float:
     return math.sqrt(rad)
 
 
-def _require_nonneg(val: float, what: str) -> float:
-    if val < 0.0:
-        raise DomainError(f"{what} is negative ({val}); closed form leaves the real domain")
-    return val
-
-
 @dataclass(frozen=True)
 class ClosedFormConstants:
     """Integration constants plus the derived frequency data.
@@ -95,47 +89,24 @@ def constants(kind: str, params: SystemParams, c1: float, c2: float,
     """Validate and complete a set of closed-form constants."""
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    nu = frequency(kind, params, Lz)
-    if kind == OP_MIN:
-        a_r = _require_nonneg(Lz * Lz + 2.0 * params.u1, "Lz^2 + 2 u1")
-        a_z = _require_nonneg(params.bp * Lz + 2.0 * params.u2, "bp Lz + 2 u2")
-        if a_r == 0.0 or a_z == 0.0:
-            raise DomainError("op closed form needs Lz^2 + 2 u1 > 0 and bp Lz + 2 u2 > 0")
-        S1 = math.sqrt(c1 * c1 + 4.0 * a_r / nu ** 2)
-        S3 = math.sqrt(c3 * c3 + 4.0 * a_z / nu ** 2)
-        k1 = params.bz / 2.0 + params.bs / 2.0 * (S1 + S3)
-        k2 = math.sqrt(1.0 + c1 * c1 * nu * nu / (4.0 * a_r)) \
-            - c1 * nu / (2.0 * math.sqrt(a_r))
-        k3 = math.sqrt(1.0 + c3 * c3 * nu * nu / (4.0 * a_z)) \
-            - c3 * nu / (2.0 * math.sqrt(a_z))
-        _require_nonneg(S1 - abs(c1), "r^2 lower bound")
-        _require_nonneg(S3 - abs(c3), "z^2 lower bound")
-    elif kind == CP_MIN:
-        a_r = _require_nonneg(Lz * Lz + 2.0 * params.u2, "Lz^2 + 2 u2")
-        if a_r == 0.0:
-            raise DomainError("cp closed form needs Lz^2 + 2 u2 > 0")
-        S1 = math.sqrt(c1 * c1 + 4.0 * a_r / nu ** 2)
-        k1 = params.bz / 2.0 + params.bq * (c3 * c3 / 2.0
-                                            + params.u1 ** 2 / nu ** 4
-                                            + S1 / 4.0)
-        k2 = math.sqrt(1.0 + c1 * c1 * nu * nu / (4.0 * a_r)) \
-            - c1 * nu / (2.0 * math.sqrt(a_r))
-        k3 = None
-        _require_nonneg(S1 - abs(c1), "r^2 lower bound")
-    else:  # CP_BL
-        a_r = _require_nonneg(Lz * Lz + 2.0 * params.u2, "Lz^2 + 2 u2")
-        if a_r == 0.0:
-            raise DomainError("bl-branch closed form needs Lz^2 + 2 u2 > 0")
-        u3 = params.u3
-        S1 = math.sqrt(c1 * c1 + a_r / (2.0 * u3))
-        k1 = -params.bl * (params.bl * Lz - params.u1) / (8.0 * u3)
-        k2 = math.sqrt(1.0 + 2.0 * c1 * c1 * u3 / a_r) \
-            - c1 * math.sqrt(2.0 * u3 / a_r)
-        k3 = None
-        _require_nonneg(S1 - abs(c1), "r^2 lower bound")
-    return ClosedFormConstants(kind=kind, c1=c1, c2=c2, c3=c3, c4=c4,
-                               c5=c5, Lz=Lz, eps=eps, nu=nu,
-                               k1=k1, k2=k2, k3=k3)
+    c = ClosedFormConstants(kind=kind, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, Lz=Lz,
+                            eps=eps, nu=frequency(kind, params, Lz))
+    (k1, k2, k3), _ = _solution(kind, c, params, 0.0)
+    return replace(c, k1=k1, k2=k2, k3=k3)
+
+
+def _radial(c: float, a: float, nu: float, what: str) -> tuple:
+    """(S, k) of the motion q^2 = c cos(u) + S, u = nu t + const.
+
+    It is the motion of r^2 on every branch, with a = Lz^2 + 2 u, and of
+    op_min's z^2, with a = bp Lz + 2 u2; k is the coefficient of the
+    angle's term atan(k tan(u / 2)).  ``what`` names a in the DomainError
+    raised unless a > 0.
+    """
+    if not a > 0.0:
+        raise DomainError(f"closed form needs {what} > 0, not {a}")
+    S = math.sqrt(c * c + 4.0 * a / nu ** 2)
+    return S, math.sqrt(1.0 + c * c * nu * nu / (4.0 * a)) - c * nu / (2.0 * math.sqrt(a))
 
 
 def _atan_unwrapped(k, u):
@@ -147,45 +118,49 @@ def _atan_unwrapped(k, u):
     return ad.atan(k * ad.tan(u / 2.0)) + math.pi * ad.floor((u + math.pi) / (2.0 * math.pi))
 
 
-def _cyl_solution(kind: str, c: ClosedFormConstants, params: SystemParams, t):
-    """(r, z, theta) at time t; t may be a dual or an array."""
-    nu = c.nu
+def _solution(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
+    """((k1, k2, k3), (r, z, theta) at time t) of the branch ``kind``.
+
+    Reads c1-c5, Lz, eps and nu of ``c``, not its k fields; t may be a
+    float, a dual or an array.  k3 is None off op_min.
+    """
+    nu, Lz = c.nu, c.Lz
     u_r = nu * t + c.c2
     u_z = nu * t + c.c4
+    a_r = Lz * Lz + 2.0 * (params.u1 if kind == OP_MIN else params.u2)
+    S1, k2 = _radial(c.c1, a_r, nu, "Lz^2 + 2 u1" if kind == OP_MIN else "Lz^2 + 2 u2")
+    r = ad.sqrt(c.c1 * ad.cos(u_r) + S1)
+    spin = Lz / math.sqrt(a_r) * _atan_unwrapped(k2, u_r)
+    k3 = None
     if kind == OP_MIN:
-        a_r = c.Lz * c.Lz + 2.0 * params.u1
-        a_z = params.bp * c.Lz + 2.0 * params.u2
-        S1 = math.sqrt(c.c1 ** 2 + 4.0 * a_r / nu ** 2)
-        S3 = math.sqrt(c.c3 ** 2 + 4.0 * a_z / nu ** 2)
-        r = ad.sqrt(c.c1 * ad.cos(u_r) + S1)
+        a_z = params.bp * Lz + 2.0 * params.u2
+        S3, k3 = _radial(c.c3, a_z, nu, "bp Lz + 2 u2")
+        k1 = params.bz / 2.0 + params.bs / 2.0 * (S1 + S3)
         z = c.eps * ad.sqrt(c.c3 * ad.cos(u_z) + S3)
-        theta = (c.c5 + c.k1 * t
+        theta = (c.c5 + k1 * t
                  + params.bs / (2.0 * nu) * (c.c1 * ad.sin(u_r) + c.c3 * ad.sin(u_z))
-                 + c.Lz / math.sqrt(a_r) * _atan_unwrapped(c.k2, u_r)
-                 + params.bp / (2.0 * math.sqrt(a_z)) * _atan_unwrapped(c.k3, u_z))
-        return r, z, theta
-    if kind == CP_MIN:
-        a_r = c.Lz * c.Lz + 2.0 * params.u2
-        S1 = math.sqrt(c.c1 ** 2 + 4.0 * a_r / nu ** 2)
-        r = ad.sqrt(c.c1 * ad.cos(u_r) + S1)
+                 + spin
+                 + params.bp / (2.0 * math.sqrt(a_z)) * _atan_unwrapped(k3, u_z))
+    elif kind == CP_MIN:
+        k1 = params.bz / 2.0 + params.bq * (c.c3 * c.c3 / 2.0
+                                            + params.u1 ** 2 / nu ** 4
+                                            + S1 / 4.0)
         z = c.c3 * ad.cos(u_z) - params.u1 / nu ** 2
-        theta = (c.c5 + c.k1 * t
-                 + c.Lz / math.sqrt(a_r) * _atan_unwrapped(c.k2, u_r)
+        theta = (c.c5 + k1 * t
+                 + spin
                  + params.bq / nu * (c.c1 / 4.0 * ad.sin(u_r)
                                      - 2.0 * c.c3 * params.u1 / nu ** 2 * ad.sin(u_z)
                                      + c.c3 ** 2 / 2.0 * ad.cos(u_z) * ad.sin(u_z)))
-        return r, z, theta
-    if kind == CP_BL:
-        a_r = c.Lz * c.Lz + 2.0 * params.u2
+    elif kind == CP_BL:
         u3 = params.u3
-        S1 = math.sqrt(c.c1 ** 2 + a_r / (2.0 * u3))
-        r = ad.sqrt(c.c1 * ad.cos(u_r) + S1)
-        z = c.c3 * ad.cos(u_z) + (params.bl * c.Lz - params.u1) / (8.0 * u3)
-        theta = (c.c5 + c.k1 * t
+        k1 = -params.bl * (params.bl * Lz - params.u1) / (8.0 * u3)
+        z = c.c3 * ad.cos(u_z) + (params.bl * Lz - params.u1) / (8.0 * u3)
+        theta = (c.c5 + k1 * t
                  - c.c3 * params.bl / nu * ad.sin(u_z)
-                 + c.Lz / math.sqrt(a_r) * _atan_unwrapped(c.k2, u_r))
-        return r, z, theta
-    raise ValueError(f"unknown closed-form kind {kind!r}")
+                 + spin)
+    else:
+        raise ValueError(f"unknown closed-form kind {kind!r}")
+    return (k1, k2, k3), (r, z, theta)
 
 
 def _dual_state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
@@ -197,7 +172,7 @@ def _dual_state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> t
     is the constant Lz, so the Cartesian canonical momenta follow from
     the point transformation.
     """
-    r, z, theta = _cyl_solution(kind, c, params, Dual(t, 1.0))
+    _, (r, z, theta) = _solution(kind, c, params, Dual(t, 1.0))
     r, z, theta, rdot, zdot, thetadot = (*map(ad.value, (r, z, theta)),
                                          *map(ad.tangent, (r, z, theta)))
     ct, st = ad.cos(theta), ad.sin(theta)

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Dual, tangent, value
+from .autodiff import seeded, tangent, value
 from .catalog import SystemSpec
 from .phase import DomainError, PhasePoint
 from .trace import cached_program, evaluate_rows
@@ -146,10 +146,8 @@ def _make_dual_rhs(spec: SystemSpec):
     def rhs(t, y):
         x, yy, z, px, py, pz = y
         s = x * x + yy * yy
-        gs = g_fn(Dual(s, 1.0), z)
-        gw = g_fn(s, Dual(z, 1.0))
-        Ws = W_fn(Dual(s, 1.0), z)
-        Ww = W_fn(s, Dual(z, 1.0))
+        gs, gw = (g_fn(*a) for a in seeded((s, z)))
+        Ws, Ww = (W_fn(*a) for a in seeded((s, z)))
         g, g_s, g_w = value(gs), tangent(gs), tangent(gw)
         W_s, W_w = tangent(Ws), tangent(Ww)
         vx = px - yy * g
@@ -782,6 +780,8 @@ def _integrate(spec: SystemSpec, ic, t_end: float, tol: float,
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    if dt_out is not None and not dt_out > 0:
+        raise ValueError(f"dt_out must be positive, not {dt_out!r}")
     y0 = ic.state if isinstance(ic, PhasePoint) else np.asarray(ic, dtype=float)
     y0 = tuple(y0.tolist())
     _check_guard(spec, y0)

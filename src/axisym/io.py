@@ -22,7 +22,7 @@ CSV_CHUNK_ROWS = 1000
 
 
 def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray,
-                         traces: dict, labels: Optional[Sequence[str]] = None) -> str:
+                         traces: dict, labels: Optional[Sequence[str]] = None) -> list:
     """Write one trajectory; returns the list of trace labels used."""
     if labels is None:
         labels = [lbl for lbl in ("H", "X1", "X2", "Y3", "Y4") if lbl in traces]

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import trace
-from .autodiff import Dual
 
 
 class DomainError(ValueError):
@@ -116,12 +115,7 @@ def gradient6(fn: Callable, state: Sequence) -> list:
     ``state`` components may be floats, arrays (vectorized points), or
     duals (nested differentiation).  One forward pass per direction.
     """
-    out = []
-    for i in range(6):
-        seeded = list(state)
-        seeded[i] = Dual(seeded[i], 1.0)
-        out.append(_tangent_like(fn(seeded), ad.value(state[i])))
-    return out
+    return [_tangent_like(fn(s), ad.value(v)) for s, v in zip(ad.seeded(state), state)]
 
 
 @dataclass(frozen=True)
@@ -217,37 +211,22 @@ class TwoForm:
         return self.fn(q[0], q[1], q[2])
 
     def divergence(self, q) -> float:
-        parts = []
-        for i in range(3):
-            seeded = list(q)
-            seeded[i] = Dual(seeded[i], 1.0)
-            parts.append(ad.tangent(self.fn(*seeded)[i]))
+        parts = [ad.tangent(self.fn(*s)[i]) for i, s in enumerate(ad.seeded(q))]
         return float(sum(float(ad.value(c)) for c in parts))
 
 
 def exterior_derivative(A: CovectorField, q) -> tuple:
     """Components of dA at position q, via exact position derivatives."""
-    # jac[i][j] = dA_i/dx_j
-    jac = [[None] * 3 for _ in range(3)]
-    for j in range(3):
-        seeded = list(q)
-        seeded[j] = Dual(seeded[j], 1.0)
-        comps = A.fn(*seeded)
-        for i in range(3):
-            jac[i][j] = ad.tangent(comps[i])
-    return (jac[2][1] - jac[1][2],
-            jac[0][2] - jac[2][0],
-            jac[1][0] - jac[0][1])
+    # d[j][i] = dA_i/dx_j
+    d = [[ad.tangent(c) for c in A.fn(*s)] for s in ad.seeded(q)]
+    return (d[1][2] - d[2][1],
+            d[2][0] - d[0][2],
+            d[0][1] - d[1][0])
 
 
 def grad_position(F: Callable, q) -> list:
     """Exact spatial gradient of a scalar field F(x, y, z)."""
-    out = []
-    for j in range(3):
-        seeded = list(q)
-        seeded[j] = Dual(seeded[j], 1.0)
-        out.append(ad.tangent(F(*seeded)))
-    return out
+    return [ad.tangent(F(*s)) for s in ad.seeded(q)]
 
 
 def apply_gauge(A: CovectorField, F: Callable) -> CovectorField:

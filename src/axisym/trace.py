@@ -22,15 +22,17 @@ place of six dual-number passes) and the closed-form solutions.
 both gradient norms, the closure's squared bracket with the four values
 it is compared at, and the rows of the determining equations.
 
-Math functions.  The autodiff helpers call a numpy ufunc on any leaf
-that is not a Python float or int (``np.sqrt(v)``); on a ``_Var`` that
-call is recorded as one operation, ``sqrt(v)``, for the ufuncs of
-:data:`FUNCTIONS`.  A program with such a line is compiled once and
-bound twice: to the ``math`` functions, which autodiff calls on floats
-and ints, and to the numpy ufuncs, which it calls on everything else
-(rows, long doubles).  The returned program picks the first when every
-input is a Python or NumPy float or int, the second otherwise, so on a
-state of floats or of rows it gives autodiff's values bit for bit.  (On
+Math functions.  :data:`FUNCTIONS` is autodiff's table of the 14
+functions it differentiates, each ufunc with the ``math`` function it
+calls in its place on Python floats and ints; this module keeps no copy
+of it, nor of autodiff's test for those leaves.  Autodiff calls the
+ufunc on any other leaf (``np.sqrt(v)``); on a ``_Var`` that call is
+recorded as one operation, ``sqrt(v)``.  A program with such a line is
+compiled once and bound twice, to the table's ``math`` functions and to
+its ufuncs.  The returned program picks the first when every input is a
+leaf on which autodiff calls ``math``, the second otherwise (rows, long
+doubles), so on a state of floats or of rows it gives autodiff's values
+bit for bit.  (On
 a state mixing floats and rows, lines that read only the floats run the
 ufunc where autodiff would run the math function.)  A program without a
 function line is the compiled function itself.
@@ -135,27 +137,17 @@ import weakref
 
 import numpy as np
 
-from .autodiff import Dual
+from .autodiff import _MATH_LEAVES, FUNCTIONS, Dual
 
 # Columns per call of a traced gradient on arrays.
 BLOCK = 4096
 # Blocks from which a call of evaluate_blocks runs on two processes.
 SPLIT_BLOCKS = 8
 
-# Ufunc an autodiff helper calls on a non-float leaf -> the math function
-# it calls on Python floats and ints.  A traced line calls the ufunc by
-# its name, bound to one or the other.
-FUNCTIONS = {
-    np.sqrt: math.sqrt, np.exp: math.exp, np.log: math.log,
-    np.sin: math.sin, np.cos: math.cos, np.tan: math.tan,
-    np.sinh: math.sinh, np.cosh: math.cosh, np.arctan: math.atan,
-    np.arcsin: math.asin, np.arccos: math.acos, np.arcsinh: math.asinh,
-    np.arctan2: math.atan2, np.floor: math.floor,
-}
+# A traced line calls a function of autodiff's table by its ufunc's name,
+# bound to the ufunc or to the math function autodiff calls in its place.
 _FLOAT_FUNCTIONS = {u.__name__: f for u, f in FUNCTIONS.items()}
 _ROW_FUNCTIONS = {u.__name__: u for u in FUNCTIONS}
-# The leaves on which autodiff calls the math functions.
-_MATH_LEAVES = (float, int)
 # Numpy calls these ufuncs for an operator whose other operand is a
 # numpy scalar (``np.float64(2.0) * v``).
 _OPERATORS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.true_divide: "/"}

@@ -34,7 +34,7 @@ from .autodiff import Dual
 from .catalog import SystemSpec
 from .phase import (
     Observable,
-    PhasePoint,
+    _as_state,
     grad_position,
     gradient6,
     make_rng,
@@ -46,12 +46,6 @@ RANK_THRESHOLD = 1e-8  # relative to the largest singular value
 
 def _fn_of(obj) -> Callable:
     return obj.fn if isinstance(obj, Observable) else obj
-
-
-def _as_state_list(s):
-    if isinstance(s, PhasePoint):
-        return list(s.state)
-    return list(s)
 
 
 def _gradient_backend(*observables) -> str:
@@ -69,7 +63,7 @@ def _bracket(gf, gg):
 
 def poisson(f, g, state):
     """Standard Poisson bracket {f, g} at one state (or array of states)."""
-    state = _as_state_list(state)
+    state = _as_state(state)
     return _bracket(trace.gradient(_fn_of(f), state),
                     trace.gradient(_fn_of(g), state))
 
@@ -128,9 +122,17 @@ class CheckReport:
         }
 
 
+def _require_counts(**counts) -> None:
+    """ValueError naming the first of ``counts`` that is below 1."""
+    for name, n in counts.items():
+        if not n >= 1:
+            raise ValueError(f"{name} must be at least 1, not {n!r}")
+
+
 def is_integral(spec: SystemSpec, g: Observable, samples: int = 1000,
                 tol: float = 1e-10, rng=None) -> CheckReport:
     """Normalized max |{g, H}| over random safe states."""
+    _require_counts(samples=samples)
     rng = rng if rng is not None else make_rng()
     states = sample_safe_states(rng, samples)
     res, backend = _bracket_check(g, spec.hamiltonian, states)
@@ -157,7 +159,7 @@ def _ranks(observables: Sequence[Observable], states: np.ndarray) -> np.ndarray:
 
 def functional_rank(observables: Sequence[Observable], point) -> int:
     """Numerical rank of the stacked 6-gradients via singular values."""
-    return int(_ranks(observables, np.reshape(_as_state_list(point), (6, 1)))[0])
+    return int(_ranks(observables, np.reshape(_as_state(point), (6, 1)))[0])
 
 
 def rank_vote(observables: Sequence[Observable], states: np.ndarray) -> int:
@@ -240,15 +242,8 @@ def y3_quadratic_ansatz(spec: SystemSpec) -> QuadraticAnsatz:
 
 def _value_and_gradient(F: Callable, q) -> tuple:
     """F and its spatial gradient at q; the value is the first pass's primal."""
-    grad = []
-    for j in range(3):
-        seeded = list(q)
-        seeded[j] = Dual(seeded[j], 1.0)
-        out = F(*seeded)
-        if j == 0:
-            val = ad.value(out)
-        grad.append(ad.tangent(out))
-    return val, grad
+    outs = [F(*s) for s in ad.seeded(q)]
+    return ad.value(outs[0]), [ad.tangent(o) for o in outs]
 
 
 # Tier -> its number of residual rows, in the order _tier_rows returns them.
@@ -417,6 +412,7 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
                   tol: float = 1e-10, y4_tol: float = 1e-8,
                   rank_points: int = 20, seed=None) -> list:
     """Full verification sweep; returns a list of CheckReports."""
+    _require_counts(samples=samples, rank_points=rank_points)
     rng = make_rng() if seed is None else make_rng(seed)
     reports = []
     for g in spec.integrals:

@@ -131,3 +131,21 @@ def test_derivative_and_partial_helpers():
     g = lambda x, y: x * y + y * y
     assert ad.partial(g, (3.0, 4.0), 0) == pytest.approx(4.0)
     assert ad.partial(g, (3.0, 4.0), 1) == pytest.approx(11.0)
+
+
+def test_seeded_yields_one_unit_seed_per_argument():
+    args = (3.0, np.array([1.0, 2.0]), Dual(4.0, 5.0))
+    lists = list(ad.seeded(args))
+    assert len(lists) == len(args)
+    for i, s in enumerate(lists):
+        assert isinstance(s, list) and len(s) == len(args)
+        for j, v in enumerate(s):
+            if i == j:
+                assert isinstance(v, Dual) and v.re is args[j] and v.im == 1.0
+            else:
+                assert v is args[j]
+    assert args[0] == 3.0 and args[2].re == 4.0 and args[2].im == 5.0
+    state = [0.5, 1.5]
+    for s in ad.seeded(state):
+        s[0] = None
+    assert state == [0.5, 1.5]

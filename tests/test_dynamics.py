@@ -679,6 +679,15 @@ def test_tolerance_validation(reference_ic):
             integrate(spec, reference_ic, t_end)
 
 
+@pytest.mark.parametrize("dt_out", [-1.0, 0.0, np.nan])
+def test_output_step_validation(reference_ic, dt_out):
+    # Without the check -1.0 gave two nodes, 0.0 a ZeroDivisionError and
+    # nan a failed int conversion.
+    spec = build("max6", PARAMS["max6"])
+    with pytest.raises(ValueError, match="dt_out"):
+        integrate(spec, reference_ic, 1.0, dt_out=dt_out)
+
+
 @pytest.mark.parametrize("fid", sorted(RECIPES))
 def test_prefix_matches_a_separate_run_but_on_its_last_step(fid):
     recipe = RECIPES[fid]

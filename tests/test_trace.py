@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import gc
-import inspect
 import os
 import subprocess
 import sys
@@ -243,9 +242,9 @@ def test_a_replaced_spec_runs_its_own_programs(first):
 
 
 def _math_functions():
-    """autodiff's functions that call ``math`` on floats and numpy otherwise."""
-    return {name: f for name, f in vars(ad).items()
-            if inspect.isfunction(f) and {"math", "np"} <= set(f.__code__.co_names)}
+    """autodiff's function for each entry of its table, by ``math`` name,
+    with the entry's ufunc."""
+    return {m.__name__: (getattr(ad, m.__name__), u) for u, m in ad.FUNCTIONS.items()}
 
 
 def _arguments(f, nargs):
@@ -269,12 +268,14 @@ def _arguments(f, nargs):
 
 def test_every_autodiff_math_function_traces_bit_for_bit():
     functions = _math_functions()
-    assert {"sqrt", "atan2", "floor", "asinh"} <= functions.keys()
-    for name, f in functions.items():
+    assert functions.keys() == {"sqrt", "exp", "log", "sin", "cos", "tan", "sinh", "cosh",
+                                "atan", "asin", "acos", "asinh", "atan2", "floor"}
+    assert trace.FUNCTIONS is ad.FUNCTIONS
+    for name, (f, ufunc) in functions.items():
         nargs = f.__code__.co_argcount
-        ufuncs = {getattr(np, n) for n in f.__code__.co_names
-                  if isinstance(getattr(np, n, None), np.ufunc)}
-        assert ufuncs and ufuncs <= trace.FUNCTIONS.keys(), name
+        # Traced, the function is one call of its own ufunc.
+        source = trace._trace(lambda t, y: (f(*y),), False, nargs)
+        assert f"= {ufunc.__name__}(y0" in source, (name, source)
         program = trace.straight_line(lambda t, y: (f(*y),), f"fn {name}", inputs=nargs)
         cases = _arguments(f, nargs)
         assert len(cases) > 10, name

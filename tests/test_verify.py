@@ -278,6 +278,21 @@ def test_verify_system_reports():
     assert {r.gradient for r in reports} == {"generated"}
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(samples=0), "samples"),
+    (dict(samples=-3), "samples"),
+    (dict(rank_points=0), "rank_points"),
+])
+def test_verify_system_rejects_empty_samples(kwargs, name):
+    # Without the check numpy raised on an empty reduction or argmax.
+    spec = build("linear_min", PARAMS["linear_min"])
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        verify_system(spec, **kwargs)
+    if name == "samples":
+        with pytest.raises(ValueError, match="^samples must be at least 1"):
+            is_integral(spec, spec.integrals[0], **kwargs)
+
+
 def test_verify_does_not_dispatch_on_system_names():
     # Per-system data lives on the SystemSpec, not in string switches.
     source = inspect.getsource(verify)
