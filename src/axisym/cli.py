@@ -149,19 +149,23 @@ def cmd_verify(args) -> int:
         raise ConfigError("--samples must be at least 1")
     params = _parse_params(args.params)
     spec = _build_system(args.system, params)
-    if args.mutate:
-        # Perturbation control: test the perturbed system's integrals
-        # against the *original* Hamiltonian.  Conservation breaks, the
-        # checks fail, and the command exits 1 — demonstrating that the
-        # verification suite is sensitive to the catalog coefficients.
-        mutated = _build_system(args.system,
-                                _apply_mutation(args.system, params, args.mutate))
-        rng = make_rng(args.seed)
-        reports = [is_integral(spec, g, samples=args.samples,
-                               tol=1e-10, rng=rng)
-                   for g in mutated.integrals]
-    else:
-        reports = verify_system(spec, samples=args.samples, seed=args.seed)
+    try:
+        if args.mutate:
+            # Perturbation control: test the perturbed system's integrals
+            # against the *original* Hamiltonian.  Conservation breaks, the
+            # checks fail, and the command exits 1 — demonstrating that the
+            # verification suite is sensitive to the catalog coefficients.
+            mutated = _build_system(args.system,
+                                    _apply_mutation(args.system, params, args.mutate))
+            rng = make_rng(args.seed)
+            reports = [is_integral(spec, g, samples=args.samples,
+                                   tol=1e-10, rng=rng)
+                       for g in mutated.integrals]
+        else:
+            reports = verify_system(spec, samples=args.samples, seed=args.seed)
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate.
+        raise ConfigError(f"--samples {args.samples} is too large: {exc}")
 
     failed = [r for r in reports if not r.passed]
 

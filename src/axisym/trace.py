@@ -10,12 +10,14 @@ Derivatives", 2nd ed., SIAM 2008, ch. 3-4).  A value that one operation
 reads, and that is not an output, is written in parentheses into the
 expression that reads it; a value read twice or more is a line of its
 own, ``v12 = ...``, as is a value at the end of a chain of
-``NEST_DEPTH`` nested ones.  A local variable costs a store and a load
-in CPython, and most values are read once: nested code makes an RHS
-call of the 8 catalog configs 9-23% cheaper, and the 87 programs of a
-first ``verify_system`` over the 11 specs take 187k characters in place
-of 435k.  The integrator's RHS and H are traced this way, and so are
-an observable's value (:func:`traced_value`, run by
+``NEST_DEPTH`` nested ones and, in code that frees its rows, a value
+whose expression frees two or more (see Blocks).  A local variable
+costs a store and a load in CPython, and most values are read once:
+nested code makes an RHS call of the 8 catalog configs 9-23% cheaper,
+and the 87 programs of a first ``verify_system`` over the 11 specs take
+225k characters in place of 435k (187k nested wherever read once).
+The integrator's RHS and H are traced this way, and so are an
+observable's value (:func:`traced_value`, run by
 ``Observable.eval``), ``gradient6(fn, .)`` (:func:`gradient`, run in
 place of six dual-number passes) and the closed-form solutions.
 :mod:`axisym.verify` traces whole checks the same way: each bracket with
@@ -72,21 +74,30 @@ drops an entry when the first of its keys dies, so a spec built by
 Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
 (:func:`evaluate_blocks`) into preallocated rows, and its code deletes
 each named value after its last use; a nested value's row is freed as
-soon as its reader has run.  Both bound the memory of a call, which
-otherwise holds one temporary row per named value (op_min's X1
-gradient, run in long double by the closure check, has 73 named values
-and 27 ``del`` lines; with one line per operation it had 273 and 188).
-The figures below were measured with one line per operation.  Two
-passes of the ``verify`` benchmark's work, its 100k-state op_min sweep
-included, peak at 62 MB of RSS with the closure and the brackets traced
-as whole programs and the closure's long-double states cast block by
-block (79 MB with only the gradients traced, 89 MB on dual numbers).
-With gradients alone they peaked at 78 MB with blocks of 1024-16384
-columns and at 112 MB unblocked; without the deletes at 82 MB with
-blocks of 4096, 131 MB with 16384 and 479 MB unblocked.  Blocks stay
-at 4096 columns because wider long-double blocks fall out of the cache:
-op_min X1's gradient on 100k long-double states took 108-147 ms with
-4096 columns and 142-170 ms with 8192-16384.
+soon as its reader has run.  A value read once is not nested where two
+or more named rows are read for the last time in its expression: it
+stays a line at its place, so they are freed there rather than held
+until its reader runs (Sethi & Ullman's order, JACM 17, 1970).  These
+bound the memory of a call, which otherwise holds one temporary row per
+named value.  Op_min's closure program, run in long double, names 125
+values, has 60 ``del`` lines and holds at most 50 rows at once (nested
+wherever read once: 89, 23 and 67; one line per operation: 451, 298 and
+51).  A ``verify_system`` sweep holds one sample set at a time and
+writes the closure sides in float64, each block rounded from long
+double as it is written.  Two passes of the ``verify`` benchmark's
+work, its 100k-state op_min sweep included, peak at 49.4 MB of RSS on a
+2-CPU Xeon VM (57.6 MB with the involution states kept through the
+closure check, long-double sides copied to float64 and every value read
+once nested).  Earlier, with one line per operation, they peaked at 62
+MB with the closure and the brackets traced as whole programs and the
+closure's long-double states cast block by block (79 MB with only the
+gradients traced, 89 MB on dual numbers).  With gradients alone they
+peaked at 78 MB with blocks of 1024-16384 columns and at 112 MB
+unblocked; without the deletes at 82 MB with blocks of 4096, 131 MB
+with 16384 and 479 MB unblocked.  Blocks stay at 4096 columns because
+wider long-double blocks fall out of the cache: op_min X1's gradient on
+100k long-double states took 108-147 ms with 4096 columns and 142-170
+ms with 8192-16384.
 
 Two processes.  A call of at least ``SPLIT_BLOCKS`` blocks, in either
 dtype, runs on two processes where :func:`beside` may fork: the process
@@ -119,12 +130,15 @@ both, so long-double calls of 2-7 blocks give up their gain; no caller
 makes them at the CLI's default of 1000 samples or in the ``verify``
 benchmark, whose large calls have 25 blocks.  Threads do not serve
 float64, whose loops hold the GIL (op_min X1's gradient at 100k: 26-32
-ms on one thread, 51-58 ms on two).  The child's peak RSS over a
-``verify`` pass was 41 MB, the caller's 57 MB.
+ms on one thread, 51-58 ms on two).  Over a ``verify`` pass, whose
+sweeps hold one sample set at a time and float64 closure sides, the
+child's peak RSS was 34.7 MB and the caller's 49.5 MB (41.0 and 56.8 MB
+with the states kept and long-double sides).
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import numbers
@@ -269,6 +283,12 @@ NEST_DEPTH = 40
 _BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "**": "{} ** {}"}
 
 
+def _last_reads(names, unplaced) -> int:
+    """How many of ``names`` an expression reading them reads for the last
+    time: those whose reads not yet in a named line are all in ``names``."""
+    return sum(unplaced[r] == k for r, k in collections.Counter(names).items())
+
+
 class _Tape:
     """Straight-line program recorded from operations on ``_Var``."""
 
@@ -324,7 +344,10 @@ class _Tape:
         order, so the values do not change.  With ``free`` each named
         value is deleted after the last line that reads it, directly or
         in a nested expression, so a call on arrays holds only the rows
-        still to be read, not one per value.
+        still to be read, not one per value; and a value read once in
+        whose expression two or more named values are read for the last
+        time keeps its line, so those are deleted there, not at its
+        reader.
         """
         out = [_operand(v) for v in outputs]
         uses = dict.fromkeys(out, 2)        # an output keeps its name
@@ -334,6 +357,7 @@ class _Tape:
                 live.append(line)
                 for r in line[2]:
                     uses[r] = uses.get(r, 0) + 1
+        unplaced = dict(uses)     # name -> its reads not yet in a named line
         nested = {}       # name -> (expression, its depth, names it reads)
         body = []         # (name, expression, names it reads)
         for name, _, reads, form in reversed(live):
@@ -349,10 +373,13 @@ class _Tape:
                     args.append(r)
                     names.append(r)
             expr = form.format(*args)
-            if uses[name] == 1 and depth < NEST_DEPTH:
+            if (uses[name] == 1 and depth < NEST_DEPTH
+                    and not (free and _last_reads(names, unplaced) >= 2)):
                 nested[name] = (expr, depth, names)
             else:
                 body.append((name, expr, names))
+                for r in names:
+                    unplaced[r] -= 1
         lines = []
         read_later = set(out)
         for name, expr, names in reversed(body):
@@ -486,12 +513,14 @@ def evaluate_blocks(fn, rows, n_out: int, dtype=None) -> list:
     ``rows`` are arrays of one shape (or that broadcast to one); ``fn``
     takes a block as a tuple of rows, cast to ``dtype`` if one is given,
     and returns ``n_out`` values.  They are written, constants broadcast,
-    into ``n_out`` arrays of the rows' shape and of ``dtype`` (default:
-    the rows' dtype).  Casting block by block keeps no cast copy of the
-    whole input.  One array per output, as :func:`gradient6` gives: with
-    one (6, N) array, over numpy's 4 MiB huge-page threshold at 100k
-    states, 2 of 10 benchmark runs peaked at 93 MB of RSS in place of
-    84 MB.
+    into ``n_out`` arrays of the rows' shape and dtype, so a value
+    computed in a wider ``dtype`` is rounded block by block as it is
+    written.  Neither a cast copy of the whole input nor a wide copy of
+    the whole output is made: the closure check runs on long-double
+    blocks of float64 states and keeps float64 sides.  One array per
+    output, as :func:`gradient6` gives; on one CPU, one (n_out, N) array
+    in their place left the peak RSS of two ``verify`` passes where it
+    was (49.4-49.6 MB against 49.4-49.8 MB).
 
     A call of at least ``SPLIT_BLOCKS`` blocks runs on two processes
     (see the module's "Two processes"), with the values of one.
@@ -499,7 +528,7 @@ def evaluate_blocks(fn, rows, n_out: int, dtype=None) -> list:
     rows = np.broadcast_arrays(*rows)
     flat = [np.ravel(r) for r in rows]
     size = flat[0].size
-    out_dtype = np.result_type(*flat, 0.0) if dtype is None else np.dtype(dtype)
+    out_dtype = np.result_type(*flat, 0.0)
     starts = range(0, size, BLOCK)
 
     def run(starts):

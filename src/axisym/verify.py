@@ -6,7 +6,8 @@ step size.  Each check is traced into straight-line code
 ``trace.BLOCK`` states: one program per (f, g) gives the bracket and
 both squared gradient norms; one per spec gives {X1,Y3}^2 with H, X1,
 X2 and Y3 from a single tape, and one per closure polynomial evaluates
-it on those values, both in long double; one per (ansatz, B, W) gives
+it on those values, both in long double, each block of the two sides
+rounded to float64 as it is written; one per (ansatz, B, W) gives
 every residual row of the determining equations, its nested (hyper-dual)
 spatial and momentum derivatives traced with it.  Ranks use each
 observable's traced 6-gradient.  Checks on fields that cannot be traced
@@ -19,6 +20,8 @@ The determining-equation tiers run on any integral at most quadratic in
 the momenta, with its coefficients (f, s, m0) read from the integral
 itself (:func:`quadratic_ansatz`).  The closure polynomial and the
 involution claims a sweep checks are data on the :class:`SystemSpec`.
+A sweep (:func:`verify_system`) holds one sample set at a time: each set
+and its residuals die when its check's report is made.
 """
 
 from __future__ import annotations
@@ -122,6 +125,18 @@ class CheckReport:
         }
 
 
+def _bracket_report(spec: SystemSpec, check: str, f, g, states: np.ndarray,
+                    tol: float) -> CheckReport:
+    """The report of ``check``, {f, g} = 0 at each column of ``states``.
+
+    The residuals die with the call; a caller that passes the states
+    without keeping them frees those too.
+    """
+    res, backend = _bracket_check(f, g, states)
+    return CheckReport(spec.system_id, check, states.shape[1], float(np.max(res)),
+                       tol, backend)
+
+
 def _require_counts(**counts) -> None:
     """ValueError naming the first of ``counts`` that is below 1."""
     for name, n in counts.items():
@@ -134,16 +149,8 @@ def is_integral(spec: SystemSpec, g: Observable, samples: int = 1000,
     """Normalized max |{g, H}| over random safe states."""
     _require_counts(samples=samples)
     rng = rng if rng is not None else make_rng()
-    states = sample_safe_states(rng, samples)
-    res, backend = _bracket_check(g, spec.hamiltonian, states)
-    return CheckReport(
-        system_id=spec.system_id,
-        check=f"{{{g.label},H}}=0",
-        samples=samples,
-        max_residual=float(np.max(res)),
-        tolerance=tol,
-        gradient=backend,
-    )
+    return _bracket_report(spec, f"{{{g.label},H}}=0", g, spec.hamiltonian,
+                           sample_safe_states(rng, samples), tol)
 
 
 def _ranks(observables: Sequence[Observable], states: np.ndarray) -> np.ndarray:
@@ -376,12 +383,14 @@ def _closure_program(spec: SystemSpec):
 
 
 def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
-    """({X1,Y3}^2, poly(H, X1, X2, Y3), gradient path) in long double.
+    """({X1,Y3}^2, poly(H, X1, X2, Y3), gradient path), computed in long double.
 
     Extended precision: the polynomial cancels across terms orders of
     magnitude above the result, which float64 alone cannot resolve at
     the closure tolerance.  The two programs run on blocks cast to long
-    double one at a time.
+    double one at a time, and each block of the two sides is rounded to
+    the dtype of ``states`` as it is written, so float64 states give
+    float64 sides and no long-double copy of all of them is made.
     """
     program, backend = _closure_program(spec)
     poly_program, _ = trace.cached_program((poly,), lambda t, v: (poly(*v),),
@@ -404,8 +413,8 @@ def closure_residual(spec: SystemSpec, states: np.ndarray,
         raise ValueError(f"no closure polynomial for {spec.system_id}")
     lhs, rhs, backend = _closure_sides(spec, states, poly)
     return ClosureReport(spec.system_id,
-                         np.atleast_1d(lhs).astype(float),
-                         np.atleast_1d(rhs).astype(float), tol, backend)
+                         np.atleast_1d(lhs).astype(float, copy=False),
+                         np.atleast_1d(rhs).astype(float, copy=False), tol, backend)
 
 
 def verify_system(spec: SystemSpec, samples: int = 1000,
@@ -419,9 +428,8 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
         t = y4_tol if g.label == "Y4" else tol
         reports.append(is_integral(spec, g, samples=samples, tol=t, rng=rng))
 
-    states = sample_safe_states(rng, rank_points)
     observables = list(spec.observables())
-    rank = rank_vote(observables, states)
+    rank = rank_vote(observables, sample_safe_states(rng, rank_points))
     reports.append(CheckReport(
         system_id=spec.system_id,
         check="functional_rank",
@@ -433,16 +441,10 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
 
     if spec.involutions:
         pts = sample_safe_states(rng, samples)
-        for a, b in spec.involutions:
-            res, backend = _bracket_check(spec.integral(a), spec.integral(b), pts)
-            reports.append(CheckReport(
-                system_id=spec.system_id,
-                check=f"{{{a},{b}}}=0",
-                samples=samples,
-                max_residual=float(np.max(res)),
-                tolerance=tol,
-                gradient=backend,
-            ))
+        reports += [_bracket_report(spec, f"{{{a},{b}}}=0", spec.integral(a),
+                                    spec.integral(b), pts, tol)
+                    for a, b in spec.involutions]
+        del pts         # before the closure check draws its own states
     if spec.closure is not None:
         closure = closure_residual(spec, sample_safe_states(rng, samples))
         reports.append(CheckReport(

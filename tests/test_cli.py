@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -108,6 +109,23 @@ def test_verify_config_errors(capsys):
     assert main(["verify", "max5", "--params", "u2=1.5,bz=2,n=3,m=2",
                  "--mutate", "n=+0.5"]) == EXIT_CONFIG
     assert "must be integers" in capsys.readouterr().err
+
+
+def test_verify_unallocatable_samples_is_config_error(capsys):
+    # numpy refuses the 44 TiB sample set before allocating any of it; it
+    # used to end in a traceback and exit 1, a failed verification.  The
+    # address-space limit keeps that so where the kernel would overcommit.
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2 ** 40 if hard == resource.RLIM_INFINITY else min(2 ** 40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        for extra in ([], ["--mutate", "u1=+0.001"]):
+            assert main(["verify", "op_min", "--params", OP_PARAMS,
+                         "--samples", str(10 ** 12), *extra]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "--samples 1000000000000 is too large" in err and "43.7 TiB" in err
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def test_verify_mutate_rejects_parameters_the_system_lacks(capsys):

@@ -1,6 +1,7 @@
 """Traced programs: bit-equal to dual numbers and direct values, blocked, lazy."""
 
 import ast
+import collections
 import dataclasses
 import gc
 import os
@@ -140,20 +141,32 @@ def _closure_reference(spec, states, poly):
     return br ** 2, poly(*values)
 
 
+def _assert_sides_equal_reference(spec, states, poly):
+    """The closure programs on long-double states give the long-double
+    reference bit for bit; on float64 states they give it rounded to
+    float64 block by block.  Returns the path that ran and those float64
+    sides."""
+    want_lhs, want_rhs = _closure_reference(spec, states, poly)
+    lhs, rhs, backend = verify._closure_sides(spec, states.astype(np.longdouble), poly)
+    assert lhs.dtype == rhs.dtype == np.longdouble
+    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+    lhs, rhs, _ = verify._closure_sides(spec, states, poly)
+    assert lhs.dtype == rhs.dtype == np.float64
+    assert np.array_equal(lhs, want_lhs.astype(float))
+    assert np.array_equal(rhs, want_rhs.astype(float))
+    return backend, lhs, rhs
+
+
 @pytest.mark.parametrize("n", [1, trace.BLOCK - 1, trace.BLOCK, trace.BLOCK + 1])
 @pytest.mark.parametrize("key", ["op_min", "op_min_mutated", "cp_min_bq", "cp_min_bz"])
 def test_closure_equals_dual_reference(key, n):
     spec = _spec(key.removesuffix("_mutated"))
     poly = _mutated(spec) if key.endswith("_mutated") else spec.closure
     states = sample_safe_states(make_rng(45), n)
-    want_lhs, want_rhs = _closure_reference(spec, states, poly)
-    lhs, rhs, backend = verify._closure_sides(spec, states, poly)
+    backend, lhs, rhs = _assert_sides_equal_reference(spec, states, poly)
     assert backend == "generated"
-    assert lhs.dtype == rhs.dtype == np.longdouble
-    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
     rep = closure_residual(spec, states, poly=poly)
-    assert np.array_equal(rep.lhs, want_lhs.astype(float))
-    assert np.array_equal(rep.rhs, want_rhs.astype(float))
+    assert np.array_equal(rep.lhs, lhs) and np.array_equal(rep.rhs, rhs)
     assert rep.gradient == "generated"
 
 
@@ -194,10 +207,7 @@ def test_untraceable_checks_fall_back_to_duals_with_the_same_results():
 def test_math_function_checks_run_generated_code_equal_to_duals():
     spec = _with_sqrt_h(_spec("op_min"))
     states = sample_safe_states(make_rng(46), 300)
-    want_lhs, want_rhs = _closure_reference(spec, states, spec.closure)
-    lhs, rhs, backend = verify._closure_sides(spec, states, spec.closure)
-    assert backend == "generated"
-    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+    assert _assert_sides_equal_reference(spec, states, spec.closure)[0] == "generated"
     x1 = spec.integral("X1")
     assert verify._bracket_program(x1.fn, spec.hamiltonian.fn)[1] == "generated"
     assert np.array_equal(bracket_residuals(x1, spec.hamiltonian, states),
@@ -383,7 +393,8 @@ def _assert_names_freed(source: str):
     assert assigned - outputs == deleted
 
 
-def test_freeing_programs_delete_every_local_after_its_reads(monkeypatch):
+def _compiled_sources(monkeypatch) -> dict:
+    """Compile tag -> source of each program traced from now on."""
     sources = {}
 
     def recording(source, filename, mode):
@@ -391,6 +402,27 @@ def test_freeing_programs_delete_every_local_after_its_reads(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(trace, "compile", recording, raising=False)
+    return sources
+
+
+def _live_rows(source: str) -> int:
+    """Static peak of the named rows a generated program holds: names
+    assigned and not yet deleted, its inputs included."""
+    (fn,) = ast.parse(source).body
+    live, peak = set(), 0
+    for stmt in fn.body:
+        if isinstance(stmt, ast.Assign):
+            (target,) = stmt.targets
+            names = [target] if isinstance(target, ast.Name) else target.elts
+            live |= {n.id for n in names}
+            peak = max(peak, len(live))
+        elif isinstance(stmt, ast.Delete):
+            live -= {n.id for n in stmt.targets}
+    return peak
+
+
+def test_freeing_programs_delete_every_local_after_its_reads(monkeypatch):
+    sources = _compiled_sources(monkeypatch)
     states = sample_safe_states(make_rng(5), 50)
     closure_residual(build("op_min", PARAMS["op_min"]), states)
     family = build_family(chart_family(*FAMILY_ARGS["family_prolate"]))
@@ -401,6 +433,29 @@ def test_freeing_programs_delete_every_local_after_its_reads(monkeypatch):
     for source in (closure, bracket):
         _assert_names_freed(source)
         assert "((" in source              # values read once are nested
+
+
+def test_freeing_programs_name_a_value_whose_reads_free_rows(monkeypatch):
+    # A value read once stays a named line where two or more rows are read
+    # for the last time in it, so they are freed there, not at its reader
+    # (Sethi & Ullman, JACM 17, 1970).  Nested everywhere, the closure
+    # program held 67 rows at once; with one line per operation, 51.
+    sources = _compiled_sources(monkeypatch)
+    spec = build("op_min", PARAMS["op_min"])
+    closure_residual(spec, sample_safe_states(make_rng(5), 50))
+    _make_scalar_rhs(spec)
+    _make_scalar_h(spec)
+    assert _live_rows(sources["<closure op_min>"]) <= 51
+    # Programs that free nothing, the integrator's, nest every value read
+    # once: each named local that is not an output is read twice or more.
+    for tag in ("<rhs op_min>", "<rhs H op_min>"):
+        (fn,) = ast.parse(sources[tag]).body
+        assert not any(isinstance(stmt, ast.Delete) for stmt in fn.body)
+        reads = collections.Counter(n.id for n in ast.walk(fn)
+                                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        outputs = {n.id for n in ast.walk(fn.body[-1]) if isinstance(n, ast.Name)}
+        named = {t.id for stmt in fn.body[1:-1] for t in stmt.targets}
+        assert named and all(reads[v] >= 2 for v in named - outputs), tag
 
 
 @pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
@@ -605,17 +660,20 @@ SPLIT = trace.SPLIT_BLOCKS * trace.BLOCK
                                2 * trace.BLOCK + 3, SPLIT - trace.BLOCK,
                                SPLIT - trace.BLOCK + 1, SPLIT - 1, SPLIT + 1, 100_000])
 def test_two_threads_give_the_serial_closure_sides(monkeypatch, forks, n):
-    # Two processes: a call of SPLIT_BLOCKS blocks or more forks once.
+    # Two processes: a call of SPLIT_BLOCKS blocks or more forks once, on
+    # long-double states and on float64 ones, whose sides are float64.
     spec = _spec("op_min")
     states = sample_safe_states(make_rng(46), n)
-    _on_cpus(monkeypatch, 1)
-    serial = verify._closure_sides(spec, states, spec.closure)
-    assert forks == []
-    _on_cpus(monkeypatch, 2)
-    split = verify._closure_sides(spec, states, spec.closure)
-    assert len(forks) == (n > SPLIT - trace.BLOCK)
-    for got, want in zip(split[:2], serial[:2], strict=True):
-        assert got.dtype == np.longdouble and np.array_equal(got, want)
+    for dtype in (np.longdouble, np.float64):
+        forks.clear()
+        _on_cpus(monkeypatch, 1)
+        serial = verify._closure_sides(spec, states.astype(dtype), spec.closure)
+        assert forks == []
+        _on_cpus(monkeypatch, 2)
+        split = verify._closure_sides(spec, states.astype(dtype), spec.closure)
+        assert len(forks) == (n > SPLIT - trace.BLOCK)
+        for got, want in zip(split[:2], serial[:2], strict=True):
+            assert got.dtype == dtype and np.array_equal(got, want)
 
 
 def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, forks):
@@ -624,11 +682,8 @@ def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, f
     spec = _with_branching_h(_spec("op_min"))
     states = sample_safe_states(make_rng(46), SPLIT + 1)
     _on_cpus(monkeypatch, 2)
-    lhs, rhs, backend = verify._closure_sides(spec, states, spec.closure)
-    assert backend == "dual" and len(forks) == 1
-    want_lhs, want_rhs = _closure_reference(spec, states, spec.closure)
-    assert lhs.dtype == rhs.dtype == np.longdouble
-    assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+    assert _assert_sides_equal_reference(spec, states, spec.closure)[0] == "dual"
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("key", ["max5", "max6"])

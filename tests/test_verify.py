@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,35 @@ def test_verify_system_rejects_empty_samples(kwargs, name):
     if name == "samples":
         with pytest.raises(ValueError, match="^samples must be at least 1"):
             is_integral(spec, spec.integrals[0], **kwargs)
+
+
+def _sweep_peak(spec, samples: int) -> int:
+    """Bytes tracemalloc sees at the peak of one sweep, its programs traced."""
+    verify_system(spec, samples=10)
+    tracemalloc.start()
+    try:
+        verify_system(spec, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_one_sample_set_at_a_time(monkeypatch):
+    # A sweep needs one sample set (6 x n float64), the two float64
+    # closure sides and the long-double rows of one block: the closure
+    # program's at most 51 named rows, its 6 cast inputs and the
+    # temporaries of a line.  Sides of this size sit in an anonymous
+    # mapping, which tracemalloc does not see, so the bound is loose there.
+    spec = build("op_min", PARAMS["op_min"])
+    n = trace.SPLIT_BLOCKS * trace.BLOCK + 1
+    bound = (6 + 2) * n * 8 + 64 * trace.BLOCK * np.dtype(np.longdouble).itemsize
+    assert _sweep_peak(spec, n) < bound
+    # Control: keeping every sample set alive breaks the bound.
+    kept = []
+    draw = verify.sample_safe_states
+    monkeypatch.setattr(verify, "sample_safe_states",
+                        lambda rng, k: kept.append(draw(rng, k)) or kept[-1])
+    assert _sweep_peak(spec, n) > bound
 
 
 def test_verify_does_not_dispatch_on_system_names():
