@@ -38,8 +38,7 @@ import functools
 import math
 import time
 from array import array
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from .autodiff import seeded, tangent, value
 from .catalog import SystemSpec
 from .phase import DomainError, PhasePoint
-from .trace import cached_program, evaluate_rows
+from .trace import cached_program, evaluate_rows, traced_value
 
 GUARD_RADIUS = 0.05
 ESCAPE_BOUND = 1e4
@@ -556,7 +555,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False, t_eval=None,
         if dense_output or hits or budget or nodes[i_node] <= t:
             # This step's interpolant is needed: as dense output, for a
             # sampled node, or for the stop of a run that ends early.
-            pending.fromlist([t_old, h, *y_old, *chain.from_iterable(ks), *y, *f])
+            k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = ks
+            pending.fromlist([t_old, h, *y_old, *k0, *k1, *k2, *k3, *k4, *k5, *k6,
+                              *k7, *k8, *k9, *k10, *k11, *y, *f])
             t_ends.append(t)
             nfev += 3
         if hits:
@@ -687,13 +688,17 @@ def _trace_all(spec: SystemSpec, states: np.ndarray) -> dict:
     Conserved combinations can involve large mutually-cancelling terms
     (growing like r^4 on unbounded orbits), so the observables are
     evaluated in extended precision to keep the evaluation roundoff
-    below the drift being measured.
+    below the drift being measured.  Each runs its program of
+    :func:`~axisym.trace.traced_value` on the long-double columns, which
+    gives the field's values bit for bit (an untraceable field is its own
+    program, on dual numbers).
     """
     wide = np.asarray(states, dtype=np.longdouble)
     cols = [wide[:, i] for i in range(6)]
     out = {}
     for obs in spec.observables():
-        vals = np.asarray(value(obs.fn(cols)), dtype=float)
+        program, _ = traced_value(obs.fn)
+        vals = np.asarray(value(program(0.0, cols)), dtype=float)
         out[obs.label or "H"] = np.broadcast_to(vals, (states.shape[0],)).copy()
     return out
 
@@ -719,41 +724,50 @@ def _sample_dense(dense: DenseOutput, t_end: float, t_final: float,
     return nodes, dense(nodes).T
 
 
-def prefix(spec: SystemSpec, traj: Trajectory, t_end: float) -> Trajectory:
+def prefix(spec: SystemSpec, traj: Trajectory, t_end: float,
+           traced: bool = True) -> Trajectory:
     """The part of a dense run ``traj`` of ``spec`` over [0, t_end].
 
     ``t_end`` may not pass the run's own ``meta["t_end"]``; at that
-    horizon the run is returned as it is.  Otherwise the states at the
-    default output nodes of ``t_end`` are read from the run's
-    interpolant and traced, so the result matches a separate
+    horizon the part is the run's own nodes and states.  Otherwise the
+    states at the default output nodes of ``t_end`` are read from the
+    run's interpolant, so the result matches a separate
     :func:`integrate` to ``t_end`` at the run's tolerance on every node
     before that run's last step: the two runs take the same steps until
     the shorter one is clipped to its end.  A run that stopped before
     ``t_end`` gives an aborted prefix ending at its stop.  ``meta`` is
     the run's with ``t_end`` and ``t_final`` set for the prefix, and
     ``reason`` set to ``"completed"`` when the prefix ends before the
-    run's stop; the work counters are the whole run's.
+    run's stop; the work counters are the whole run's.  Unless
+    ``traced`` is False the part carries the traces of H and the
+    integrals at its nodes, evaluated here when the run has none for
+    them (an untraced run, or a shorter horizon); a traced run is
+    returned as it is at its own horizon.
     """
     run_end = traj.meta["t_end"]
     if t_end == run_end:
-        return traj
-    if not 0 < t_end < run_end:
+        part = traj
+    elif not 0 < t_end < run_end:
         raise ValueError(f"t_end must lie in (0, {run_end!r}]")
-    if traj.dense is None:
+    elif traj.dense is None:
         raise ValueError("a prefix needs a run with dense output")
-    t_final = traj.meta["t_final"]
-    nodes, states = _sample_dense(traj.dense, t_end, t_final)
-    aborted = traj.aborted and t_final < t_end
-    meta = {**traj.meta, "t_end": t_end, "t_final": min(t_end, t_final)}
-    if not aborted:
-        meta["reason"] = "completed"
-    return Trajectory(times=nodes, states=states, traces=_trace_all(spec, states),
-                      meta=meta, dense=traj.dense, aborted=aborted)
+    else:
+        t_final = traj.meta["t_final"]
+        nodes, states = _sample_dense(traj.dense, t_end, t_final)
+        aborted = traj.aborted and t_final < t_end
+        meta = {**traj.meta, "t_end": t_end, "t_final": min(t_end, t_final)}
+        if not aborted:
+            meta["reason"] = "completed"
+        part = Trajectory(times=nodes, states=states, traces={}, meta=meta,
+                          dense=traj.dense, aborted=aborted)
+    if traced and not part.traces:
+        part = replace(part, traces=_trace_all(spec, part.states))
+    return part
 
 
 def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
               dt_out: Optional[float] = None, dense: bool = True,
-              max_steps: Optional[int] = None) -> Trajectory:
+              max_steps: Optional[int] = None, traced: bool = True) -> Trajectory:
     """Integrate Hamilton's equations from one initial condition.
 
     Raises DomainError for a start in a guard region or with a component
@@ -766,15 +780,11 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     accepted and rejected steps, the size of the last accepted step, the
     RHS backend (``"generated"`` straight-line code or ``"dual"``
     numbers) and the wall time of the call (``wall_s``).  Traces of H and
-    all integrals are evaluated at the output nodes.
+    all integrals are evaluated at the output nodes unless ``traced`` is
+    False (an empty ``traces``): a dense run that only serves a period
+    search and :func:`prefix` parts, which trace their own nodes, needs
+    none.
     """
-    return _integrate(spec, ic, t_end, tol, dt_out, dense, max_steps, traced=True)
-
-
-def _integrate(spec: SystemSpec, ic, t_end: float, tol: float,
-               dt_out: Optional[float], dense: bool, max_steps: Optional[int],
-               traced: bool) -> Trajectory:
-    """:func:`integrate`, with no traces (an empty ``traces``) unless ``traced``."""
     start = time.perf_counter()
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -1023,8 +1033,7 @@ def detect_period(spec: SystemSpec, ic, horizon: float,
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     try:
-        traj = _integrate(spec, ic, horizon, tol, dt_out=None, dense=True,
-                          max_steps=None, traced=False)
+        traj = integrate(spec, ic, horizon, tol, traced=False)
     except (DomainError, RuntimeError):
         return PeriodReport(closed=False, period=None,
                             return_distance=float("inf"))

@@ -19,7 +19,7 @@ from typing import Optional
 from . import io as aio
 from . import svg, trace
 from .catalog import REFERENCE_STATE, SystemParams, build
-from .dynamics import detect_period, integrate, prefix, search_period
+from .dynamics import TOL_MAX, TOL_MIN, detect_period, integrate, prefix, search_period
 from .phase import PhasePoint
 
 DETECT_HORIZON_OPEN = 200.0
@@ -89,25 +89,30 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
                detect: bool = True) -> dict:
     """Reproduce one reference figure: CSV, SVG projections, meta JSON.
 
-    The period search runs at ``max(tol, 1e-12)`` on horizons up to 50
-    and at ``max(tol, 1e-10)`` beyond.  Each plotted horizon is a
+    ``tol`` must lie in ``[TOL_MIN, TOL_MAX]`` of
+    :mod:`axisym.dynamics` (ValueError, before ``outdir`` is made).  The
+    period search runs at ``max(tol, 1e-12)`` on horizons up to 50 and at
+    ``max(tol, 1e-10)`` beyond.  Each plotted horizon is a
     :func:`~axisym.dynamics.prefix` of one dense run at ``tol``, so a
     plotted CSV differs from a separate run to that horizon only on that
-    run's last step.  When the search tolerance equals ``tol`` the same
-    run, made to the longest of the search and plotted horizons, also
-    serves the search; otherwise :func:`~axisym.dynamics.detect_period`
-    makes its own run.  With more than one plotted horizon (figures 1
-    and 4) the plots do not depend on the search, which then runs in a
-    forked child where ``os.fork`` and at least 2 CPUs are available:
-    the parent makes the plotting run and writes every CSV and SVG
-    beside it, then waits for the report and, only if the orbit closes,
-    writes the SVGs again with the closure annotation.  The files and
-    the report are those of a serial run, but a search that raises
-    leaves the CSV and SVG files without a meta JSON.  Returns the meta
-    dictionary (period report included when closure detection is
-    requested).
+    run's last step.  The run evaluates no traces: each prefix traces
+    the nodes it plots.  When the search tolerance equals ``tol`` the
+    same run, made to the longest of the search and plotted horizons,
+    also serves the search; otherwise
+    :func:`~axisym.dynamics.detect_period` makes its own run.  With more
+    than one plotted horizon (figures 1 and 4) the plots do not depend on
+    the search, which then runs in a forked child where ``os.fork`` and
+    at least 2 CPUs are available: the parent makes the plotting run and
+    writes every CSV and SVG beside it, then waits for the report and,
+    only if the orbit closes, writes the SVGs again with the closure
+    annotation.  The files and the report are those of a serial run, but
+    a search that raises leaves the CSV and SVG files without a meta
+    JSON.  Returns the meta dictionary (period report included when
+    closure detection is requested).
     """
     recipe = RECIPES[figure_id]
+    if not (TOL_MIN <= tol <= TOL_MAX):     # NaN fails too
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     spec = _spec(recipe.system_id, recipe.params)
     ic = PhasePoint.from_state(recipe.ic)
     aio.ensure_dir(outdir)
@@ -152,14 +157,16 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
     search = functools.partial(detect_period, spec, ic, recipe.detect_horizon,
                                tol_return=recipe.tol_return, tol=detect_tol)
     if detect and detect_tol == tol:
-        run = integrate(spec, ic, max(recipe.detect_horizon, *t_ends), tol=tol)
-        report = search_period(prefix(spec, run, recipe.detect_horizon),
+        run = integrate(spec, ic, max(recipe.detect_horizon, *t_ends), tol=tol,
+                        traced=False)
+        report = search_period(prefix(spec, run, recipe.detect_horizon, traced=False),
                                recipe.tol_return)
     elif detect and len(t_ends) > 1:
         # Only the SVG annotation reads the report: write every file while
         # the search runs, and annotate the SVGs afterwards if it closes.
         with trace.beside(search) as searched:
-            plots = write_plots(integrate(spec, ic, max(t_ends), tol=tol), t_ends, None)
+            plots = write_plots(integrate(spec, ic, max(t_ends), tol=tol, traced=False),
+                                t_ends, None)
             report = searched()
         if report.closed:
             for base, traj in plots:
@@ -174,7 +181,7 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
         if report is not None and report.closed and len(t_ends) == 1:
             t_ends = [report.period]
         if run is None:
-            run = integrate(spec, ic, max(t_ends), tol=tol)
+            run = integrate(spec, ic, max(t_ends), tol=tol, traced=False)
         write_plots(run, t_ends, report)
 
     aio.write_meta(os.path.join(outdir, f"figure{figure_id}_meta.json"), meta)

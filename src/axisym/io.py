@@ -16,8 +16,9 @@ import numpy as np
 
 FLOAT_FMT = "%.17g"
 
-# Rows formatted per write: converting the whole table to Python floats
-# at once would hold every row's objects in memory together.
+# Rows formatted per write, by one ``%`` on a format of that many lines:
+# the whole table at once would hold every value's Python float and the
+# whole text in memory together.
 CSV_CHUNK_ROWS = 1000
 
 
@@ -32,8 +33,8 @@ def write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray,
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
-            rows = table[start:start + CSV_CHUNK_ROWS].tolist()
-            fh.writelines(line % tuple(row) for row in rows)
+            chunk = table[start:start + CSV_CHUNK_ROWS]
+            fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
     return list(labels)
 
 

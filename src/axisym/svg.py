@@ -78,7 +78,10 @@ def render_polyline(points2d: np.ndarray, title: str = "",
         pts = pts[idx]
         n = pts.shape[0]
     q = (pts - lo) * scale
-    px = np.column_stack([q[:, 0], size[1] - q[:, 1]]).tolist()  # flip y so "up" is up
+    # Each vertex formatted once, x and y in turn; flip y so "up" is up.
+    px = np.column_stack([q[:, 0], size[1] - q[:, 1]]).ravel().tolist()
+    text = ("%.2f " * len(px) % tuple(px)).split()
+    xs, ys = text[0::2], text[1::2]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -89,12 +92,9 @@ def render_polyline(points2d: np.ndarray, title: str = "",
     ]
     if title:
         parts.append(f'<title>{title}</title>')
-    for i, c in enumerate(_strokes(n)):
-        (x1, y1), (x2, y2) = px[i], px[i + 1]
-        parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{c}" stroke-width="1.2" stroke-linecap="round"/>'
-        )
+    parts += [f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+              f'stroke="{c}" stroke-width="1.2" stroke-linecap="round"/>'
+              for x1, y1, x2, y2, c in zip(xs, ys, xs[1:], ys[1:], _strokes(n))]
     if annotation:
         parts.append(
             f'<text x="8" y="18" font-family="sans-serif" font-size="14" '

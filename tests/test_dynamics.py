@@ -14,7 +14,7 @@ import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients
 
 from axisym import autodiff as ad
-from axisym import dynamics
+from axisym import dynamics, trace
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
 from axisym.families import build_family
@@ -770,6 +770,48 @@ def test_detect_period_evaluates_no_observable(monkeypatch, reference_ic):
     assert (rep.reason, rep.nfev, rep.steps) == ("completed", meta["nfev"], meta["steps"])
     assert {k: rep.as_dict()[k] for k in ("reason", "nfev", "steps")} == {
         "reason": "completed", "nfev": meta["nfev"], "steps": meta["steps"]}
+
+
+def _field_traces(spec, states):
+    """H and the integrals as their fields give them on long-double columns."""
+    wide = np.asarray(states, dtype=np.longdouble)
+    cols = [wide[:, i] for i in range(6)]
+    return {obs.label or "H": np.broadcast_to(
+                np.asarray(ad.value(obs.fn(cols)), dtype=float), (states.shape[0],))
+            for obs in spec.observables()}
+
+
+@pytest.mark.parametrize("n", [201, 5001])
+@pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
+def test_traces_run_the_traced_value_programs_with_the_fields_values(key, n):
+    # Only Y4 of max5 and max6 cannot be traced; it runs its field on duals.
+    if key in FAMILY_ARGS:
+        spec = build_family(chart_family(*FAMILY_ARGS[key]))
+    else:
+        spec = build(SYSTEM_OF[key], PARAMS[key])
+    backends = {obs.label or "H": trace.traced_value(obs.fn)[1]
+                for obs in spec.observables()}
+    dual = {"Y4"} if key in ("max5", "max6") else set()
+    assert {lbl for lbl, b in backends.items() if b == "dual"} == dual
+    assert set(backends.values()) <= {"generated", "dual"}
+    states = sample_safe_states(make_rng(n), n).T
+    got = dynamics._trace_all(spec, states)
+    want = _field_traces(spec, states)
+    assert list(got) == list(want)
+    for lbl in want:
+        assert got[lbl].shape == (n,) and got[lbl].dtype == np.float64
+        assert np.array_equal(got[lbl], want[lbl], equal_nan=True), lbl
+
+
+def test_an_untraceable_observable_traces_on_its_field():
+    # A branch on a value in W: H cannot be traced and runs on its field.
+    spec = _branching_well()
+    assert trace.traced_value(spec.hamiltonian.fn)[1] == "dual"
+    states = sample_safe_states(make_rng(5), 301).T
+    got = dynamics._trace_all(spec, states)
+    want = _field_traces(spec, states)
+    assert list(got) == list(want) == ["H"]
+    assert np.array_equal(got["H"], want["H"], equal_nan=True)
 
 
 def test_detect_period_from_a_singular_start_reports_no_run():

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from axisym import figures, trace
+from axisym import dynamics, figures, trace
 from axisym import io as aio
 from axisym.dynamics import PeriodReport
 
@@ -175,3 +175,29 @@ def test_a_failed_fork_runs_the_search_in_place(monkeypatch):
     with trace.beside(search) as result:
         assert calls == [os.getpid()]       # ran in place, before the body
     assert result() == "value"
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-15, math.nan])
+def test_a_bad_tolerance_creates_no_directory(tmp_path, tol):
+    out = tmp_path / "fig6"
+    with pytest.raises(ValueError, match="tol must lie in"):
+        figures.run_figure(6, str(out), tol=tol)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_figure_traces_only_the_horizons_it_plots(monkeypatch, tmp_path):
+    # The shared run and the search evaluate no observable: each plotted
+    # horizon traces its own nodes once.  Figures 1 and 4 search in a
+    # forked child, which traces nothing either.
+    calls = []
+    trace_all = dynamics._trace_all
+
+    def counted(spec, states):
+        calls.append(states.shape[0])
+        return trace_all(spec, states)
+
+    monkeypatch.setattr(dynamics, "_trace_all", counted)
+    for fid, recipe in sorted(figures.RECIPES.items()):
+        calls.clear()
+        meta = figures.run_figure(fid, str(tmp_path / f"fig{fid}"))
+        assert len(calls) == len(recipe.horizons) == len(meta["files"]), fid

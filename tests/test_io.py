@@ -60,6 +60,15 @@ def test_csv_bytes_equal_the_per_value_writer(tmp_path):
     assert path.read_text() == _reference_csv(times, states, traces, labels)
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["one_chunk", "one_row_more"])
+def test_csv_bytes_at_the_chunk_boundary(tmp_path, extra):
+    times, states, traces, labels = _fake_run(n=aio.CSV_CHUNK_ROWS + extra, n_traces=5,
+                                              seed=7)
+    path = tmp_path / "run.csv"
+    aio.write_trajectory_csv(str(path), times, states, traces)
+    assert path.read_text() == _reference_csv(times, states, traces, labels)
+
+
 def test_csv_trace_order_is_canonical(tmp_path):
     times, states, traces, _ = _fake_run(n_traces=5)
     shuffled = {k: traces[k] for k in ["Y4", "X2", "H", "Y3", "X1"]}
@@ -161,11 +170,16 @@ def _reference_polyline(points2d, title="", annotation=None, max_segments=1500):
     return "\n".join(parts)
 
 
-@pytest.mark.parametrize("n", [10, 3000])
+@pytest.mark.parametrize("n", [2, 10, 1501, 1502, 3000, "constant"])
 def test_render_polyline_equals_the_per_point_renderer(n):
-    # 3000 points take the thinning path of the default 1500 segments.
-    rng = np.random.default_rng(n)
-    pos = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+    # 1501 points are the last count drawn whole with the default 1500
+    # segments; 1502 and 3000 take the thinning path.  A constant orbit
+    # projects to one point, drawn on the smallest span.
+    if n == "constant":
+        pos = np.tile([0.25, -1.5, 3.0], (40, 1))
+    else:
+        rng = np.random.default_rng(n)
+        pos = np.cumsum(rng.normal(size=(n, 3)), axis=0)
     for which in svg.PROJECTIONS:
         pts = svg.project(pos, which)
         assert svg.render_polyline(pts, title=which, annotation="closes") == \
