@@ -570,12 +570,15 @@ def build_max5(params: SystemParams) -> SystemSpec:
     H = |p^A|^2/2 + u2/z^2 - bz^2 r^2/8 + n^2 bz^2 R^2/(32 m^2) with the
     constant field bz dx^dy; the extra integral Y4 has momentum order
     2(n + 2m) and is evaluated in complex arithmetic with per-factor
-    magnitude scaling fixed once at the reference point.
+    magnitude scaling fixed once at the reference point.  ``meta["image"]``
+    is its field-free image (``closedform.oscillator_image``): the caged
+    oscillator u2/z^2 + nu^2 R^2/8, nu = n bz / (2 m).
     """
     _require(params.bz != 0.0, "max5 requires a nonzero bz")
     _require(params.n is not None, "max5 requires resonance indices n, m")
     u2, bz = params.u2, params.bz
     n, m = params.n, params.m
+    nu = n * bz / (2.0 * m)
     g, b_fn = _constant_field(bz)
 
     def W_sw(s, w):
@@ -611,7 +614,8 @@ def build_max5(params: SystemParams) -> SystemSpec:
         (_spherical_x1(g, bz, lambda s, z: 2.0 * u2 / (z * z) * s),
          _x2(g), Observable(y3, "Y3", 2), y4),
         singular_in=frozenset({"z"}) if u2 != 0.0 else frozenset(),
-        meta={"y4_scale": y4_scale})
+        meta={"y4_scale": y4_scale,
+              "image": {"id": "osc5", "u2": u2, "nu_xy": nu, "nu_z": nu, "nu": nu}})
 
 
 def build_max6(params: SystemParams) -> SystemSpec:
@@ -619,11 +623,13 @@ def build_max6(params: SystemParams) -> SystemSpec:
 
     H = |p^A|^2/2 + bz^2 (n^2/m^2 - 1) r^2 / 8 + n^2 bz^2 z^2 / (2 m^2)
     with the constant field bz dx^dy; Y4 has momentum order 2n + m.
+    ``meta["image"]`` is its harmonic oscillator, as for :func:`build_max5`.
     """
     _require(params.bz != 0.0, "max6 requires a nonzero bz")
     _require(params.n is not None, "max6 requires resonance indices n, m")
     bz = params.bz
     n, m = params.n, params.m
+    nu = n * bz / (2.0 * m)
     g, b_fn = _constant_field(bz)
 
     def W_sw(s, w):
@@ -659,7 +665,10 @@ def build_max6(params: SystemParams) -> SystemSpec:
     return _axial_spec(
         "max6", params, g, W_sw, b_fn,
         (Observable(x1, "X1", 2), _x2(g), Observable(y3, "Y3", 2), y4),
-        meta={"y4_scale": y4_scale})
+        # Image potential nu^2 (x^2 + y^2 + 4 z^2) / 2: z oscillates twice as fast.
+        meta={"y4_scale": y4_scale,
+              "image": {"id": "osc6", "u2": 0.0, "nu_xy": 2.0 * nu, "nu_z": 4.0 * nu,
+                        "nu": nu}})
 
 
 def y4_explicit_max5(params: SystemParams) -> Observable:
@@ -785,6 +794,10 @@ SYSTEM_INFO = {
 
 
 def build(system_id: str, params: SystemParams) -> SystemSpec:
+    """The system ``system_id`` at ``params``; ValueError for a parameter it lacks."""
     if system_id not in BUILDERS:
         raise KeyError(f"unknown system {system_id!r}")
+    for key in params.as_dict():
+        if key not in SYSTEM_INFO[system_id]["parameters"]:
+            raise ValueError(f"{system_id} has no parameter {key!r}")
     return BUILDERS[system_id](params)

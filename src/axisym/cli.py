@@ -123,23 +123,24 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _apply_mutation(system_id: str, params: SystemParams, mutate: str) -> SystemParams:
+def _apply_mutation(params: SystemParams, mutate: str) -> SystemParams:
+    """``params`` with one parameter shifted; building them rejects one the system lacks."""
     if "=" not in mutate:
         raise ConfigError("--mutate expects key=delta, e.g. u1=+0.001")
     key, delta = mutate.split("=", 1)
     key = key.strip()
-    # A parameter the system lacks would leave it unchanged and the
-    # control would pass vacuously.
-    if key not in SYSTEM_INFO[system_id]["parameters"]:
-        raise ConfigError(f"--mutate: {system_id} has no parameter {key!r}")
-    if getattr(params, key, None) is None:
+    old = getattr(params, key, None)
+    if old is None:
         raise ConfigError(f"--mutate: parameter {key!r} not set on this system")
     try:
         step = float(delta)
     except ValueError:
         raise ConfigError(f"--mutate: {delta!r} is not a number")
+    if old + step == old:
+        # The control would test the system against itself and pass.
+        raise ConfigError(f"--mutate: {key} = {old} is left unchanged by {delta!r}")
     try:
-        return dataclasses.replace(params, **{key: getattr(params, key) + step})
+        return dataclasses.replace(params, **{key: old + step})
     except ValueError as exc:
         raise ConfigError(f"--mutate: {exc}")
 
@@ -155,8 +156,7 @@ def cmd_verify(args) -> int:
             # against the *original* Hamiltonian.  Conservation breaks, the
             # checks fail, and the command exits 1 — demonstrating that the
             # verification suite is sensitive to the catalog coefficients.
-            mutated = _build_system(args.system,
-                                    _apply_mutation(args.system, params, args.mutate))
+            mutated = _build_system(args.system, _apply_mutation(params, args.mutate))
             rng = make_rng(args.seed)
             reports = [is_integral(spec, g, samples=args.samples,
                                    tol=1e-10, rng=rng)

@@ -22,15 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import trace
 from .autodiff import Dual
-from .catalog import SystemParams, SystemSpec
-from .phase import (
-    CovectorField,
-    DomainError,
-    Observable,
-    PhasePoint,
-    TwoForm,
-    hamiltonian_observable,
-)
+from .catalog import SystemParams, SystemSpec, _axial_spec, _constant_field, _x2, build
+from .phase import DomainError, Observable, PhasePoint
 
 OP_MIN = "op_min"
 CP_MIN = "cp_min"
@@ -235,17 +228,25 @@ class ResonanceParams:
 def resonance_check(params: SystemParams, kind: str = OP_MIN) -> Optional[ResonanceParams]:
     """Detect whether u3 and bz satisfy the closure rationality relation.
 
-    For the radial branch the relation is u3 = (bz^2/8)(1 - n^2/(4m^2));
-    for the parabolic branch it is u3 = n^2 bz^2 / (8 m^2).  Searches
-    denominators m <= 64 and demands relative agreement 1e-12; returns
-    the reduced (n, m) or None.
+    For the radial branch (``OP_MIN``, the relation of max5) it is
+    u3 = (bz^2/8)(1 - n^2/(4m^2)); for the parabolic branch (``CP_MIN``,
+    that of max6) it is u3 = n^2 bz^2 / (8 m^2).  Searches denominators
+    m <= 64 and demands relative agreement 1e-12; returns the reduced
+    (n, m) or None.
     """
     if params.bz == 0.0:
         raise ValueError("resonance analysis needs bz != 0")
-    if kind in (OP_MIN, "max5"):
-        q2 = 1.0 - 8.0 * params.u3 / params.bz ** 2  # (n / 2m)^2
-    elif kind in (CP_MIN, "max6"):
-        q2 = params.u3 * 8.0 / params.bz ** 2        # (n / m)^2
+    bz2 = params.bz ** 2
+    if kind == OP_MIN:
+        q2, per_m = 1.0 - 8.0 * params.u3 / bz2, 2        # (n / 2m)^2
+
+        def u3_at(n, m):
+            return bz2 / 8.0 * (1.0 - n * n / (4.0 * m * m))
+    elif kind == CP_MIN:
+        q2, per_m = params.u3 * 8.0 / bz2, 1              # (n / m)^2
+
+        def u3_at(n, m):
+            return n * n * bz2 / (8.0 * m * m)
     else:
         raise ValueError(f"unknown resonance kind {kind!r}")
     if q2 <= 0.0:
@@ -253,17 +254,8 @@ def resonance_check(params: SystemParams, kind: str = OP_MIN) -> Optional[Resona
     q = math.sqrt(q2)
     scale = max(1.0, abs(params.u3))
     for m in range(1, RESONANCE_MAX_DENOMINATOR + 1):
-        if kind in (OP_MIN, "max5"):
-            n = round(q * 2 * m)
-            if n < 1:
-                continue
-            u3_target = params.bz ** 2 / 8.0 * (1.0 - n * n / (4.0 * m * m))
-        else:
-            n = round(q * m)
-            if n < 1:
-                continue
-            u3_target = n * n * params.bz ** 2 / (8.0 * m * m)
-        if abs(u3_target - params.u3) <= RESONANCE_RTOL * scale:
+        n = round(q * per_m * m)
+        if n >= 1 and abs(u3_at(n, m) - params.u3) <= RESONANCE_RTOL * scale:
             return ResonanceParams(n, m)
     return None
 
@@ -285,9 +277,21 @@ def rotating_frame(bz: float, t: float, s) -> PhasePoint:
     return PhasePoint(R @ pt.q, R @ pt.p)
 
 
-def _oscillator_spec(system_id: str, u2: float, nu_xy: float, nu_z: float,
-                     meta: dict) -> SystemSpec:
-    """Magnetic-field-free separable oscillator (+ optional u2/z^2 cage)."""
+def oscillator_image(kind: str, params: SystemParams) -> SystemSpec:
+    """The field-free oscillator conjugate to the maximal system ``kind``.
+
+    Builds the system (ValueError for a parameter it lacks or without
+    n, m) and the oscillator of its ``meta["image"]``: for max5 a caged
+    oscillator with frequency nu = n bz / (2 m) in all three directions
+    plus the u2/z^2 barrier, for max6 a harmonic oscillator whose z
+    frequency is twice the planar one.  ValueError for a system that has
+    no image.
+    """
+    image = build(kind, params).meta.get("image")
+    if image is None:
+        raise ValueError(f"no oscillator image for kind {kind!r}")
+    u2, nu_xy, nu_z = image["u2"], image["nu_xy"], image["nu_z"]
+    g, b_fn = _constant_field(0.0)
 
     def W_sw(s, w):
         base = nu_xy ** 2 / 8.0 * s + nu_z ** 2 / 8.0 * w * w
@@ -295,22 +299,9 @@ def _oscillator_spec(system_id: str, u2: float, nu_xy: float, nu_z: float,
             base = base + u2 / (w * w)
         return base
 
-    def W(x, y, z):
-        return W_sw(x * x + y * y, z)
-
-    def zero_gauge(s, w):
-        return 0.0 * s + 0.0 * w
-
-    A = CovectorField(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z), label="A")
-    B = TwoForm(lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z), label="B")
-
     def e_xy(state):
         x, y, _, px, py, _ = state
         return 0.5 * (px * px + py * py) + nu_xy ** 2 / 8.0 * (x * x + y * y)
-
-    def lz(state):
-        x, y, _, px, py, _ = state
-        return x * py - y * px
 
     def e_z(state):
         z, pz = state[2], state[5]
@@ -319,50 +310,10 @@ def _oscillator_spec(system_id: str, u2: float, nu_xy: float, nu_z: float,
             val = val + u2 / (z * z)
         return val
 
-    return SystemSpec(
-        system_id=system_id,
-        params=SystemParams(u2=u2),
-        W=W, A=A, B=B,
-        hamiltonian=hamiltonian_observable(A, W),
-        integrals=(
-            Observable(e_xy, "X1", 2),
-            Observable(lz, "X2", 1),
-            Observable(e_z, "Y3", 2),
-        ),
-        claimed_rank=3,
-        gauge_factor=zero_gauge,
-        potential_sw=W_sw,
+    spec = _axial_spec(
+        image["id"], SystemParams(u2=u2), g, W_sw, b_fn,
+        (Observable(e_xy, "X1", 2), _x2(g), Observable(e_z, "Y3", 2)),
         singular_in=frozenset({"z"}) if u2 != 0.0 else frozenset(),
-        serializable=False,
-        meta=meta,
-    )
-
-
-def oscillator_image(kind: str, params: SystemParams) -> SystemSpec:
-    """The field-free oscillator conjugate to a maximal system.
-
-    For the radial maximal system (u1 must vanish: with u1 != 0 the
-    planar trajectories of the rotated system cannot close) the image
-    is a caged oscillator with frequency nu = n bz / (2 m) in all three
-    directions plus the u2/z^2 barrier.  For the parabolic maximal
-    system (u2 must vanish) the image is a harmonic oscillator whose z
-    frequency is twice the planar one.
-    """
-    if params.n is None or params.m is None:
-        raise ValueError("oscillator image needs resonance integers n, m")
-    nu = params.n * params.bz / (2.0 * params.m)
-    if kind == "max5":
-        if params.u1 != 0.0:
-            raise ValueError("caged-oscillator image requires u1 = 0; "
-                             "otherwise the rotated trajectories cannot close")
-        return _oscillator_spec("osc5", params.u2, nu, nu,
-                                meta={"nu": nu, "source": "max5"})
-    if kind == "max6":
-        if params.u2 != 0.0:
-            raise ValueError("harmonic-oscillator image requires u2 = 0")
-        # Potential (n^2 bz^2 / 8 m^2)(x^2 + y^2 + 4 z^2): in the
-        # nu^2/8 normalization the planar frequency parameter is 2 nu
-        # and the z one is 4 nu (z oscillates twice as fast).
-        return _oscillator_spec("osc6", 0.0, 2.0 * nu, 4.0 * nu,
-                                meta={"nu": nu, "source": "max6"})
-    raise ValueError(f"no oscillator image for kind {kind!r}")
+        serializable=False, meta={"nu": image["nu"], "source": kind})
+    # H = X1 + Y3, so H and the three integrals have rank 3.
+    return replace(spec, claimed_rank=3)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass, field, replace
@@ -775,15 +776,15 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     (``aborted=True``, output truncated at the stop) if the state
     reaches the guard region of a singular term, passes the escape
     bound, lets H drift from its initial value by more than
-    ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps``
-    accepted steps; ``meta`` names the reason and records RHS calls,
-    accepted and rejected steps, the size of the last accepted step, the
-    RHS backend (``"generated"`` straight-line code or ``"dual"``
-    numbers) and the wall time of the call (``wall_s``).  Traces of H and
-    all integrals are evaluated at the output nodes unless ``traced`` is
-    False (an empty ``traces``): a dense run that only serves a period
-    search and :func:`prefix` parts, which trace their own nodes, needs
-    none.
+    ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps`` (None
+    or an integer >= 1) accepted steps; ``meta`` names the reason and
+    records RHS calls, accepted and rejected steps, the size of the last
+    accepted step, the RHS backend (``"generated"`` straight-line code or
+    ``"dual"`` numbers) and the wall time of the call (``wall_s``).
+    Traces of H and all integrals are evaluated at the output nodes
+    unless ``traced`` is False (an empty ``traces``): a dense run that
+    only serves a period search and :func:`prefix` parts, which trace
+    their own nodes, needs none.
     """
     start = time.perf_counter()
     if not (TOL_MIN <= tol <= TOL_MAX):
@@ -792,6 +793,9 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         raise ValueError("t_end must be positive and finite")
     if dt_out is not None and not dt_out > 0:
         raise ValueError(f"dt_out must be positive, not {dt_out!r}")
+    if max_steps is not None and not (isinstance(max_steps, numbers.Integral)
+                                      and max_steps >= 1):
+        raise ValueError(f"max_steps must be None or an integer >= 1, not {max_steps!r}")
     y0 = ic.state if isinstance(ic, PhasePoint) else np.asarray(ic, dtype=float)
     y0 = tuple(y0.tolist())
     _check_guard(spec, y0)

@@ -85,8 +85,7 @@ def _spec(system_id: str, params: SystemParams):
     return build(system_id, params)
 
 
-def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
-               detect: bool = True) -> dict:
+def run_figure(figure_id: int, outdir: str, tol: float = 1e-12) -> dict:
     """Reproduce one reference figure: CSV, SVG projections, meta JSON.
 
     ``tol`` must lie in ``[TOL_MIN, TOL_MAX]`` of
@@ -107,8 +106,7 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
     only if the orbit closes, writes the SVGs again with the closure
     annotation.  The files and the report are those of a serial run, but
     a search that raises leaves the CSV and SVG files without a meta
-    JSON.  Returns the meta dictionary (period report included when
-    closure detection is requested).
+    JSON.  Returns the meta dictionary, period report included.
     """
     recipe = RECIPES[figure_id]
     if not (TOL_MIN <= tol <= TOL_MAX):     # NaN fails too
@@ -151,17 +149,17 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
             plots.append((base, traj))
         return plots
 
-    report = run = plots = None
+    run = plots = None
     t_ends = list(recipe.horizons)
     detect_tol = max(tol, 1e-12 if recipe.detect_horizon <= 50 else 1e-10)
     search = functools.partial(detect_period, spec, ic, recipe.detect_horizon,
                                tol_return=recipe.tol_return, tol=detect_tol)
-    if detect and detect_tol == tol:
+    if detect_tol == tol:
         run = integrate(spec, ic, max(recipe.detect_horizon, *t_ends), tol=tol,
                         traced=False)
         report = search_period(prefix(spec, run, recipe.detect_horizon, traced=False),
                                recipe.tol_return)
-    elif detect and len(t_ends) > 1:
+    elif len(t_ends) > 1:
         # Only the SVG annotation reads the report: write every file while
         # the search runs, and annotate the SVGs afterwards if it closes.
         with trace.beside(search) as searched:
@@ -171,14 +169,13 @@ def run_figure(figure_id: int, outdir: str, tol: float = 1e-12,
         if report.closed:
             for base, traj in plots:
                 write_svgs(base, traj, report)
-    elif detect:
+    else:
         report = search()
-    if report is not None:
-        meta["period_report"] = report.as_dict()
+    meta["period_report"] = report.as_dict()
 
     if plots is None:
         # Plot the measured period when the expected value is approximate.
-        if report is not None and report.closed and len(t_ends) == 1:
+        if report.closed and len(t_ends) == 1:
             t_ends = [report.period]
         if run is None:
             run = integrate(spec, ic, max(t_ends), tol=tol, traced=False)

@@ -88,16 +88,10 @@ double as it is written.  Two passes of the ``verify`` benchmark's
 work, its 100k-state op_min sweep included, peak at 49.4 MB of RSS on a
 2-CPU Xeon VM (57.6 MB with the involution states kept through the
 closure check, long-double sides copied to float64 and every value read
-once nested).  Earlier, with one line per operation, they peaked at 62
-MB with the closure and the brackets traced as whole programs and the
-closure's long-double states cast block by block (79 MB with only the
-gradients traced, 89 MB on dual numbers).  With gradients alone they
-peaked at 78 MB with blocks of 1024-16384 columns and at 112 MB
-unblocked; without the deletes at 82 MB with blocks of 4096, 131 MB
-with 16384 and 479 MB unblocked.  Blocks stay at 4096 columns because
-wider long-double blocks fall out of the cache: op_min X1's gradient on
-100k long-double states took 108-147 ms with 4096 columns and 142-170
-ms with 8192-16384.
+once nested).  Blocks stay at 4096 columns because wider long-double
+blocks fall out of the cache: op_min X1's gradient on 100k long-double
+states took 108-147 ms with 4096 columns and 142-170 ms with
+8192-16384.
 
 Two processes.  A call of at least ``SPLIT_BLOCKS`` blocks, in either
 dtype, runs on two processes where :func:`beside` may fork: the process

@@ -1,10 +1,14 @@
 """Catalog systems: field/gauge consistency, integrals, special identities."""
 
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axisym
 from axisym import autodiff as ad
 from axisym.catalog import (
     REFERENCE_STATE,
@@ -191,6 +195,61 @@ def test_builder_preconditions():
         build("op_min", SystemParams(u1=1.0))
     with pytest.raises(KeyError):
         build("not_a_system", SystemParams())
+
+
+# Each system with every parameter it has set, and each parameter a
+# system could lack, set alone (the resonance indices as a pair).
+OWN_PARAMS = {
+    "linear_min": SystemParams(u1=1.0, bz=2.0),
+    "linear_max": SystemParams(u1=1.0, bz=2.0),
+    "op_min": PARAMS["op_min"],
+    "cp_min": SystemParams(u1=10.0, u2=1.5, u3=1.0, bz=2.0, bq=4.0, bl=1.0),
+    "cp_raw": SystemParams(u1=10.0, u2=1.5, u3=1.0, bz=2.0, bq=4.0, bl=1.0),
+    "max5": PARAMS["max5"],
+    "max6": PARAMS["max6"],
+}
+EXTRA_PARAMS = {
+    **{key: {key: 0.5} for key in ("u1", "u2", "u3", "bz", "bp", "bs", "bq", "bl")},
+    "a": {"a": 1.3},
+    "n": {"n": 3, "m": 2},
+}
+
+
+@pytest.mark.parametrize("system_id", list(SYSTEM_INFO))
+def test_build_takes_exactly_the_listed_parameters(system_id):
+    own = OWN_PARAMS[system_id]
+    listed = SYSTEM_INFO[system_id]["parameters"]
+    assert sorted(own.as_dict()) == sorted(listed)
+    build(system_id, own)      # the parameters it lacks are left at zero
+    lacking = [key for key in EXTRA_PARAMS if key not in listed]
+    assert "a" in lacking
+    for key in lacking:
+        with pytest.raises(ValueError, match=f"^{system_id} has no parameter '{key}'$"):
+            build(system_id, dataclasses.replace(own, **EXTRA_PARAMS[key]))
+
+
+def _system_id_comparisons(root: Path):
+    """(file, line) of each ==, != or in against a catalog system-id literal."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+                continue
+            operands = []
+            for side in (node.left, *node.comparators):
+                is_seq = isinstance(side, (ast.Tuple, ast.List, ast.Set))
+                operands += side.elts if is_seq else [side]
+            if any(isinstance(o, ast.Constant) and o.value in BUILDERS for o in operands):
+                found.append((path.name, node.lineno))
+    return sorted(found)
+
+
+def test_no_module_dispatches_on_a_system_id():
+    # What differs between systems lives in their specs, built by the
+    # catalog; a module that branches on an id string repeats it.
+    assert _system_id_comparisons(Path(axisym.__file__).parent) == []
 
 
 def test_serialization_roundtrip():

@@ -138,6 +138,16 @@ def test_verify_mutate_rejects_parameters_the_system_lacks(capsys):
     assert "has no parameter 'bq'" in capsys.readouterr().err
 
 
+def test_verify_mutate_rejects_a_delta_that_changes_nothing(capsys):
+    # The control would compare the system with itself and pass.
+    for system, params, mutate in (("op_min", OP_PARAMS, "u1=+0"),
+                                   ("op_min", OP_PARAMS, "bz=1e-300"),
+                                   ("linear_min", "u1=1,bz=2", "u3=-0")):
+        assert main(["verify", system, "--params", params, "--mutate", mutate,
+                     "--samples", "50"]) == EXIT_CONFIG
+    assert "u3 = 0.0 is left unchanged by '-0'" in capsys.readouterr().err
+
+
 def test_argparse_failures_map_to_config_error():
     assert main([]) == EXIT_CONFIG
     assert main(["figure", "seven"]) == EXIT_CONFIG
@@ -150,6 +160,13 @@ def test_simulate_non_finite_parameters_are_config_errors(params, capsys):
                  "--t-end", "1"]) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
 
+
+def test_simulate_rejects_parameters_the_system_lacks(tmp_path, capsys):
+    # u1 changed nothing in max5's H, yet the run recorded it and exited 0.
+    assert main(["simulate", "max5", "--params", "u1=5,u2=1.5,bz=2,n=3,m=2",
+                 "--t-end", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "max5 has no parameter 'u1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_writes_csv_and_meta(tmp_path, capsys):

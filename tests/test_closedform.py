@@ -21,7 +21,7 @@ from axisym.closedform import (
     rotating_frame,
 )
 from axisym.dynamics import eom_rhs, integrate, radial_frequency
-from axisym.phase import DomainError, PhasePoint, make_rng
+from axisym.phase import DomainError, PhasePoint, make_rng, sample_safe_states
 
 from conftest import PARAMS
 
@@ -176,10 +176,10 @@ def test_isochronicity_without_bs_bp():
 def test_resonance_check_examples():
     bz = 2.0
     u3 = bz ** 2 / 8.0 * (1.0 - 9.0 / 16.0)
-    res = resonance_check(SystemParams(u3=u3, bz=bz), "max5")
+    res = resonance_check(SystemParams(u3=u3, bz=bz), OP_MIN)
     assert (res.n, res.m) == (3, 2)
 
-    res = resonance_check(SystemParams(u3=9.0 / 32.0, bz=3.0), "max6")
+    res = resonance_check(SystemParams(u3=9.0 / 32.0, bz=3.0), CP_MIN)
     assert (res.n, res.m) == (1, 2)
 
     assert resonance_check(SystemParams(u3=0.1234, bz=2.0), OP_MIN) is None
@@ -232,6 +232,24 @@ def test_rotating_frame_conjugates_to_oscillator(key, kind):
         rhs = eom_rhs(osc, mapped)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-8, (kind, worst)
+
+
+@pytest.mark.parametrize("key", ["max5", "max6"])
+def test_oscillator_images_are_the_field_free_oscillators(key):
+    # max5: H = |p|^2/2 + u2/z^2 + n^2 bz^2 R^2 / (32 m^2), caged;
+    # max6: H = |p|^2/2 + n^2 bz^2 (x^2 + y^2 + 4 z^2) / (8 m^2).
+    p = PARAMS[key]
+    osc = oscillator_image(key, p)
+    w = p.n * p.n * p.bz * p.bz / (p.m * p.m)
+    states = sample_safe_states(make_rng(12), 200)
+    x, y, z, px, py, pz = states
+    if key == "max5":
+        force = (-w / 16.0 * x, -w / 16.0 * y, -w / 16.0 * z + 2.0 * p.u2 / z ** 3)
+    else:
+        force = (-w / 4.0 * x, -w / 4.0 * y, -w * z)
+    assert np.allclose(eom_rhs(osc, states), [px, py, pz, *force], rtol=1e-13, atol=1e-13)
+    assert osc.meta == {"nu": p.n * p.bz / (2.0 * p.m), "source": key}
+    assert osc.claimed_rank == 3 and osc.params == SystemParams(u2=p.u2)
 
 
 def test_oscillator_image_preconditions():

@@ -688,6 +688,22 @@ def test_output_step_validation(reference_ic, dt_out):
         integrate(spec, reference_ic, 1.0, dt_out=dt_out)
 
 
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, np.nan, "20"])
+def test_step_budget_validation(reference_ic, max_steps):
+    # Without the check each of these ran with no budget and reported
+    # "completed".
+    spec = build("linear_min", PARAMS["linear_min"])
+    with pytest.raises(ValueError, match="max_steps"):
+        integrate(spec, reference_ic, 1.0, max_steps=max_steps)
+
+
+def test_step_budget_takes_any_integer_type(reference_ic):
+    spec = build("linear_min", PARAMS["linear_min"])
+    for max_steps in (1, np.int64(1)):
+        traj = integrate(spec, reference_ic, 1.0, max_steps=max_steps)
+        assert traj.meta["reason"] == "step_budget" and traj.meta["steps"] == 1
+
+
 @pytest.mark.parametrize("fid", sorted(RECIPES))
 def test_prefix_matches_a_separate_run_but_on_its_last_step(fid):
     recipe = RECIPES[fid]
