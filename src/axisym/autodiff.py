@@ -2,21 +2,19 @@
 
 Every scalar field in this package is written against the generic math
 functions below, so the same code path evaluates on plain floats, numpy
-arrays (vectorized over sample points), complex numbers, and ``Dual``
-values.  Nesting ``Dual`` inside ``Dual`` yields exact second derivatives.
-Finite differences are used only as a test oracle, never in production
-code.
+arrays (vectorized over sample points) and ``Dual`` values.  Nesting
+``Dual`` inside ``Dual`` yields exact second derivatives.  Finite
+differences are used only as a test oracle, never in production code.
 
 The differentiation rules are written here only: :func:`_unary` builds
-each one-argument function from its ufunc, ``math`` and ``cmath``
-functions and tangent rule, :data:`FUNCTIONS` is the ufunc -> ``math``
-table that :mod:`axisym.trace` binds traced code to, and :func:`seeded`
-seeds one argument at a time for partial derivatives.
+each one-argument function from its ufunc, ``math`` function and
+tangent rule, :data:`FUNCTIONS` is the ufunc -> ``math`` table that
+:mod:`axisym.trace` binds traced code to, and :func:`seeded` seeds one
+argument at a time for partial derivatives.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -25,8 +23,8 @@ import numpy as np
 class Dual:
     """Number of the form ``re + im*eps`` with ``eps**2 == 0``.
 
-    ``re`` and ``im`` may be floats, complex numbers, numpy arrays, or
-    further ``Dual`` instances (for higher derivatives).
+    ``re`` and ``im`` may be floats, numpy arrays, or further ``Dual``
+    instances (for higher derivatives).
     """
 
     __slots__ = ("re", "im")
@@ -89,11 +87,11 @@ class Dual:
         return Dual(self.re ** n, n * self.re ** (n - 1) * self.im)
 
     def __abs__(self):
-        # Real-valued use only (sign selection); not differentiable at 0.
+        # Sign selection; not differentiable at 0.
         v = value(self)
         if isinstance(v, np.ndarray):
-            return self * np.where(np.real(v) < 0, -1.0, 1.0)
-        return -self if v.real < 0 else self
+            return self * np.where(v < 0, -1.0, 1.0)
+        return -self if v < 0 else self
 
     # Comparisons act on the primal value so that branch selection in
     # generic code follows the undifferentiated control flow.
@@ -139,15 +137,12 @@ _MATH_LEAVES = (float, int)
 FUNCTIONS: dict = {np.arctan2: math.atan2, np.floor: math.floor}
 
 
-def _unary(ufunc, on_floats, on_complex, rule):
-    """``ufunc`` on every leaf and on duals, whose tangent is ``rule(x, f(x), dx)``;
-    ``on_complex``, where given, runs on Python complex numbers."""
+def _unary(ufunc, on_floats, rule):
+    """``ufunc`` on every leaf and on duals, whose tangent is ``rule(x, f(x), dx)``."""
     def f(v):
         if isinstance(v, Dual):
             fx = f(v.re)
             return Dual(fx, rule(v.re, fx, v.im))
-        if on_complex is not None and isinstance(v, complex):
-            return on_complex(v)
         if isinstance(v, _MATH_LEAVES):
             return on_floats(v)
         return ufunc(v)
@@ -157,11 +152,11 @@ def _unary(ufunc, on_floats, on_complex, rule):
     return f
 
 
-sqrt = _unary(np.sqrt, math.sqrt, cmath.sqrt, lambda x, fx, dx: dx / (2.0 * fx))
-exp = _unary(np.exp, math.exp, cmath.exp, lambda x, fx, dx: fx * dx)
-log = _unary(np.log, math.log, cmath.log, lambda x, fx, dx: dx / x)
-sin = _unary(np.sin, math.sin, None, lambda x, fx, dx: cos(x) * dx)
-cos = _unary(np.cos, math.cos, None, lambda x, fx, dx: -sin(x) * dx)
+sqrt = _unary(np.sqrt, math.sqrt, lambda x, fx, dx: dx / (2.0 * fx))
+exp = _unary(np.exp, math.exp, lambda x, fx, dx: fx * dx)
+log = _unary(np.log, math.log, lambda x, fx, dx: dx / x)
+sin = _unary(np.sin, math.sin, lambda x, fx, dx: cos(x) * dx)
+cos = _unary(np.cos, math.cos, lambda x, fx, dx: -sin(x) * dx)
 
 
 def _tan_rule(x, fx, dx):
@@ -169,13 +164,13 @@ def _tan_rule(x, fx, dx):
     return dx / (c * c)
 
 
-tan = _unary(np.tan, math.tan, None, _tan_rule)
-sinh = _unary(np.sinh, math.sinh, None, lambda x, fx, dx: cosh(x) * dx)
-cosh = _unary(np.cosh, math.cosh, None, lambda x, fx, dx: sinh(x) * dx)
-atan = _unary(np.arctan, math.atan, None, lambda x, fx, dx: dx / (1.0 + x * x))
-asin = _unary(np.arcsin, math.asin, None, lambda x, fx, dx: dx / sqrt(1.0 - x * x))
-acos = _unary(np.arccos, math.acos, None, lambda x, fx, dx: -dx / sqrt(1.0 - x * x))
-asinh = _unary(np.arcsinh, math.asinh, None, lambda x, fx, dx: dx / sqrt(x * x + 1.0))
+tan = _unary(np.tan, math.tan, _tan_rule)
+sinh = _unary(np.sinh, math.sinh, lambda x, fx, dx: cosh(x) * dx)
+cosh = _unary(np.cosh, math.cosh, lambda x, fx, dx: sinh(x) * dx)
+atan = _unary(np.arctan, math.atan, lambda x, fx, dx: dx / (1.0 + x * x))
+asin = _unary(np.arcsin, math.asin, lambda x, fx, dx: dx / sqrt(1.0 - x * x))
+acos = _unary(np.arccos, math.acos, lambda x, fx, dx: -dx / sqrt(1.0 - x * x))
+asinh = _unary(np.arcsinh, math.asinh, lambda x, fx, dx: dx / sqrt(x * x + 1.0))
 
 
 def atan2(y, x):
@@ -195,23 +190,6 @@ def floor(v):
     if isinstance(v, _MATH_LEAVES):
         return math.floor(v)
     return np.floor(v)
-
-
-def real(v):
-    """Real part, recursing through dual layers (complex-step safe)."""
-    if isinstance(v, Dual):
-        return Dual(real(v.re), real(v.im))
-    if isinstance(v, (complex, np.ndarray)):
-        return v.real
-    return v
-
-
-def imag(v):
-    if isinstance(v, Dual):
-        return Dual(imag(v.re), imag(v.im))
-    if isinstance(v, (complex, np.ndarray)):
-        return v.imag
-    return 0.0 * v
 
 
 def derivative(f, x):

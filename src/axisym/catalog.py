@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from . import autodiff as ad
 from .phase import (
     CovectorField,
     Observable,
@@ -128,8 +127,13 @@ def _axial_spec(system_id, params, g, W_sw, b_fn, integrals, **fields) -> System
     """The system with gauge A = g(s, w) (-y, x, 0), potential W(s, w), field b_fn.
 
     It claims rank 1 + the number of listed ``integrals`` (H and each of
-    them); ``fields`` are the other :class:`SystemSpec` fields.
+    them); ``fields`` are the other :class:`SystemSpec` fields.  A system
+    of :data:`SYSTEM_INFO` raises ValueError for a parameter outside its
+    list, which would change nothing yet be recorded.
     """
+    for key in params.as_dict():
+        _require(system_id not in SYSTEM_INFO or key in SYSTEM_INFO[system_id]["parameters"],
+                 f"{system_id} has no parameter {key!r}")
 
     def W(x, y, z):
         return W_sw(x * x + y * y, z)
@@ -197,19 +201,40 @@ def _spherical_x1(g, bz, term) -> Observable:
     return Observable(x1, "X1", 2)
 
 
+def _pair_product(a, b):
+    """(re, im) of the product of the complex numbers held as pairs a, b."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _pair_power(a, k: int):
+    """(re, im) of a^k for an int k >= 1, by binary powering."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _pair_product(out, a)
+        k >>= 1
+        if not k:
+            return out
+        a = _pair_product(a, a)
+
+
 def _y4(first, second, order: int):
     """Y4 = Re (f1 / c1)^k1 (f2 / c2)^k2 for (f, k) = ``first``, ``second``.
 
-    Each complex factor f is scaled by c = |f| at :data:`REFERENCE_STATE`,
-    fixed once.  Returns Y4 and c1^k1 c2^k2, its ``meta["y4_scale"]``.
+    Each factor f gives the (re, im) pair of a complex value, scaled by
+    c = |f| at :data:`REFERENCE_STATE`, fixed once.  The factors expand
+    their complex expressions term by term in the order complex
+    arithmetic takes them, so on floats Y4 equals that of complex
+    numbers bit for bit.  Returns Y4 and c1^k1 c2^k2, its
+    ``meta["y4_scale"]``.
     """
     (f1, k1), (f2, k2) = first, second
-    ref = list(REFERENCE_STATE)
-    c1 = abs(complex(ad.value(f1(ref))))
-    c2 = abs(complex(ad.value(f2(ref))))
+    c1, c2 = math.hypot(*f1(REFERENCE_STATE)), math.hypot(*f2(REFERENCE_STATE))
 
     def y4(state):
-        return ad.real((f1(state) / c1) ** k1 * (f2(state) / c2) ** k2)
+        re1, im1 = _pair_power([v / c1 for v in f1(state)], k1)
+        re2, im2 = _pair_power([v / c2 for v in f2(state)], k2)
+        return re1 * re2 - im1 * im2
 
     return Observable(y4, "Y4", order), c1 ** k1 * c2 ** k2
 
@@ -569,10 +594,11 @@ def build_max5(params: SystemParams) -> SystemSpec:
 
     H = |p^A|^2/2 + u2/z^2 - bz^2 r^2/8 + n^2 bz^2 R^2/(32 m^2) with the
     constant field bz dx^dy; the extra integral Y4 has momentum order
-    2(n + 2m) and is evaluated in complex arithmetic with per-factor
-    magnitude scaling fixed once at the reference point.  ``meta["image"]``
-    is its field-free image (``closedform.oscillator_image``): the caged
-    oscillator u2/z^2 + nu^2 R^2/8, nu = n bz / (2 m).
+    2(n + 2m): the real part of a product of factor powers, each factor a
+    (re, im) pair of real fields scaled once at the reference point.
+    ``meta["image"]`` is its field-free image
+    (``closedform.oscillator_image``): the caged oscillator
+    u2/z^2 + nu^2 R^2/8, nu = n bz / (2 m).
     """
     _require(params.bz != 0.0, "max5 requires a nonzero bz")
     _require(params.n is not None, "max5 requires resonance indices n, m")
@@ -595,18 +621,21 @@ def build_max5(params: SystemParams) -> SystemSpec:
         z = state[2]
         pz = _covariant(state, g)[2]
         z2 = z * z
-        return (8.0j * m * n * bz * z2 * z * pz
-                + bz * bz * n * n * z2 * z2
-                - 16.0 * m * m * z2 * pz * pz
-                - 32.0 * m * m * u2) / (n * bz * z2)
+        d = n * bz * z2
+        # (8i m n bz z^3 pz + bz^2 n^2 z^4 - 16 m^2 z^2 pz^2 - 32 m^2 u2) / d
+        return ((bz * bz * n * n * z2 * z2 - 16.0 * m * m * z2 * pz * pz - 32.0 * m * m * u2) / d,
+                8.0 * m * n * bz * z2 * z * pz / d)
 
     def planar_factor(state):
         x, y = state[0], state[1]
         pax, pay, _ = _covariant(state, g)
-        return (4.0 * bz * bz * (y - 1.0j * x) ** 2
-                + 16.0 * bz * (x + 1.0j * y) * (pay - 1.0j * pax)
-                + 16.0 * (pax + 1.0j * pay) ** 2
-                + n * n * bz * bz * (x + 1.0j * y) ** 2 / (m * m))
+        # s1 (y - ix)^2 + s2 (x + iy)(pay - i pax) + 16 (pax + i pay)^2 + s4 (x + iy)^2 / m^2
+        s1, s2, s4 = 4.0 * bz * bz, 16.0 * bz, n * n * bz * bz
+        d2, xy2 = y * y - x * x, 2.0 * (x * y)
+        return (s1 * d2 + (s2 * x * pay + s2 * y * pax) + 16.0 * (pax * pax - pay * pay)
+                - s4 * d2 / (m * m),
+                -s1 * xy2 + (s2 * y * pay - s2 * x * pax) + 32.0 * (pax * pay)
+                + s4 * xy2 / (m * m))
 
     y4, y4_scale = _y4((axial_factor, 2 * m), (planar_factor, n), 2 * (n + 2 * m))
     return _axial_spec(
@@ -652,14 +681,16 @@ def build_max6(params: SystemParams) -> SystemSpec:
     def planar_factor(state):
         x, y = state[0], state[1]
         pax, pay, _ = _covariant(state, g)
-        return ((n * n - m * m) * bz * bz * (y + 1.0j * x) ** 2
-                - 4.0 * m * m * bz * (x - 1.0j * y) * (pay + 1.0j * pax)
-                + 4.0 * m * m * (pay + 1.0j * pax) ** 2)
+        # s1 (y + ix)^2 - s2 (x - iy)(pay + i pax) + s3 (pay + i pax)^2
+        s1, s2, s3 = (n * n - m * m) * bz * bz, 4.0 * m * m * bz, 4.0 * m * m
+        xy2 = 2.0 * (x * y)
+        return (s1 * (y * y - x * x) - (s2 * x * pay + s2 * y * pax) + s3 * (pay * pay - pax * pax),
+                s1 * xy2 - (s2 * x * pax - s2 * y * pay) + s3 * (2.0 * (pax * pay)))
 
     def axial_factor(state):
         z = state[2]
         pz = _covariant(state, g)[2]
-        return m * pz + 1.0j * n * bz * z
+        return m * pz, n * bz * z
 
     y4, y4_scale = _y4((planar_factor, n), (axial_factor, m), 2 * n + m)
     return _axial_spec(
@@ -797,7 +828,4 @@ def build(system_id: str, params: SystemParams) -> SystemSpec:
     """The system ``system_id`` at ``params``; ValueError for a parameter it lacks."""
     if system_id not in BUILDERS:
         raise KeyError(f"unknown system {system_id!r}")
-    for key in params.as_dict():
-        if key not in SYSTEM_INFO[system_id]["parameters"]:
-            raise ValueError(f"{system_id} has no parameter {key!r}")
     return BUILDERS[system_id](params)

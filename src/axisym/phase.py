@@ -145,17 +145,15 @@ class Observable:
 
         On one state of six floats (numpy float64 scalars included) the
         program of :func:`axisym.trace.traced_value` runs, else ``fn``.
-        A PhasePoint or float64 array is read as Python floats for traced
-        code (fastest), as float64 scalars for ``fn`` on duals (Y4's
-        complex power differs in the last bits between the two).
+        A PhasePoint or float64 array is read as Python floats.
         """
         state = point_or_state
         if isinstance(state, PhasePoint):
             state = state.state
-        program, backend = self._value_program
+        program, _ = self._value_program
         if isinstance(state, np.ndarray) and state.dtype == np.float64 and state.ndim == 1:
             on_floats = True
-            state = list(state) if backend == "dual" else state.tolist()
+            state = state.tolist()
         else:
             state = list(state)
             on_floats = all(isinstance(c, float) for c in state)

@@ -50,16 +50,15 @@ code gives the values of the traced field bit for bit: a traced
 gradient equals ``gradient6`` on the same floats or rows, in float64 and
 in long double.  ``v ** n`` is emitted as ``v ** n``, so floats and
 numpy rows take the power as the field itself does.  A field that
-branches on a value, takes a power other than an ``int`` one, calls a
-ufunc outside :data:`FUNCTIONS` or uses a complex constant raises
-TypeError while being traced (as does ``abs`` of a dual over a traced
-value, which branches on its sign); :func:`cached_program` then hands
-back the field itself on dual numbers, run by the same callers.  Nested
-derivatives trace as well when the duals are built on the recording
-scalars, as the determining equations' program builds them: each dual
-layer's arithmetic becomes operations of the one program.  A state
-handed to :func:`gradient` that already holds duals stays on dual
-numbers.
+branches on a value, takes a power other than an ``int`` one or calls a
+ufunc outside :data:`FUNCTIONS` raises TypeError while being traced (as
+does ``abs`` of a dual over a traced value, which branches on its sign);
+:func:`cached_program` then hands back the field itself on dual numbers,
+run by the same callers.  Nested derivatives trace as well when the
+duals are built on the recording scalars, as the determining equations'
+program builds them: each dual layer's arithmetic becomes operations of
+the one program.  A state handed to :func:`gradient` that already holds
+duals stays on dual numbers.
 
 One cache.  Every traced program is kept in one dict (:func:`cached`)
 under its compile tag and the identity of each object it is traced from
@@ -245,11 +244,6 @@ class _Var:
         raise TypeError("a traced value has no concrete value to branch on")
 
     __bool__ = __eq__ = __ne__ = _untraceable
-
-    @property
-    def real(self):
-        # ``abs`` of a dual branches on ``value(d).real``.
-        self._untraceable()
 
 
 def _is_const(v) -> bool:

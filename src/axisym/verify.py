@@ -418,15 +418,14 @@ def closure_residual(spec: SystemSpec, states: np.ndarray,
 
 
 def verify_system(spec: SystemSpec, samples: int = 1000,
-                  tol: float = 1e-10, y4_tol: float = 1e-8,
+                  tol: float = 1e-10,
                   rank_points: int = 20, seed=None) -> list:
     """Full verification sweep; returns a list of CheckReports."""
     _require_counts(samples=samples, rank_points=rank_points)
     rng = make_rng() if seed is None else make_rng(seed)
     reports = []
     for g in spec.integrals:
-        t = y4_tol if g.label == "Y4" else tol
-        reports.append(is_integral(spec, g, samples=samples, tol=t, rng=rng))
+        reports.append(is_integral(spec, g, samples=samples, tol=tol, rng=rng))
 
     observables = list(spec.observables())
     rank = rank_vote(observables, sample_safe_states(rng, rank_points))

@@ -85,15 +85,6 @@ def test_array_leaves_vectorize():
     assert np.allclose(d, 1.0 / xs, rtol=1e-14)
 
 
-def test_complex_leaves():
-    z = Dual(1.0 + 2.0j, 1.0)
-    f = z * z
-    assert ad.value(f) == pytest.approx((1 + 2j) ** 2)
-    assert ad.tangent(f) == pytest.approx(2 * (1 + 2j))
-    assert ad.value(ad.real(f)) == pytest.approx(-3.0)
-    assert ad.value(ad.imag(f)) == pytest.approx(4.0)
-
-
 def test_atan2_matches_atan_derivative():
     y, x = 1.3, 0.7
     dy = ad.tangent(ad.atan2(Dual(y, 1.0), x))

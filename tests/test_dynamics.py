@@ -800,16 +800,12 @@ def _field_traces(spec, states):
 @pytest.mark.parametrize("n", [201, 5001])
 @pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
 def test_traces_run_the_traced_value_programs_with_the_fields_values(key, n):
-    # Only Y4 of max5 and max6 cannot be traced; it runs its field on duals.
+    # Every field of the catalog and the chart families is traced.
     if key in FAMILY_ARGS:
         spec = build_family(chart_family(*FAMILY_ARGS[key]))
     else:
         spec = build(SYSTEM_OF[key], PARAMS[key])
-    backends = {obs.label or "H": trace.traced_value(obs.fn)[1]
-                for obs in spec.observables()}
-    dual = {"Y4"} if key in ("max5", "max6") else set()
-    assert {lbl for lbl, b in backends.items() if b == "dual"} == dual
-    assert set(backends.values()) <= {"generated", "dual"}
+    assert {trace.traced_value(obs.fn)[1] for obs in spec.observables()} == {"generated"}
     states = sample_safe_states(make_rng(n), n).T
     got = dynamics._trace_all(spec, states)
     want = _field_traces(spec, states)

@@ -38,11 +38,6 @@ from axisym.verify import (
 
 from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family, value_branch
 
-# Fields whose gradients stay on dual numbers: Y4 of max5/max6 uses
-# complex constants.
-UNTRACEABLE = {("max5", "Y4"), ("max6", "Y4")}
-
-
 def _spec(key):
     if key in FAMILY_ARGS:
         return build_family(chart_family(*FAMILY_ARGS[key]))
@@ -64,11 +59,9 @@ def test_traced_gradient_equals_dual_gradient(key, dtype):
     spec = _spec(key)
     states = sample_safe_states(make_rng(41), 200).astype(dtype)
     for obs in spec.observables():
-        traced = trace.traced_gradient(obs.fn)[1] == "generated"
-        assert traced == ((key, obs.label) not in UNTRACEABLE), (key, obs.label)
+        assert trace.traced_gradient(obs.fn)[1] == "generated", (key, obs.label)
         got = _assert_same_gradient(obs.fn, list(states))
-        if traced:
-            assert all(g.dtype == dtype and g.shape == (200,) for g in got)
+        assert all(g.dtype == dtype and g.shape == (200,) for g in got)
 
 
 @pytest.mark.parametrize("n", [1, trace.BLOCK - 1, trace.BLOCK, trace.BLOCK + 1])
@@ -116,8 +109,7 @@ def test_bracket_residuals_equal_dual_reference():
         pairs = [(g, spec.hamiltonian) for g in spec.integrals]
         pairs += [(spec.integral(a), spec.integral(b)) for a, b in spec.involutions]
         for f, g in pairs:
-            traced = verify._bracket_program(f.fn, g.fn)[1] == "generated"
-            assert traced == ((key, f.label) not in UNTRACEABLE), (key, f.label)
+            assert verify._bracket_program(f.fn, g.fn)[1] == "generated", (key, f.label)
             assert np.array_equal(bracket_residuals(f, g, states),
                                   _dual_bracket_residuals(f, g, states)), (key, f.label, g.label)
 
@@ -174,10 +166,13 @@ def _with_h(spec, H):
     return dataclasses.replace(spec, hamiltonian=Observable(H, "H", 2))
 
 
+def _branching(obs):
+    # The same values as ``obs``, but it branches on a value: it cannot be traced.
+    return Observable(lambda s: obs.fn(s) + value_branch(s[0]), obs.label, obs.momentum_order)
+
+
 def _with_branching_h(spec):
-    # The same values as H, but H branches on a value: it cannot be traced.
-    H = spec.hamiltonian.fn
-    return _with_h(spec, lambda s: H(s) + value_branch(s[0]))
+    return dataclasses.replace(spec, hamiltonian=_branching(spec.hamiltonian))
 
 
 def _with_sqrt_h(spec):
@@ -463,8 +458,7 @@ def test_eval_runs_traced_value_equal_to_fn(key):
     spec = _spec(key)
     rows = sample_safe_states(make_rng(47), 200)
     for obs in spec.observables():
-        traced = trace.traced_value(obs.fn)[1] == "generated"
-        assert traced == ((key, obs.label) not in UNTRACEABLE), (key, obs.label)
+        assert trace.traced_value(obs.fn)[1] == "generated", (key, obs.label)
         for column in rows.T:
             for state in (column, PhasePoint.from_state(column), column.tolist(),
                           list(column)):
@@ -484,18 +478,16 @@ def test_eval_on_the_axis_raises_evaluation_error():
 
 
 def test_untraceable_fields_keep_the_dual_path():
-    fields = [(key, obs) for key in [*PARAMS, *FAMILY_ARGS]
-              for obs in _spec(key).observables() if (key, obs.label) in UNTRACEABLE]
-    assert {(key, obs.label) for key, obs in fields} == UNTRACEABLE
-    branching = _with_branching_h(_spec("family_oblate"))
-    fields.append(("family_oblate", branching.hamiltonian))
-    for key, obs in fields:
-        assert trace.traced_value(obs.fn)[1] == "dual"
-        assert trace.traced_gradient(obs.fn)[1] == "dual"
-        assert verify._bracket_program(obs.fn, _spec(key).integrals[-1].fn)[1] == "dual"
+    fields = [(key, _spec(key).integral("Y4")) for key in ("max5", "max6")]
+    fields.append(("family_oblate", _spec("family_oblate").hamiltonian))
     states = sample_safe_states(make_rng(50), 20)
-    for column in states.T:
-        assert branching.hamiltonian.eval(column) == _spec("family_oblate").hamiltonian.eval(column)
+    for key, obs in fields:
+        branching = _branching(obs)
+        assert trace.traced_value(branching.fn)[1] == "dual"
+        assert trace.traced_gradient(branching.fn)[1] == "dual"
+        assert verify._bracket_program(branching.fn, _spec(key).integrals[-1].fn)[1] == "dual"
+        for column in states.T:
+            assert branching.eval(column) == obs.eval(column), (key, obs.label)
 
 
 def test_abs_of_a_dual_falls_back_to_duals():
@@ -526,10 +518,7 @@ def test_abs_of_dual_rows_checks_an_integral_on_many_samples():
 def test_reports_name_the_gradient_backend():
     reports = verify_system(build("max5", PARAMS["max5"]), samples=50,
                             rank_points=5, seed=1)
-    backend = {r.check: r.gradient for r in reports}
-    assert backend.pop("{Y4,H}=0") == "dual"
-    assert backend.pop("functional_rank") == "dual"
-    assert set(backend.values()) == {"generated"}
+    assert {r.gradient for r in reports} == {"generated"}
     family = _spec("family_oblate")
     backend = {r.check: r.gradient for r in verify_system(family, samples=50, rank_points=5,
                                                           seed=1)}
@@ -688,7 +677,7 @@ def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, f
 
 @pytest.mark.parametrize("key", ["max5", "max6"])
 def test_untraceable_gradient_on_two_threads_equals_gradient6(monkeypatch, forks, key):
-    y4 = _spec(key).integral("Y4")
+    y4 = _branching(_spec(key).integral("Y4"))
     states = sample_safe_states(make_rng(48), SPLIT + 1).astype(np.longdouble)
     _on_cpus(monkeypatch, 2)
     assert trace.traced_gradient(y4.fn)[1] == "dual"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import re
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from axisym import trace, verify
-from axisym.catalog import SystemParams, build
+from axisym.catalog import SystemParams, _axial_spec, build
 from axisym.families import build_family
 from axisym.phase import Observable, make_rng, sample_safe_states
 from axisym.verify import (
@@ -52,8 +53,7 @@ def test_is_integral_passes_for_catalog(key):
     spec = build(SYSTEM_OF[key], PARAMS[key])
     rng = make_rng(21)
     for g in spec.integrals:
-        tol = 1e-8 if g.label == "Y4" else 1e-10
-        rep = is_integral(spec, g, samples=300, tol=tol, rng=rng)
+        rep = is_integral(spec, g, samples=300, tol=1e-10, rng=rng)
         assert rep.passed, (key, g.label, rep.max_residual)
 
 
@@ -343,3 +343,24 @@ def test_safe_grid_shape():
     assert len(grid) == 64
     arr = np.asarray(grid)
     assert arr.min() >= 0.4 and arr.max() <= 1.8
+
+
+# Every coprime member with n, m <= 5 of the two maximal families.
+RESONANT_GRID = [(kind, n, m) for kind in ("max5", "max6")
+                 for n in range(1, 6) for m in range(1, 6) if math.gcd(n, m) == 1]
+
+
+def test_maximal_families_on_the_resonance_grid():
+    base = {"max5": {"u2": 1.5, "bz": 2.0}, "max6": {"bz": 3.0}}
+    for kind, n, m in RESONANT_GRID:
+        spec = build(kind, SystemParams(n=n, m=m, **base[kind]))
+        reports = {r.check: r for r in verify_system(spec, samples=200, rank_points=5)}
+        assert all(r.passed and r.gradient == "generated" for r in reports.values()), (kind, n, m)
+        assert spec.claimed_rank == 5 and reports["functional_rank"].max_residual == 0
+        # Negative control: the same Y4 against H with eps (s + z^2) added to W.
+        W = spec.potential_sw
+        for eps in (1e-6, 1e-4):
+            perturbed = _axial_spec(kind, spec.params, spec.gauge_factor,
+                                    lambda s, w: W(s, w) + eps * (s + w * w), spec.B.fn, ())
+            control = is_integral(perturbed, spec.integral("Y4"), samples=200, rng=make_rng(57))
+            assert not control.passed, (kind, n, m, eps)
