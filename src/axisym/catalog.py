@@ -379,7 +379,7 @@ def op_closure_polynomial(params: SystemParams):
             32.0 * H * X1 * Y3
             - 32.0 * H * X2 ** 2 * Y3
             - 16.0 * X1 * Y3 ** 2
-            + 16.0 * X2 * (-bs * X2 ** 4 + 2.0 * bs * X1 * X2 ** 2
+            + 16.0 * X2 * (-bs * X2 ** 2 * X2 ** 2 + 2.0 * bs * X1 * X2 ** 2
                            + bz * X2 ** 2 * Y3 - 4.0 * bp * H ** 2
                            + 2.0 * bp * H * Y3 - bs * X1 ** 2
                            - bz * X1 * Y3)
@@ -388,7 +388,7 @@ def op_closure_polynomial(params: SystemParams):
             + 128.0 * u2 * H * Y3
             + 4.0 * (2.0 * bp * bs - bz ** 2 + 8.0 * u3) * X1 ** 2
             + 8.0 * (bz ** 2 + 2.0 * bp * bs - 8.0 * u3) * X1 * X2 ** 2
-            + 4.0 * (10.0 * bp * bs + 8.0 * u3 - bz ** 2) * X2 ** 4
+            + 4.0 * (10.0 * bp * bs + 8.0 * u3 - bz ** 2) * X2 ** 2 * X2 ** 2
             - 16.0 * bp * bz * X2 ** 2 * Y3
             - 32.0 * (u1 + u2) * Y3 ** 2
             + 8.0 * (16.0 * bz * u2 * H
@@ -569,7 +569,7 @@ def cp_closure_polynomial(params: SystemParams):
         return -(
             -16.0 * H ** 2 * Y3
             + 16.0 * H * Y3 ** 2
-            - 4.0 * Y3 ** 3
+            - 4.0 * Y3 ** 2 * Y3
             + 8.0 * (bq * X2 ** 2 * Y3 + 2.0 * bz * H * Y3
                      + bq * X1 ** 2 - bz * Y3 ** 2) * X2
             - 16.0 * u1 * H * X1

@@ -844,19 +844,22 @@ def conservation_suite(spec: SystemSpec, n_ic: int = 20, t_end: float = 50.0,
     """Worst relative drift of each conserved trace over random runs.
 
     Draws random states from the safe box until ``n_ic`` trajectories
-    complete; aborted runs are discarded and redrawn.  Runs that approach
-    a singular set are aborted, since conservation is only claimed on the
-    regular domain, and so are runaways, which stop on the step budget or
-    on the H drift bound (``"drift"``).  A drift stop counts as a runaway
-    only if, at its last step size, the run could not have reached
-    ``t_end`` within the step budget; H drifting on a run that could have
-    completed is a failure of conservation and raises RuntimeError.
+    (an integer >= 1, else ValueError) complete; aborted runs are
+    discarded and redrawn.  Runs that approach a singular set are
+    aborted, since conservation is only claimed on the regular domain,
+    and so are runaways, which stop on the step budget or on the H drift
+    bound (``"drift"``).  A drift stop counts as a runaway only if, at
+    its last step size, the run could not have reached ``t_end`` within
+    the step budget; H drifting on a run that could have completed is a
+    failure of conservation and raises RuntimeError.
     With neither ``rng`` nor ``seed`` the draws come from ``make_rng()``
     (``DEFAULT_SEED``), as in ``verify_system``.  Returns label -> max
     drift, plus an ``"attempts"`` entry counting total draws.
     """
     from .phase import make_rng, sample_safe_states
 
+    if not (isinstance(n_ic, numbers.Integral) and n_ic >= 1):
+        raise ValueError(f"n_ic must be an integer >= 1, not {n_ic!r}")
     if rng is None:
         rng = make_rng() if seed is None else make_rng(seed)
     drifts: dict = {}

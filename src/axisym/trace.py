@@ -40,7 +40,8 @@ ufunc where autodiff would run the math function.)  A program without a
 function line is the compiled function itself.
 
 Exactness.  Arithmetic with a constant is folded only where the result
-is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``), operands of
+is exact on finite values (``v + 0``, ``v * 1``, ``v * 0``) or on every
+input (``v ** 1`` is v, ``v ** 0`` is 1.0), operands of
 ``+`` and ``*`` are swapped only where IEEE arithmetic commutes,
 identical operations share a line, and nesting keeps each operation
 with its operands in their order (an operation may run later, at its
@@ -48,10 +49,15 @@ reader, which changes no value, though where two operations raise on a
 state another one may raise first), so on finite inputs the generated
 code gives the values of the traced field bit for bit: a traced
 gradient equals ``gradient6`` on the same floats or rows, in float64 and
-in long double.  ``v ** n`` is emitted as ``v ** n``, so floats and
-numpy rows take the power as the field itself does.  A field that
-branches on a value, takes a power other than an ``int`` one or calls a
-ufunc outside :data:`FUNCTIONS` raises TypeError while being traced (as
+in long double.  Any other ``v ** n`` is emitted as ``v ** n``, so
+floats and numpy rows run the same power the field runs.  In long
+double numpy's power is glibc ``powl``, save for squares: per 4096
+columns on a 2-CPU Xeon VM, ``** 2`` took 13 us, ``** 3`` 95 us and
+``** 4`` 1.47 ms, against 15 us for a multiply.  So the catalog's
+fields write powers above 2 as products (``X2 ** 2 * X2 ** 2``, whose
+square the tape shares).  A field that branches on a value, takes a
+power other than an ``int`` one or calls a ufunc outside
+:data:`FUNCTIONS` raises TypeError while being traced (as
 does ``abs`` of a dual over a traced value, which branches on its sign);
 :func:`cached_program` then hands back the field itself on dual numbers,
 run by the same callers.  Nested derivatives trace as well when the
@@ -127,6 +133,17 @@ ms on one thread, 51-58 ms on two).  Over a ``verify`` pass, whose
 sweeps hold one sample set at a time and float64 closure sides, the
 child's peak RSS was 34.7 MB and the caller's 49.5 MB (41.0 and 56.8 MB
 with the states kept and long-double sides).
+
+The table's gains need a free second CPU, which a shared VM does not
+always give.  In some episodes two processes running a pure-Python loop
+were 0.70-1.16 times as fast as one (1.45-1.93 at other times), and
+op_min's X1 bracket at 100k took 51.0-53.6 ms split against 42.2-45.9 ms
+serial.  Writing the closure polynomials' powers above 2 as products
+took op_min's closure sides at 100k from 331-395 to 225-341 ms serial
+and from 200-226 to 139-184 ms split, and the median of 12 steady passes
+of the ``verify`` benchmark from 613, 722 and 626 ms to 540, 585 and 539
+ms with ``_cpus`` forced to 1, and from 491, 446 and 406 ms to 492, 406
+and 381 ms on two CPUs (three alternating runs each).
 """
 
 from __future__ import annotations
@@ -166,8 +183,9 @@ class _Var:
     to it records one operation on the tape.
 
     Arithmetic with plain numbers is folded where the result is exact on
-    finite values (``v + 0``, ``v * 1``, ``v * 0``), so fields that do
-    not depend on an argument trace to constants.  Identical operations
+    finite values (``v + 0``, ``v * 1``, ``v * 0``), and so are
+    ``v ** 1`` and ``v ** 0``, so fields that do not depend on an
+    argument trace to constants.  Identical operations
     share one value.  Any other use (a branch on its value, another
     power, another ufunc) raises TypeError: such a field is not
     straight-line code.
@@ -216,6 +234,10 @@ class _Var:
         # own numpy fast paths, runs on floats and on rows.
         if type(n) is not int:
             raise TypeError(f"cannot trace a power with exponent {n!r}")
+        if n == 1:
+            return self
+        if n == 0:      # 1.0 on every input, NaN and infinities included
+            return 1.0
         return self.tape.emit("**", self, n)
 
     def _arith(self, op, a, b):

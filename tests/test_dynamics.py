@@ -862,6 +862,22 @@ def test_conservation_suite_smoke():
     assert all(v < 1e-7 for v in drifts.values())
 
 
+@pytest.mark.parametrize("n_ic", [0, -3, 2.5, "20"])
+def test_conservation_suite_rejects_a_bad_draw_count(n_ic):
+    # Without the check 0 and -3 returned {"attempts": 0}, a check of
+    # nothing; 2.5 ran 3 draws and "20" raised TypeError in the loop.
+    spec = build("linear_min", PARAMS["linear_min"])
+    with pytest.raises(ValueError, match="n_ic"):
+        conservation_suite(spec, n_ic=n_ic, t_end=1.0, tol=1e-10, seed=5)
+
+
+def test_conservation_suite_takes_any_integer_type():
+    spec = build("linear_min", PARAMS["linear_min"])
+    drifts = conservation_suite(spec, n_ic=np.int64(1), t_end=1.0, tol=1e-10, seed=5)
+    assert drifts == conservation_suite(spec, n_ic=1, t_end=1.0, tol=1e-10, seed=5)
+    assert drifts["attempts"] >= 1
+
+
 def test_unseeded_conservation_suite_is_reproducible():
     # With neither seed nor rng the draws come from DEFAULT_SEED, not
     # from OS entropy.

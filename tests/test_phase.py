@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from axisym import autodiff as ad
+from axisym import phase
 from axisym.phase import (
     CovectorField,
     DomainError,
@@ -19,6 +20,7 @@ from axisym.phase import (
     SAFE_PMAX,
     SAFE_QMAX,
     SAFE_QMIN,
+    SIGN_CHUNK,
 )
 
 
@@ -74,6 +76,43 @@ def test_sampler_draws_the_reference_bytes(n):
         assert got.shape == want.shape == (6, n) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert a.random() == b.random()
+
+
+def _one_sign_draw(rng, n):
+    """The sampler with the signs of all 3 n positions in one draw."""
+    out = np.empty((6, n))
+    q, p = out[:3], out[3:]
+    rng.random(out=q)
+    q *= SAFE_QMAX - SAFE_QMIN
+    q += SAFE_QMIN
+    sign = rng.integers(0, 2, size=(3, n))
+    q *= 2 * sign - 1
+    rng.random(out=p)
+    p *= 2.0 * SAFE_PMAX
+    p -= SAFE_PMAX
+    return out
+
+
+# A small chunk, so that a draw of several chunks stays small.
+_CHUNK = 4097
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1])
+def test_signs_in_chunks_equal_one_draw(monkeypatch, n):
+    # The 3 n signs end short of a chunk edge, on one and past one.
+    monkeypatch.setattr(phase, "SIGN_CHUNK", _CHUNK)
+    for seed in (0, 0x5EED):
+        a, b = make_rng(seed), make_rng(seed)
+        assert sample_safe_states(a, n).tobytes() == _one_sign_draw(b, n).tobytes()
+        assert sample_safe_states(a, 7).tobytes() == _one_sign_draw(b, 7).tobytes()
+        assert a.random() == b.random()
+
+
+def test_signs_past_the_first_chunk_equal_one_draw():
+    n = SIGN_CHUNK // 3 + 1          # one sign past the first chunk
+    a, b = make_rng(11), make_rng(11)
+    assert sample_safe_states(a, n).tobytes() == _one_sign_draw(b, n).tobytes()
+    assert a.random() == b.random()
 
 
 def test_gradient6_quadratic_form():

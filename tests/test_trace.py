@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ import pytest
 from axisym import autodiff as ad
 from axisym import trace, verify
 from axisym.catalog import build, op_closure_polynomial
-from axisym.closedform import OP_MIN, cartesian_state, constants
+from axisym.closedform import CP_BL, CP_MIN, OP_MIN, cartesian_state, constants
 from axisym.dynamics import _make_scalar_h, _make_scalar_rhs, integrate
 from axisym.families import build_family
 from axisym.phase import (
@@ -324,6 +325,67 @@ def test_tape_emits_integer_powers_only():
     rows = np.linspace(0.5, 2.0, 7)
     assert cube(0.0, (1.5, 4.0)) == 1.5 ** 3 - 4.0 ** -1
     assert np.array_equal(cube(0.0, (rows, rows[::-1])), rows ** 3 - rows[::-1] ** -1)
+
+
+def test_exact_powers_fold_on_the_tape(monkeypatch):
+    # v ** 1 is v and v ** 0 is 1.0 on every input, NaN and infinities
+    # included, so neither reaches numpy's power loop.  Dual.__pow__
+    # writes the derivative of a square as 2 * re ** 1 * im.
+    sources = _compiled_sources(monkeypatch)
+
+    def field(s):
+        return s[0] ** 2 * s[1] ** 1 + s[2] ** 0 * s[3] - s[4] ** 2 * s[5] ** 2
+
+    rows = sample_safe_states(make_rng(44), 50)
+    for state in ([float(v) for v in rows[:, 0]], list(rows), list(rows.astype(np.longdouble))):
+        _assert_same_gradient(field, state)
+    (source,) = [s for tag, s in sources.items() if tag.startswith("<grad") and "field" in tag]
+    assert "** 2" in source and not re.search(r"\*\* *\(?-?[01]\b", source)
+
+
+def _powers_other_than_2(sources: list) -> list:
+    """(tag, exponent) of each ``** n`` with n other than 2 in the
+    (tag, source) pairs ``sources``."""
+    return sorted({(tag, n) for tag, source in sources
+                   for n in re.findall(r"\*\* *\(?(-?\d+)", source) if n != "2"})
+
+
+def test_no_program_takes_a_power_above_two(monkeypatch):
+    # Numpy's long-double power other than a square is glibc powl: per
+    # 4096 columns, ** 4 took 1.47 ms and a multiply 15 us.  The fields
+    # write such powers as products, so no traced program runs one.
+    # Every source is kept: configs of one system share compile tags.
+    sources = []
+
+    def recording(source, filename, mode):
+        sources.append((filename, source))
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(trace, "compile", recording, raising=False)
+    states = sample_safe_states(make_rng(45), 4)
+    for key in [*PARAMS, *FAMILY_ARGS]:
+        spec = _spec(key)
+        verify_system(spec, samples=4, rank_points=3, seed=1)
+        if spec.closure is not None:
+            closure_residual(spec, states)
+            verify.determining_residuals(verify.y3_quadratic_ansatz(spec), spec.B, spec.W,
+                                         verify.safe_grid(2))
+        integrate(spec, states[:, 0], 0.05)
+    for kind, key, Lz, cs in ((OP_MIN, "op_min", 1.0, (0.5, 0.3, 0.4, -0.2, 0.2)),
+                              (CP_MIN, "cp_min_bq", 1.0, (0.4, -0.5, 0.3, 0.7, 0.1)),
+                              (CP_BL, "cp_min_bl", 1.2, (0.3, 0.2, 0.5, -0.4, 0.3))):
+        c = constants(kind, PARAMS[key], *cs, Lz=Lz)
+        cartesian_state(kind, c, PARAMS[key], 0.1)
+    tags = {tag.split()[0] for tag, _ in sources}
+    assert {"<rhs", "<grad", "<value", "<bracket", "<closure", "<poly", "<determining",
+            "<closed"} <= tags, tags
+    assert _powers_other_than_2(sources) == []
+    # Control: a closure polynomial with a fourth power is flagged.
+    sources.clear()
+    spec = _spec("op_min")
+    closure_residual(spec, states, poly=lambda H, X1, X2, Y3: (
+        spec.closure(H, X1, X2, Y3) - X2 ** 2 * X2 ** 2 + X2 ** 4))
+    assert [n for _, n in _powers_other_than_2(sources)] == ["4"]
 
 
 def _paren_depth(line: str) -> int:
