@@ -185,7 +185,7 @@ def _state(kind: str, c: ClosedFormConstants, params: SystemParams, t) -> tuple:
     def fn(_, y):
         return _dual_state(kind, c, params, y[0])
 
-    program, _ = trace.cached_program((c, params), fn, f"closed form {kind}", inputs=1)
+    program = trace.cached_program((c, params), fn, f"closed form {kind}", inputs=1)
     if isinstance(t, np.ndarray) and t.ndim > 0:
         return [np.broadcast_to(v, t.shape) for v in program(0.0, (t.astype(float),))]
     return program(0.0, (float(t),))

@@ -108,27 +108,11 @@ def _make_scalar_rhs(spec: SystemSpec):
     derivatives, no per-call objects).  Code without math functions
     (every catalog config) is the compiled function itself; code with
     them (the chart families) runs ``math`` on floats and numpy on rows,
-    as the dual RHS does.  A field that cannot be traced (one that
-    branches on a value) runs :func:`_make_dual_rhs` itself.
+    as the dual RHS does.  Per-step code, so it deletes no values.  A
+    field that cannot be traced (one that branches on a value) raises
+    TypeError naming the tag ``rhs <system_id>``.
     """
-    return _rhs_program(spec)[0]
-
-
-def _rhs_program(spec: SystemSpec) -> tuple:
-    """(RHS, backend) of :func:`_make_scalar_rhs`; per-step code, no deletes."""
     return cached_program((spec,), _make_dual_rhs(spec), f"rhs {spec.system_id}", free=False)
-
-
-def _make_scalar_h(spec: SystemSpec):
-    """``H(t, y)`` on a state of six floats, for the per-step drift stop.
-
-    Traced into straight-line code like the RHS (equal to
-    ``spec.hamiltonian.fn`` bit for bit) and cached per spec; a
-    Hamiltonian that cannot be traced is called as it is.
-    """
-    H = spec.hamiltonian.fn
-    return cached_program((spec,), lambda t, y: (H(y),), f"rhs H {spec.system_id}",
-                          free=False)[0]
 
 
 def _make_dual_rhs(spec: SystemSpec):
@@ -673,8 +657,10 @@ def _drift_event(spec: SystemSpec, y0, tol: float):
     """Stop event, named for its reason, of a run started at ``y0``.
 
     Falls through zero once |H - H0| > ``DRIFT_STOP * tol * max(1, |H0|)``.
+    H runs its program of :func:`~axisym.trace.traced_value`, equal to
+    ``spec.hamiltonian.fn`` bit for bit.
     """
-    H = _make_scalar_h(spec)
+    H = traced_value(spec.hamiltonian.fn)
     h0 = float(H(0.0, y0))
     limit = DRIFT_STOP * tol * max(1.0, abs(h0))
 
@@ -691,14 +677,13 @@ def _trace_all(spec: SystemSpec, states: np.ndarray) -> dict:
     evaluated in extended precision to keep the evaluation roundoff
     below the drift being measured.  Each runs its program of
     :func:`~axisym.trace.traced_value` on the long-double columns, which
-    gives the field's values bit for bit (an untraceable field is its own
-    program, on dual numbers).
+    gives the field's values bit for bit.
     """
     wide = np.asarray(states, dtype=np.longdouble)
     cols = [wide[:, i] for i in range(6)]
     out = {}
     for obs in spec.observables():
-        program, _ = traced_value(obs.fn)
+        program = traced_value(obs.fn)
         vals = np.asarray(value(program(0.0, cols)), dtype=float)
         out[obs.label or "H"] = np.broadcast_to(vals, (states.shape[0],)).copy()
     return out
@@ -779,8 +764,8 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
     ``DRIFT_STOP * tol * max(1, |H0|)``, or takes ``max_steps`` (None
     or an integer >= 1) accepted steps; ``meta`` names the reason and
     records RHS calls, accepted and rejected steps, the size of the last
-    accepted step, the RHS backend (``"generated"`` straight-line code or
-    ``"dual"`` numbers) and the wall time of the call (``wall_s``).
+    accepted step and the wall time of the call (``wall_s``).  A field
+    that cannot be traced raises TypeError naming its program's tag.
     Traces of H and all integrals are evaluated at the output nodes
     unless ``traced`` is False (an empty ``traces``): a dense run that
     only serves a period search and :func:`prefix` parts, which trace
@@ -803,7 +788,7 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         # The escape event stops a run only where it crosses the bound.
         raise DomainError(f"initial state at or beyond the escape bound ({ESCAPE_BOUND:g})")
 
-    rhs, backend = _rhs_program(spec)
+    rhs = _make_scalar_rhs(spec)
 
     events = [*_guard_events(spec), _drift_event(spec, y0, tol)]
     # Dense output costs three extra stages per step; skip it when the
@@ -831,7 +816,6 @@ def integrate(spec: SystemSpec, ic, t_end: float, tol: float = DEFAULT_TOL,
         "steps": sol.steps,
         "rejected_steps": sol.rejected_steps,
         "last_step": sol.last_step,
-        "rhs_backend": backend,
     }
     meta["wall_s"] = time.perf_counter() - start
     return Trajectory(times=nodes, states=states, traces=traces, meta=meta,

@@ -156,12 +156,13 @@ class Observable:
 
         On one state of six floats (numpy float64 scalars included) the
         program of :func:`axisym.trace.traced_value` runs, else ``fn``.
-        A PhasePoint or float64 array is read as Python floats.
+        A PhasePoint or float64 array is read as Python floats.  A ``fn``
+        that cannot be traced raises TypeError naming its program's tag.
         """
         state = point_or_state
         if isinstance(state, PhasePoint):
             state = state.state
-        program, _ = self._value_program
+        program = self._value_program
         if isinstance(state, np.ndarray) and state.dtype == np.float64 and state.ndim == 1:
             on_floats = True
             state = state.tolist()

@@ -15,7 +15,7 @@ whose expression frees two or more (see Blocks).  A local variable
 costs a store and a load in CPython, and most values are read once:
 nested code makes an RHS call of the 8 catalog configs 9-23% cheaper,
 and the 87 programs of a first ``verify_system`` over the 11 specs take
-225k characters in place of 435k (187k nested wherever read once).
+225k characters in place of 435k.
 The integrator's RHS and H are traced this way, and so are an
 observable's value (:func:`traced_value`, run by
 ``Observable.eval``), ``gradient6(fn, .)`` (:func:`gradient`, run in
@@ -57,10 +57,12 @@ columns on a 2-CPU Xeon VM, ``** 2`` took 13 us, ``** 3`` 95 us and
 fields write powers above 2 as products (``X2 ** 2 * X2 ** 2``, whose
 square the tape shares).  A field that branches on a value, takes a
 power other than an ``int`` one or calls a ufunc outside
-:data:`FUNCTIONS` raises TypeError while being traced (as
-does ``abs`` of a dual over a traced value, which branches on its sign);
-:func:`cached_program` then hands back the field itself on dual numbers,
-run by the same callers.  Nested derivatives trace as well when the
+:data:`FUNCTIONS` is not straight-line code, nor is ``abs`` of a dual
+over a traced value, which branches on its sign: tracing it raises
+TypeError, which :func:`straight_line` raises again naming the
+program's compile tag, at the first use of the field.  Every field the
+package checks or integrates must therefore be straight-line code over
+:mod:`axisym.autodiff` math.  Nested derivatives trace as well when the
 duals are built on the recording scalars, as the determining equations'
 program builds them: each dual layer's arithmetic becomes operations of
 the one program.  A state handed to :func:`gradient` that already holds
@@ -69,12 +71,12 @@ duals stays on dual numbers.
 One cache.  Every traced program is kept in one dict (:func:`cached`)
 under its compile tag and the identity of each object it is traced from
 (an observable's function, a bracket's two functions, a closure
-polynomial, a spec for its RHS, H and closure, an (ansatz, B, W),
-closed-form constants with their params).  It holds generated code, None
-where a field cannot be traced, and verify's quadratic ansatz per (spec,
-observable), none of which refers to its keys.  A weak reference per key
-drops an entry when the first of its keys dies, so a spec built by
-``dataclasses.replace`` runs its own programs.
+polynomial, a spec for its RHS and closure, an (ansatz, B, W),
+closed-form constants with their params).  It holds generated code and
+verify's quadratic ansatz per (spec, observable), neither of which
+refers to its keys; a field that cannot be traced leaves no entry.  A
+weak reference per key drops an entry when the first of its keys dies,
+so a spec built by ``dataclasses.replace`` runs its own programs.
 
 Blocks.  On arrays a traced program runs on ``BLOCK`` columns at a time
 (:func:`evaluate_blocks`) into preallocated rows, and its code deletes
@@ -85,18 +87,14 @@ stays a line at its place, so they are freed there rather than held
 until its reader runs (Sethi & Ullman's order, JACM 17, 1970).  These
 bound the memory of a call, which otherwise holds one temporary row per
 named value.  Op_min's closure program, run in long double, names 125
-values, has 60 ``del`` lines and holds at most 50 rows at once (nested
-wherever read once: 89, 23 and 67; one line per operation: 451, 298 and
-51).  A ``verify_system`` sweep holds one sample set at a time and
-writes the closure sides in float64, each block rounded from long
-double as it is written.  Two passes of the ``verify`` benchmark's
-work, its 100k-state op_min sweep included, peak at 49.4 MB of RSS on a
-2-CPU Xeon VM (57.6 MB with the involution states kept through the
-closure check, long-double sides copied to float64 and every value read
-once nested).  Blocks stay at 4096 columns because wider long-double
-blocks fall out of the cache: op_min X1's gradient on 100k long-double
-states took 108-147 ms with 4096 columns and 142-170 ms with
-8192-16384.
+values, has 60 ``del`` lines and holds at most 50 rows at once.  A
+``verify_system`` sweep holds one sample set at a time and writes the
+closure sides in float64, each block rounded from long double as it is
+written.  Two passes of the ``verify`` benchmark's work, its 100k-state
+op_min sweep included, peak at 49.4 MB of RSS on a 2-CPU Xeon VM.
+Blocks stay at 4096 columns because wider long-double blocks fall out
+of the cache: op_min X1's gradient on 100k long-double states took
+108-147 ms with 4096 columns and 142-170 ms with 8192-16384.
 
 Two processes.  A call of at least ``SPLIT_BLOCKS`` blocks, in either
 dtype, runs on two processes where :func:`beside` may fork: the process
@@ -131,8 +129,7 @@ benchmark, whose large calls have 25 blocks.  Threads do not serve
 float64, whose loops hold the GIL (op_min X1's gradient at 100k: 26-32
 ms on one thread, 51-58 ms on two).  Over a ``verify`` pass, whose
 sweeps hold one sample set at a time and float64 closure sides, the
-child's peak RSS was 34.7 MB and the caller's 49.5 MB (41.0 and 56.8 MB
-with the states kept and long-double sides).
+child's peak RSS was 34.7 MB and the caller's 49.5 MB.
 
 The table's gains need a free second CPU, which a shared VM does not
 always give.  In some episodes two processes running a pure-Python loop
@@ -417,11 +414,15 @@ def straight_line(fn, tag: str, free=False, inputs=6):
     1-tuple the generated function returns its one value.  The code is
     compiled under the file name ``<tag>``; ``free`` deletes each named
     value after its last use.  Code that calls a math function comes back
-    behind :func:`_dispatch`.  Raises TypeError if ``fn`` is not
-    straight-line code.
+    behind :func:`_dispatch`.  Raises TypeError naming ``tag`` if ``fn``
+    is not straight-line code.
     """
+    try:
+        source = _trace(fn, free, inputs)
+    except TypeError as exc:
+        raise TypeError(f"cannot trace <{tag}>: {exc}") from exc
     namespace: dict = {}
-    exec(compile(_trace(fn, free, inputs), f"<{tag}>", "exec"), namespace)
+    exec(compile(source, f"<{tag}>", "exec"), namespace)
     program = namespace["rhs"]
     code = program.__code__
     if not _ROW_FUNCTIONS.keys() & set(code.co_names):
@@ -477,31 +478,14 @@ def cached(tag: str, keys: tuple, make):
     return found[0]
 
 
-def cached_program(keys: tuple, fn, tag: str, inputs=6, free=True) -> tuple:
-    """(program, backend) for ``fn(t, y)``, traced on first use.
+def cached_program(keys: tuple, fn, tag: str, inputs=6, free=True):
+    """``straight_line(fn, tag, free, inputs)``, traced on first use.
 
-    ``straight_line(fn, tag, free, inputs)`` with ``"generated"``, kept by
-    :func:`cached` under ``tag`` and ``keys``, the objects ``fn`` is
-    traced from; for a ``fn`` that cannot be traced, ``fn`` itself on dual
-    numbers with ``"dual"``, returning the one value of a 1-tuple as
-    generated code does.  Only that verdict, None, is cached: ``fn``
-    closes over its keys.  This is the one place that decides between
-    traced code and duals.
+    Kept by :func:`cached` under ``tag`` and ``keys``, the objects ``fn``
+    is traced from.  A ``fn`` that cannot be traced raises TypeError at
+    each call and leaves the cache as it was.
     """
-    def traced():
-        try:
-            return straight_line(fn, tag, free, inputs)
-        except TypeError:
-            return None
-
-    program = cached(tag, keys, traced)
-    if program is not None:
-        return program, "generated"
-
-    def on_duals(t, y):
-        out = fn(t, y)
-        return out[0] if len(out) == 1 else out
-    return on_duals, "dual"
+    return cached(tag, keys, lambda: straight_line(fn, tag, free, inputs))
 
 
 def evaluate_rows(fn, t, y, out=None) -> np.ndarray:
@@ -641,16 +625,16 @@ def name_of(fn) -> str:
     return getattr(fn, "__qualname__", "fn")
 
 
-def traced_gradient(fn) -> tuple:
-    """(``gradient6(fn, .)`` as a program, backend), by :func:`cached_program`."""
+def traced_gradient(fn):
+    """``gradient6(fn, .)`` as a program, by :func:`cached_program`."""
     from .phase import gradient6   # phase imports this module
 
     return cached_program((fn,), lambda t, y: tuple(gradient6(fn, list(y))),
                           f"grad {name_of(fn)}")
 
 
-def traced_value(fn) -> tuple:
-    """(``fn`` on one state as a program, backend), by :func:`cached_program`."""
+def traced_value(fn):
+    """``fn`` on one state as a program, by :func:`cached_program`."""
     return cached_program((fn,), lambda t, y: (fn(list(y)),), f"value {name_of(fn)}")
 
 
@@ -665,7 +649,7 @@ def gradient(fn, state) -> list:
 
     if any(isinstance(c, Dual) for c in state):
         return gradient6(fn, state)
-    grad, _ = traced_gradient(fn)
+    grad = traced_gradient(fn)
     if all(np.ndim(c) == 0 for c in state):
         return list(grad(0.0, tuple(state)))
     return evaluate_blocks(grad, state, 6)

@@ -10,11 +10,10 @@ it on those values, both in long double, each block of the two sides
 rounded to float64 as it is written; one per (ansatz, B, W) gives
 every residual row of the determining equations, its nested (hyper-dual)
 spatial and momentum derivatives traced with it.  Ranks use each
-observable's traced 6-gradient.  Checks on fields that cannot be traced
-run on duals (:func:`axisym.trace.cached_program`), and each report
-names which one ran.  Brackets are normalized by the product of the two
-gradient norms at the evaluation point so that high-order integrals
-with large magnitudes compare on the same scale.
+observable's traced 6-gradient.  A field that cannot be traced raises
+TypeError naming its program's tag.  Brackets are normalized by the
+product of the two gradient norms at the evaluation point so that
+high-order integrals with large magnitudes compare on the same scale.
 
 The determining-equation tiers run on any integral at most quadratic in
 the momenta, with its coefficients (f, s, m0) read from the integral
@@ -26,6 +25,7 @@ and its residuals die when its check's report is made.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -49,12 +49,6 @@ RANK_THRESHOLD = 1e-8  # relative to the largest singular value
 
 def _fn_of(obj) -> Callable:
     return obj.fn if isinstance(obj, Observable) else obj
-
-
-def _gradient_backend(*observables) -> str:
-    """"generated" if every observable's gradient is traced code, else "dual"."""
-    traced = all(trace.traced_gradient(_fn_of(o))[1] == "generated" for o in observables)
-    return "generated" if traced else "dual"
 
 
 def _bracket(gf, gg):
@@ -81,21 +75,16 @@ def _bracket_program(f: Callable, g: Callable):
                                 f"bracket {trace.name_of(f)} {trace.name_of(g)}")
 
 
-def _bracket_check(f, g, states: np.ndarray) -> tuple:
-    """(bracket_residuals(f, g, states), the gradient path that ran)."""
-    program, backend = _bracket_program(_fn_of(f), _fn_of(g))
+def bracket_residuals(f, g, states: np.ndarray) -> np.ndarray:
+    """|{f,g}| / (|grad f| |grad g|) at each column of ``states`` (6, N)."""
+    program = _bracket_program(_fn_of(f), _fn_of(g))
 
     def residual(t, y):
         br, nf2, ng2 = program(t, y)
         br = np.asarray(br, dtype=float)
         return (np.abs(br) / np.maximum(np.sqrt(nf2) * np.sqrt(ng2), 1e-300),)
 
-    return trace.evaluate_blocks(residual, [states[i] for i in range(6)], 1)[0], backend
-
-
-def bracket_residuals(f, g, states: np.ndarray) -> np.ndarray:
-    """|{f,g}| / (|grad f| |grad g|) at each column of ``states`` (6, N)."""
-    return _bracket_check(f, g, states)[0]
+    return trace.evaluate_blocks(residual, [states[i] for i in range(6)], 1)[0]
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,6 @@ class CheckReport:
     samples: int
     max_residual: float
     tolerance: float
-    gradient: str        # "generated" (traced code) or "dual" (dual numbers)
 
     @property
     def passed(self) -> bool:
@@ -120,7 +108,6 @@ class CheckReport:
             "samples": self.samples,
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
-            "gradient": self.gradient,
             "pass": self.passed,
         }
 
@@ -132,16 +119,15 @@ def _bracket_report(spec: SystemSpec, check: str, f, g, states: np.ndarray,
     The residuals die with the call; a caller that passes the states
     without keeping them frees those too.
     """
-    res, backend = _bracket_check(f, g, states)
-    return CheckReport(spec.system_id, check, states.shape[1], float(np.max(res)),
-                       tol, backend)
+    res = bracket_residuals(f, g, states)
+    return CheckReport(spec.system_id, check, states.shape[1], float(np.max(res)), tol)
 
 
 def _require_counts(**counts) -> None:
-    """ValueError naming the first of ``counts`` that is below 1."""
+    """ValueError naming the first of ``counts`` that is not an integer >= 1."""
     for name, n in counts.items():
-        if not n >= 1:
-            raise ValueError(f"{name} must be at least 1, not {n!r}")
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, not {n!r}")
 
 
 def is_integral(spec: SystemSpec, g: Observable, samples: int = 1000,
@@ -310,7 +296,7 @@ def _determining_rows(ansatz: QuadraticAnsatz, B, W: Callable, grid) -> list:
     """Every tier's residual rows on ``grid``, each of one value per position."""
     q = np.asarray(grid, dtype=float)
     pt = (q[:, 0], q[:, 1], q[:, 2])
-    program, _ = _determining_program(ansatz, B, W)
+    program = _determining_program(ansatz, B, W)
     return trace.evaluate_blocks(program, pt, sum(_TIERS.values()))
 
 
@@ -323,8 +309,7 @@ def determining_residuals(ansatz: QuadraticAnsatz, B, W: Callable,
     linear coefficients against the field, the first/zeroth tiers the
     scalar part against the potential.  The tiers are one function of
     position (:func:`_tier_rows`), traced once per (ansatz, B, W) and
-    run on blocks of the grid, on arrays of dual numbers where a field
-    cannot be traced, with the same values.
+    run on blocks of the grid.
     """
     rows = iter(_determining_rows(ansatz, B, W, grid))
     return {tier: max(float(np.max(np.abs(next(rows)))) for _ in range(n))
@@ -349,7 +334,6 @@ class ClosureReport:
     lhs: np.ndarray
     rhs: np.ndarray
     tolerance: float
-    gradient: str        # "generated" (traced program) or "dual" (dual numbers)
 
     @property
     def residuals(self) -> np.ndarray:
@@ -383,7 +367,7 @@ def _closure_program(spec: SystemSpec):
 
 
 def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
-    """({X1,Y3}^2, poly(H, X1, X2, Y3), gradient path), computed in long double.
+    """({X1,Y3}^2, poly(H, X1, X2, Y3)), computed in long double.
 
     Extended precision: the polynomial cancels across terms orders of
     magnitude above the result, which float64 alone cannot resolve at
@@ -392,9 +376,9 @@ def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
     the dtype of ``states`` as it is written, so float64 states give
     float64 sides and no long-double copy of all of them is made.
     """
-    program, backend = _closure_program(spec)
-    poly_program, _ = trace.cached_program((poly,), lambda t, v: (poly(*v),),
-                                           f"poly {trace.name_of(poly)}", inputs=4)
+    program = _closure_program(spec)
+    poly_program = trace.cached_program((poly,), lambda t, v: (poly(*v),),
+                                        f"poly {trace.name_of(poly)}", inputs=4)
 
     def sides(t, y):
         lhs, *values = program(t, y)
@@ -402,7 +386,7 @@ def _closure_sides(spec: SystemSpec, states: np.ndarray, poly) -> tuple:
 
     states = np.asarray(states)
     lhs, rhs = trace.evaluate_blocks(sides, [states[i] for i in range(6)], 2, np.longdouble)
-    return lhs, rhs, backend
+    return lhs, rhs
 
 
 def closure_residual(spec: SystemSpec, states: np.ndarray,
@@ -411,10 +395,10 @@ def closure_residual(spec: SystemSpec, states: np.ndarray,
     poly = poly if poly is not None else spec.closure
     if poly is None:
         raise ValueError(f"no closure polynomial for {spec.system_id}")
-    lhs, rhs, backend = _closure_sides(spec, states, poly)
+    lhs, rhs = _closure_sides(spec, states, poly)
     return ClosureReport(spec.system_id,
                          np.atleast_1d(lhs).astype(float, copy=False),
-                         np.atleast_1d(rhs).astype(float, copy=False), tol, backend)
+                         np.atleast_1d(rhs).astype(float, copy=False), tol)
 
 
 def verify_system(spec: SystemSpec, samples: int = 1000,
@@ -435,7 +419,6 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
         samples=rank_points,
         max_residual=float(abs(rank - spec.claimed_rank)),
         tolerance=0.5,
-        gradient=_gradient_backend(*observables),
     ))
 
     if spec.involutions:
@@ -452,6 +435,5 @@ def verify_system(spec: SystemSpec, samples: int = 1000,
             samples=samples,
             max_residual=closure.max_residual,
             tolerance=closure.tolerance,
-            gradient=closure.gradient,
         ))
     return reports

@@ -59,6 +59,24 @@ def test_division_and_rdiv():
     assert ad.tangent(x / y) == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
+class _Powers(float):
+    """A float leaf that records each exponent it is raised to."""
+
+    def __new__(cls, v, seen):
+        self = super().__new__(cls, v)
+        self.seen = seen
+        return self
+
+    def __pow__(self, n):
+        self.seen.append(n)
+        return _Powers(float(self) ** n, self.seen)
+
+    def __mul__(self, other):
+        return _Powers(float(self) * other, self.seen)
+
+    __rmul__ = __mul__
+
+
 def test_power_integer_and_dual_exponent():
     x = Dual(1.7, 1.0)
     assert ad.tangent(x ** 3) == pytest.approx(3 * 1.7 ** 2, rel=1e-12)
@@ -66,6 +84,16 @@ def test_power_integer_and_dual_exponent():
     e = Dual(2.0, 1.0)
     # d/dt (t^t) = t^t (ln t + 1)
     assert ad.tangent(e ** e) == pytest.approx(4.0 * (math.log(2.0) + 1.0), rel=1e-12)
+    # The tangent of v ** 2 is (2 * re) * im: the leaf is squared once and
+    # raised to no other power, on floats and on long-double rows alike.
+    seen = []
+    sq = Dual(_Powers(1.7, seen), 0.5) ** 2
+    assert seen == [2]
+    assert (ad.value(sq), ad.tangent(sq)) == (1.7 ** 2, 2 * 1.7 * 0.5)
+    rows = np.linspace(0.5, 2.0, 9, dtype=np.longdouble)
+    sq = Dual(rows, rows[::-1]) ** 2
+    assert np.array_equal(ad.tangent(sq), (2 * rows) * rows[::-1])
+    assert np.array_equal(ad.value(sq), rows ** 2)
 
 
 def test_nested_duals_give_second_derivatives():

@@ -14,7 +14,7 @@ import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients
 
 from axisym import autodiff as ad
-from axisym import dynamics, trace
+from axisym import dynamics
 from axisym.catalog import SystemParams, SystemSpec, build
 from axisym.closedform import oscillator_image
 from axisym.families import build_family
@@ -32,7 +32,6 @@ from axisym.dynamics import (
     reverse_momenta,
     _guard_events,
     _make_dual_rhs,
-    _make_scalar_h,
     _make_scalar_rhs,
     _output_nodes,
 )
@@ -47,9 +46,9 @@ from axisym.phase import (
     make_rng,
     sample_safe_states,
 )
-from axisym.trace import evaluate_rows
+from axisym.trace import evaluate_rows, traced_value
 
-from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family, value_branch
+from conftest import FAMILY_ARGS, PARAMS, SYSTEM_OF, chart_family
 
 # The seed of acceptance criterion 1.
 CRITERION_SEED = 20260823
@@ -100,9 +99,6 @@ def test_fast_rhs_paths_agree_with_hamiltonian_gradient(key):
     states = sample_safe_states(rng, 10)
     dual_rhs = _make_dual_rhs(spec)
     fast_rhs = _make_scalar_rhs(spec)
-    # The generated straight-line function, not the dual-number fallback
-    # (behind the float/row dispatch for code that calls math functions).
-    assert dynamics._rhs_program(spec) == (fast_rhs, "generated")
     from axisym.phase import gradient6
     for state in states.T:
         grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
@@ -151,43 +147,12 @@ def _gaussian_well(calls=None) -> SystemSpec:
     return _well(W_sw)
 
 
-def _branching_well(calls=None) -> SystemSpec:
-    # The Gaussian well with a branch on a value in W: not straight-line code.
-    gauss = _gaussian_well(calls).potential_sw
-    return _well(lambda s, w: gauss(s, w) + value_branch(s))
-
-
-def test_scalar_rhs_keeps_duals_for_untraceable_fields():
-    from axisym.phase import gradient6
-
-    spec = _branching_well()
-    rhs = _make_scalar_rhs(spec)
-    state = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
-    assert integrate(spec, state, 0.1).meta["rhs_backend"] == "dual"
-    grad = [float(v) for v in gradient6(spec.hamiltonian.fn, list(state))]
-    expected = np.r_[grad[3:], [-grad[0], -grad[1], -grad[2]]]
-    assert np.allclose(rhs(0.0, state), expected, rtol=1e-12, atol=1e-12)
-    # On a block the duals carry arrays; array exp and math.exp may
-    # differ in the last bits, so compare with a tolerance.
-    states = sample_safe_states(make_rng(35), 50)
-    grad = gradient6(spec.hamiltonian.fn, list(states))
-    expected = np.array([grad[3], grad[4], grad[5], -grad[0], -grad[1], -grad[2]])
-    block = eom_rhs(spec, states)
-    assert np.allclose(block, expected, rtol=1e-12, atol=1e-12)
-    # One state runs the solver's function on floats (math.exp), so it
-    # matches its block column (np.exp) to the last bit or two.
-    for k, state in enumerate(states.T):
-        one = eom_rhs(spec, state)
-        assert np.array_equal(one, np.array(rhs(0.0, tuple(state.tolist()))))
-        assert np.allclose(one, block[:, k], rtol=1e-15, atol=1e-15)
-
-
 def test_math_function_fields_run_generated_code_equal_to_duals():
     calls = []
     spec = _gaussian_well(calls)
-    rhs, H = _make_scalar_rhs(spec), _make_scalar_h(spec)
+    rhs, H = _make_scalar_rhs(spec), traced_value(spec.hamiltonian.fn)
     y0 = (0.5, -0.7, 1.0, 1.0, 2.0, -1.0)
-    assert integrate(spec, y0, 0.1).meta["rhs_backend"] == "generated"
+    integrate(spec, y0, 0.1)
     traced = len(calls)
     states = sample_safe_states(make_rng(35), 50)
     ys = [tuple(state.tolist()) for state in states.T]
@@ -212,21 +177,11 @@ def test_math_function_fields_run_generated_code_equal_to_duals():
 @pytest.mark.parametrize("key", list(PARAMS))
 def test_traced_hamiltonian_equals_the_observable(key):
     spec = build(SYSTEM_OF[key], PARAMS[key])
-    H = _make_scalar_h(spec)
-    assert H.__code__.co_filename.startswith("<rhs ")
+    H = traced_value(spec.hamiltonian.fn)
+    assert H.__code__.co_filename.startswith("<value ")
     for state in sample_safe_states(make_rng(34), 200).T:
         y = tuple(state.tolist())
         assert H(0.0, y) == spec.hamiltonian.fn(y)
-
-
-def test_untraceable_hamiltonian_is_called_as_it_is():
-    calls = []
-    spec = _branching_well(calls)
-    H = _make_scalar_h(spec)
-    y = (0.5, -0.7, 1.0, 1.0, 2.0, -1.0)
-    before = len(calls)
-    assert H(0.0, y) == spec.hamiltonian.fn(y)
-    assert len(calls) == before + 2             # the fallback called W, then fn did
 
 
 def _both_solvers(rhs, events, y0, t_end, dense):
@@ -325,7 +280,6 @@ def test_block_rows_equal_rows_computed_one_step_at_a_time(monkeypatch, key, ref
     # op_min and cp_min_bq take about 1.5k steps to t = 20: several blocks.
     spec = build(SYSTEM_OF[key], PARAMS[key])
     rhs = _make_scalar_rhs(spec)
-    assert integrate(spec, reference_ic, 0.1).meta["rhs_backend"] == "generated"
 
     def run():
         return dynamics.solve_ivp(rhs, (0.0, 20.0), reference_ic, 1e-12, 1e-12,
@@ -426,18 +380,6 @@ def test_fminbound_port_matches_scipy_on_the_figures_polish_calls(monkeypatch):
         ref = scipy.optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
                                              options={"xatol": kwargs["xatol"]})
         assert out == (ref.x, ref.fun, ref.nfev)
-
-
-def test_dual_rhs_fallback_runs_through_the_same_solver():
-    spec = _branching_well()
-    rhs = _make_scalar_rhs(spec)
-    y0 = np.array([0.5, -0.7, 1.0, 1.0, 2.0, -1.0])
-    ours, ref = _both_solvers(rhs, _guard_events(spec), y0, 3.0, dense=True)
-    _assert_same_run(ours, ref, dense=True)
-    traj = integrate(spec, y0, 3.0, tol=1e-12)
-    assert traj.meta["reason"] == "completed"
-    assert traj.meta["rhs_backend"] == "dual"
-    assert traj.drift("H") < 1e-11
 
 
 def test_eom_rhs_accepts_batches_and_phase_points():
@@ -557,7 +499,6 @@ def test_completed_run_reports_its_work(reference_ic):
     meta = traj.meta
     assert not traj.aborted
     assert meta["reason"] == "completed"
-    assert meta["rhs_backend"] == "generated"
     assert meta["t_final"] == 8.0
     assert 0.0 < meta["last_step"] < 8.0
     assert meta["wall_s"] > 0.0
@@ -603,7 +544,7 @@ def test_runaway_stops_on_h_drift(dense):
     assert 0.0 < t_final < 50.0
     assert traj.times[-1] == t_final
     # The run ends where |H - H0| reaches the bound.
-    H = _make_scalar_h(spec)
+    H = traced_value(spec.hamiltonian.fn)
     h0 = H(0.0, tuple(ic.tolist()))
     limit = DRIFT_STOP * tol * max(1.0, abs(h0))
     assert abs(H(0.0, tuple(traj.states[-1].tolist())) - h0) == pytest.approx(limit, rel=1e-3)
@@ -632,7 +573,8 @@ def test_drift_stop_does_not_discard_draws_that_break_h_in_part_of_phase_space()
     H = spec.hamiltonian.fn
 
     def broken(s):
-        return H(s) + 1e-3 * np.maximum(s[2], 0.0) ** 2
+        # max(z, 0), exactly in IEEE arithmetic, as straight-line code.
+        return H(s) + 1e-3 * ((s[2] + ad.sqrt(s[2] * s[2])) / 2) ** 2
 
     mixed = dataclasses.replace(spec, hamiltonian=Observable(broken, "H", 2))
     drifts = conservation_suite(mixed, n_ic=1, t_end=50.0, tol=1e-12, seed=7)
@@ -800,12 +742,10 @@ def _field_traces(spec, states):
 @pytest.mark.parametrize("n", [201, 5001])
 @pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
 def test_traces_run_the_traced_value_programs_with_the_fields_values(key, n):
-    # Every field of the catalog and the chart families is traced.
     if key in FAMILY_ARGS:
         spec = build_family(chart_family(*FAMILY_ARGS[key]))
     else:
         spec = build(SYSTEM_OF[key], PARAMS[key])
-    assert {trace.traced_value(obs.fn)[1] for obs in spec.observables()} == {"generated"}
     states = sample_safe_states(make_rng(n), n).T
     got = dynamics._trace_all(spec, states)
     want = _field_traces(spec, states)
@@ -813,17 +753,6 @@ def test_traces_run_the_traced_value_programs_with_the_fields_values(key, n):
     for lbl in want:
         assert got[lbl].shape == (n,) and got[lbl].dtype == np.float64
         assert np.array_equal(got[lbl], want[lbl], equal_nan=True), lbl
-
-
-def test_an_untraceable_observable_traces_on_its_field():
-    # A branch on a value in W: H cannot be traced and runs on its field.
-    spec = _branching_well()
-    assert trace.traced_value(spec.hamiltonian.fn)[1] == "dual"
-    states = sample_safe_states(make_rng(5), 301).T
-    got = dynamics._trace_all(spec, states)
-    want = _field_traces(spec, states)
-    assert list(got) == list(want) == ["H"]
-    assert np.array_equal(got["H"], want["H"], equal_nan=True)
 
 
 def test_detect_period_from_a_singular_start_reports_no_run():

@@ -131,8 +131,14 @@ def test_observable_eval_and_grad():
     assert np.allclose(obs.grad(pt), [4, 0, 0, 1, 0, 0])
 
 
+def _overflow_nan(s):
+    # inf - inf at s[0] = 1, reached through finite constants only.
+    v = s[0] * 1e308 * 1e308
+    return v - v
+
+
 def test_observable_nonfinite_raises():
-    obs = Observable(lambda s: float("nan") + 0.0 * s[0], label="bad")
+    obs = Observable(_overflow_nan, label="bad")
     with pytest.raises(EvaluationError):
         obs.eval(PhasePoint.from_state([1, 0, 0, 0, 0, 0]))
 

@@ -19,7 +19,7 @@ from axisym import autodiff as ad
 from axisym import trace, verify
 from axisym.catalog import build, op_closure_polynomial
 from axisym.closedform import CP_BL, CP_MIN, OP_MIN, cartesian_state, constants
-from axisym.dynamics import _make_scalar_h, _make_scalar_rhs, integrate
+from axisym.dynamics import _make_scalar_rhs, integrate
 from axisym.families import build_family
 from axisym.phase import (
     EvaluationError,
@@ -60,7 +60,6 @@ def test_traced_gradient_equals_dual_gradient(key, dtype):
     spec = _spec(key)
     states = sample_safe_states(make_rng(41), 200).astype(dtype)
     for obs in spec.observables():
-        assert trace.traced_gradient(obs.fn)[1] == "generated", (key, obs.label)
         got = _assert_same_gradient(obs.fn, list(states))
         assert all(g.dtype == dtype and g.shape == (200,) for g in got)
 
@@ -110,7 +109,6 @@ def test_bracket_residuals_equal_dual_reference():
         pairs = [(g, spec.hamiltonian) for g in spec.integrals]
         pairs += [(spec.integral(a), spec.integral(b)) for a, b in spec.involutions]
         for f, g in pairs:
-            assert verify._bracket_program(f.fn, g.fn)[1] == "generated", (key, f.label)
             assert np.array_equal(bracket_residuals(f, g, states),
                                   _dual_bracket_residuals(f, g, states)), (key, f.label, g.label)
 
@@ -137,17 +135,16 @@ def _closure_reference(spec, states, poly):
 def _assert_sides_equal_reference(spec, states, poly):
     """The closure programs on long-double states give the long-double
     reference bit for bit; on float64 states they give it rounded to
-    float64 block by block.  Returns the path that ran and those float64
-    sides."""
+    float64 block by block.  Returns those float64 sides."""
     want_lhs, want_rhs = _closure_reference(spec, states, poly)
-    lhs, rhs, backend = verify._closure_sides(spec, states.astype(np.longdouble), poly)
+    lhs, rhs = verify._closure_sides(spec, states.astype(np.longdouble), poly)
     assert lhs.dtype == rhs.dtype == np.longdouble
     assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
-    lhs, rhs, _ = verify._closure_sides(spec, states, poly)
+    lhs, rhs = verify._closure_sides(spec, states, poly)
     assert lhs.dtype == rhs.dtype == np.float64
     assert np.array_equal(lhs, want_lhs.astype(float))
     assert np.array_equal(rhs, want_rhs.astype(float))
-    return backend, lhs, rhs
+    return lhs, rhs
 
 
 @pytest.mark.parametrize("n", [1, trace.BLOCK - 1, trace.BLOCK, trace.BLOCK + 1])
@@ -156,11 +153,9 @@ def test_closure_equals_dual_reference(key, n):
     spec = _spec(key.removesuffix("_mutated"))
     poly = _mutated(spec) if key.endswith("_mutated") else spec.closure
     states = sample_safe_states(make_rng(45), n)
-    backend, lhs, rhs = _assert_sides_equal_reference(spec, states, poly)
-    assert backend == "generated"
+    lhs, rhs = _assert_sides_equal_reference(spec, states, poly)
     rep = closure_residual(spec, states, poly=poly)
     assert np.array_equal(rep.lhs, lhs) and np.array_equal(rep.rhs, rhs)
-    assert rep.gradient == "generated"
 
 
 def _with_h(spec, H):
@@ -182,41 +177,63 @@ def _with_sqrt_h(spec):
     return _with_h(spec, lambda s: H(s) + 0.1 * ad.sqrt(s[0] * s[0] + s[1] * s[1]))
 
 
-def test_untraceable_checks_fall_back_to_duals_with_the_same_results():
+def _raises_naming(tag, call):
+    """``call()`` raises TypeError naming the compile tag ``tag`` and
+    leaves the program cache as it was."""
+    gc.collect()        # no entry of an earlier test dies during the call
+    before = dict(trace._CACHE)
+    with pytest.raises(TypeError, match=re.escape(f"<{tag}>")):
+        call()
+    assert trace._CACHE == before
+
+
+def test_a_field_that_cannot_be_traced_raises_naming_its_program():
     spec = _spec("op_min")
-    slow = _with_branching_h(spec)
-    states = sample_safe_states(make_rng(46), 300)
-    traced, fallback = closure_residual(spec, states), closure_residual(slow, states)
-    assert (traced.gradient, fallback.gradient) == ("generated", "dual")
-    assert np.array_equal(traced.lhs, fallback.lhs)
-    assert np.array_equal(traced.rhs, fallback.rhs)
-    x1 = spec.integral("X1")
-    assert verify._bracket_program(x1.fn, slow.hamiltonian.fn)[1] == "dual"
-    assert np.array_equal(bracket_residuals(x1, spec.hamiltonian, states),
-                          bracket_residuals(x1, slow.hamiltonian, states))
-    # Reports name the path that ran, though X1's and Y3's gradients are traced.
-    backend = {r.check: r.gradient for r in verify_system(slow, samples=50, rank_points=5)}
-    assert backend["closure"] == backend["{X1,H}=0"] == "dual"
-    assert backend["{X1,X2}=0"] == "generated"
+    y0 = sample_safe_states(make_rng(55), 1)[:, 0]
+    W = spec.potential_sw
+    branching_w = dataclasses.replace(spec, potential_sw=lambda s, w: W(s, w) + value_branch(s))
+    _raises_naming("rhs op_min", lambda: integrate(branching_w, y0, 0.1))
+    # The RHS is traced from g and W, so it traces; H is not.
+    branching_h = _with_branching_h(spec)
+    _make_scalar_rhs(branching_h)
+    h = branching_h.hamiltonian
+    _raises_naming(f"value {trace.name_of(h.fn)}", lambda: integrate(branching_h, y0, 0.1))
+    _raises_naming(f"value {trace.name_of(h.fn)}", lambda: h.eval(y0))
+    x1 = _branching(spec.integral("X1"))
+    _raises_naming(f"bracket {trace.name_of(x1.fn)} {trace.name_of(spec.hamiltonian.fn)}",
+                   lambda: verify.is_integral(spec, x1, samples=5))
+    states = sample_safe_states(make_rng(55), 5)
+    _raises_naming("closure op_min", lambda: closure_residual(branching_h, states))
+    good = verify.y3_quadratic_ansatz(spec)
+    branching = dataclasses.replace(good, s1=lambda x, y, z: good.s1(x, y, z) + value_branch(x))
+    _raises_naming(f"determining {trace.name_of(spec.W)}",
+                   lambda: verify.determining_residuals(branching, spec.B, spec.W,
+                                                        verify.safe_grid(2)))
+
+    # abs of a dual branches on the sign of its value, which a traced
+    # value does not have: TypeError, not AttributeError.
+    def abs_tangent(t, y):
+        return (abs(ad.Dual(y[0], 1.0)).im,)
+    _raises_naming("abs", lambda: trace.cached_program((abs_tangent,), abs_tangent, "abs"))
 
 
 def test_math_function_checks_run_generated_code_equal_to_duals():
     spec = _with_sqrt_h(_spec("op_min"))
     states = sample_safe_states(make_rng(46), 300)
-    assert _assert_sides_equal_reference(spec, states, spec.closure)[0] == "generated"
+    _assert_sides_equal_reference(spec, states, spec.closure)
     x1 = spec.integral("X1")
-    assert verify._bracket_program(x1.fn, spec.hamiltonian.fn)[1] == "generated"
     assert np.array_equal(bracket_residuals(x1, spec.hamiltonian, states),
                           _dual_bracket_residuals(x1, spec.hamiltonian, states))
-    backend = {r.check: r.gradient for r in verify_system(spec, samples=50, rank_points=5)}
-    assert set(backend.values()) == {"generated"}
+    # Every check of the sweep traces, or the sweep would raise TypeError.
+    verify_system(spec, samples=50, rank_points=5)
 
 
 def _program_values(spec, states):
     """Closure sides, scalar H and RHS of ``spec``, each from its own program."""
     y = tuple(states[:, 0].tolist())
-    lhs, rhs, _ = verify._closure_sides(spec, states, spec.closure)
-    return lhs, rhs, _make_scalar_h(spec)(0.0, y), _make_scalar_rhs(spec)(0.0, y)
+    lhs, rhs = verify._closure_sides(spec, states, spec.closure)
+    H = trace.traced_value(spec.hamiltonian.fn)
+    return lhs, rhs, H(0.0, y), _make_scalar_rhs(spec)(0.0, y)
 
 
 @pytest.mark.parametrize("first", ["original", "replaced"])
@@ -407,8 +424,7 @@ def test_a_deep_chain_of_values_read_once_is_cut_into_lines():
             p = p * y[0] + c
         return (p,)
 
-    program, backend = trace.cached_program((horner,), horner, "horner", inputs=1)
-    assert backend == "generated"
+    program = trace.cached_program((horner,), horner, "horner", inputs=1)
     lines = trace._trace(horner, True, 1).splitlines()
     assert len([s for s in lines if " = " in s]) <= 2000 // trace.NEST_DEPTH + 2
     assert max(map(_paren_depth, lines)) <= trace.NEST_DEPTH
@@ -501,18 +517,17 @@ def test_freeing_programs_name_a_value_whose_reads_free_rows(monkeypatch):
     spec = build("op_min", PARAMS["op_min"])
     closure_residual(spec, sample_safe_states(make_rng(5), 50))
     _make_scalar_rhs(spec)
-    _make_scalar_h(spec)
     assert _live_rows(sources["<closure op_min>"]) <= 51
-    # Programs that free nothing, the integrator's, nest every value read
-    # once: each named local that is not an output is read twice or more.
-    for tag in ("<rhs op_min>", "<rhs H op_min>"):
-        (fn,) = ast.parse(sources[tag]).body
-        assert not any(isinstance(stmt, ast.Delete) for stmt in fn.body)
-        reads = collections.Counter(n.id for n in ast.walk(fn)
-                                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-        outputs = {n.id for n in ast.walk(fn.body[-1]) if isinstance(n, ast.Name)}
-        named = {t.id for stmt in fn.body[1:-1] for t in stmt.targets}
-        assert named and all(reads[v] >= 2 for v in named - outputs), tag
+    # A program that frees nothing, the integrator's RHS, nests every
+    # value read once: each named local that is not an output is read
+    # twice or more.
+    (fn,) = ast.parse(sources["<rhs op_min>"]).body
+    assert not any(isinstance(stmt, ast.Delete) for stmt in fn.body)
+    reads = collections.Counter(n.id for n in ast.walk(fn)
+                                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    outputs = {n.id for n in ast.walk(fn.body[-1]) if isinstance(n, ast.Name)}
+    named = {t.id for stmt in fn.body[1:-1] for t in stmt.targets}
+    assert named and all(reads[v] >= 2 for v in named - outputs)
 
 
 @pytest.mark.parametrize("key", [*PARAMS, *FAMILY_ARGS])
@@ -520,7 +535,6 @@ def test_eval_runs_traced_value_equal_to_fn(key):
     spec = _spec(key)
     rows = sample_safe_states(make_rng(47), 200)
     for obs in spec.observables():
-        assert trace.traced_value(obs.fn)[1] == "generated", (key, obs.label)
         for column in rows.T:
             for state in (column, PhasePoint.from_state(column), column.tolist(),
                           list(column)):
@@ -531,7 +545,6 @@ def test_eval_runs_traced_value_equal_to_fn(key):
 
 def test_eval_on_the_axis_raises_evaluation_error():
     x1 = _spec("op_min").integral("X1")
-    assert trace.traced_value(x1.fn)[1] == "generated"
     on_axis = [0.0, 0.0, 1.0, 0.1, 0.2, 0.3]
     with pytest.raises(EvaluationError):
         x1.eval(on_axis)
@@ -539,55 +552,15 @@ def test_eval_on_the_axis_raises_evaluation_error():
         x1.eval(np.array(on_axis))
 
 
-def test_untraceable_fields_keep_the_dual_path():
-    fields = [(key, _spec(key).integral("Y4")) for key in ("max5", "max6")]
-    fields.append(("family_oblate", _spec("family_oblate").hamiltonian))
-    states = sample_safe_states(make_rng(50), 20)
-    for key, obs in fields:
-        branching = _branching(obs)
-        assert trace.traced_value(branching.fn)[1] == "dual"
-        assert trace.traced_gradient(branching.fn)[1] == "dual"
-        assert verify._bracket_program(branching.fn, _spec(key).integrals[-1].fn)[1] == "dual"
-        for column in states.T:
-            assert branching.eval(column) == obs.eval(column), (key, obs.label)
-
-
-def test_abs_of_a_dual_falls_back_to_duals():
-    # abs of a dual branches on the sign of its value, which a traced
-    # value does not have: tracing raises TypeError, not AttributeError.
-    pz = Observable(lambda s: abs(s[0]) * 0.0 + s[5], "Pz", 1)
-    z = Observable(lambda s: s[2], "z", 0)
-    assert trace.traced_gradient(pz.fn)[1] == "dual"
-    def abs_tangent(t, y):
-        return (abs(ad.Dual(y[0], 1.0)).im,)
-    assert trace.cached_program((abs_tangent,), abs_tangent, "abs")[1] == "dual"
-    state = sample_safe_states(make_rng(51), 1)[:, 0].tolist()
-    gf, gg = gradient6(pz.fn, state), gradient6(z.fn, state)
-    want = sum(gf[i] * gg[i + 3] - gf[i + 3] * gg[i] for i in range(3))
-    assert verify.poisson(pz, z, state) == want == -1.0
-    spec = _spec("op_min")
-    report = verify.is_integral(spec, pz, samples=1, rng=make_rng(52))
-    assert report.gradient == "dual"
-
-
-def test_abs_of_dual_rows_checks_an_integral_on_many_samples():
-    pz = Observable(lambda s: abs(s[0]) * 0.0 + s[5], "Pz", 1)
-    report = verify.is_integral(_spec("linear_min"), pz, samples=1000)
-    assert report.max_residual == 0.0
-    assert report.gradient == "dual"
-
-
 def test_reports_name_the_gradient_backend():
+    # Every check runs traced code, and every report of max5 and of a
+    # chart family passes.
     reports = verify_system(build("max5", PARAMS["max5"]), samples=50,
                             rank_points=5, seed=1)
-    assert {r.gradient for r in reports} == {"generated"}
+    assert reports and all(r.passed for r in reports)
     family = _spec("family_oblate")
-    backend = {r.check: r.gradient for r in verify_system(family, samples=50, rank_points=5,
-                                                          seed=1)}
-    assert set(backend.values()) == {"generated"}
-    branching = verify_system(_with_branching_h(family), samples=50, rank_points=5, seed=1)
-    assert {r.check: r.gradient for r in branching} == {
-        "{X1,H}=0": "dual", "{X2,H}=0": "dual", "functional_rank": "dual"}
+    reports = verify_system(family, samples=50, rank_points=5, seed=1)
+    assert reports and all(r.passed for r in reports)
 
 
 def test_building_specs_traces_nothing(monkeypatch):
@@ -644,30 +617,23 @@ def _constants_entries():
     return c, (params,), {"closed form"}
 
 
-def _spec_entries(spec=None):
-    # The spec's RHS, H and closure; its ansatz, and with the ansatz its
+def _spec_entries():
+    # The spec's RHS and closure; its ansatz, and with the ansatz its
     # determining program; its observables' values and gradients.
-    spec = spec or _spec("op_min")
+    spec = _spec("op_min")
     integrate(spec, sample_safe_states(make_rng(53), 1)[:, 0], 0.1)
     verify_system(spec, samples=20, rank_points=3, seed=1)
     ansatz = verify.y3_quadratic_ansatz(spec)
     verify.determining_residuals(ansatz, spec.B, spec.W, verify.safe_grid(2))
     spec.hamiltonian.eval(sample_safe_states(make_rng(53), 1)[:, 0])
-    return spec, (), {"rhs op_min", "rhs H op_min", "closure op_min", "ansatz", "determining",
+    return spec, (), {"rhs op_min", "closure op_min", "ansatz", "determining",
                       "grad", "value", "bracket"}
 
 
-def _untraceable_spec_entries():
-    # Only the verdict is cached for an untraceable field, never the dual
-    # program, which closes over the objects that key it.
-    return _spec_entries(_with_branching_h(_spec("op_min")))
-
-
 @pytest.mark.parametrize("make", [_observable_entries, _bracket_entries, _polynomial_entries,
-                                  _ansatz_entries, _constants_entries, _spec_entries,
-                                  _untraceable_spec_entries],
+                                  _ansatz_entries, _constants_entries, _spec_entries],
                          ids=["observable", "bracket", "polynomial", "ansatz", "constants",
-                              "spec", "untraceable_spec"])
+                              "spec"])
 def test_an_entry_dies_with_its_key(make):
     # ``make`` uses fresh objects and returns the one to drop, the others
     # it keeps alive, and the tags of the entries that must die with it.
@@ -725,27 +691,6 @@ def test_two_threads_give_the_serial_closure_sides(monkeypatch, forks, n):
         assert len(forks) == (n > SPLIT - trace.BLOCK)
         for got, want in zip(split[:2], serial[:2], strict=True):
             assert got.dtype == dtype and np.array_equal(got, want)
-
-
-def test_untraceable_closure_on_two_threads_equals_dual_reference(monkeypatch, forks):
-    # A branching H puts the whole closure program on duals, which runs
-    # on the same long-double blocks, on two processes, as traced code.
-    spec = _with_branching_h(_spec("op_min"))
-    states = sample_safe_states(make_rng(46), SPLIT + 1)
-    _on_cpus(monkeypatch, 2)
-    assert _assert_sides_equal_reference(spec, states, spec.closure)[0] == "dual"
-    assert len(forks) == 2
-
-
-@pytest.mark.parametrize("key", ["max5", "max6"])
-def test_untraceable_gradient_on_two_threads_equals_gradient6(monkeypatch, forks, key):
-    y4 = _branching(_spec(key).integral("Y4"))
-    states = sample_safe_states(make_rng(48), SPLIT + 1).astype(np.longdouble)
-    _on_cpus(monkeypatch, 2)
-    assert trace.traced_gradient(y4.fn)[1] == "dual"
-    got = _assert_same_gradient(y4.fn, list(states))
-    assert len(forks) == 1
-    assert all(g.dtype == np.longdouble for g in got)
 
 
 def _columns(n, dtype=np.longdouble):
